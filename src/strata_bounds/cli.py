@@ -70,6 +70,17 @@ def cli() -> None:
     """Bounds for the always-observed treatment effect under attrition."""
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current stdout, or stderr with err=True.
+
+    The stream is named explicitly: click.echo's default looks it up in a
+    cache that keeps every text stream it has seen alive, so each stream a
+    caller redirects stdout to would never be freed.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    click.echo(message, file=stream, nl=nl)
+
+
 def flip_treatment(data: Dataset) -> Dataset:
     """Relabel arms (d := 1 - d), keeping outcomes, selection, and blocks."""
     return Dataset(tuple(replace(rec, d=1 - rec.d) for rec in data.records))
@@ -265,11 +276,11 @@ def estimate(input_path, estimator, variance, alpha, reverse_monotonicity, fmt):
         records = [reverse_record(r) for r in records]
 
     if fmt == "json":
-        click.echo(json.dumps({"results": _jsonable(records)}, indent=2))
+        _echo(json.dumps({"results": _jsonable(records)}, indent=2))
     elif fmt == "csv":
-        click.echo(_estimate_csv(records), nl=False)
+        _echo(_estimate_csv(records), nl=False)
     else:
-        click.echo(_estimate_table(records))
+        _echo(_estimate_table(records))
 
 
 @cli.command()
@@ -309,13 +320,13 @@ def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
         alpha=alpha,
     )
     summary = monte_carlo(config, out_dir=out_dir)
-    click.echo(
+    _echo(
         f"process={summary.config.dgp} reps={summary.config.reps} "
         f"seed={summary.config.seed} truth_lb={format_number(summary.truth_lb)} "
         f"truth_ub={format_number(summary.truth_ub)}"
     )
     for est in summary.estimators:
-        click.echo(
+        _echo(
             f"{est.estimator}: failed={est.failed} "
             f"mean_lb={format_number(est.mean_delta_lb)} "
             f"mean_ub={format_number(est.mean_delta_ub)} "
@@ -326,8 +337,8 @@ def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
             f"coverage_lb={format_number(est.coverage_lb)} "
             f"coverage_ub={format_number(est.coverage_ub)}"
         )
-    click.echo(f"wrote {os.path.join(out_dir, 'replications.csv')}")
-    click.echo(f"wrote {os.path.join(out_dir, 'summary.csv')}")
+    _echo(f"wrote {os.path.join(out_dir, 'replications.csv')}")
+    _echo(f"wrote {os.path.join(out_dir, 'summary.csv')}")
 
 
 def main(argv=None) -> int:
@@ -343,13 +354,13 @@ def main(argv=None) -> int:
         exc.show()
         return 1
     except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+        _echo("aborted", err=True)
         return 1
     except ValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 1
     except EstimationError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 2
     return 0
 

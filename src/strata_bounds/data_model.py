@@ -280,7 +280,8 @@ def parse_csv(source) -> Dataset:
     if hasattr(source, "read"):
         return _parse_csv_stream(source)
     try:
-        fh = open(source, "r", newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheet programs write
+        fh = open(source, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     with fh:

@@ -51,14 +51,20 @@ def always_observed_treat_prob(design: BlockDesign) -> float:
     """Treated share among units weighted by block observed-control rates.
 
     Computed in exact rational arithmetic over the block counts, so under
-    equal treated shares the result equals that share bit-for-bit.
+    equal treated shares the result equals that share bit-for-bit. Blocks of
+    one shape (t_g, n_g) share the rate denominator, so their observed
+    controls are summed first and the rationals are formed per shape.
     """
+    observed: dict[tuple[int, int], int] = {}
+    for blk in design.blocks:
+        shape = (blk.t_g, blk.n_g)
+        observed[shape] = observed.get(shape, 0) + blk.n0s_g
     num = Fraction(0)
     den = Fraction(0)
-    for blk in design.blocks:
-        m_g = Fraction(blk.n0s_g, blk.n_g - blk.t_g)
-        num += blk.t_g * m_g
-        den += blk.n_g * m_g
+    for (t_g, n_g), n0s in observed.items():
+        rates = Fraction(n0s, n_g - t_g)  # m_g summed over the shape's blocks
+        num += t_g * rates
+        den += n_g * rates
     if den == 0:
         raise EstimationError("no observed control outcomes in any block")
     return float(num / den)

@@ -70,21 +70,30 @@ def trimmed_mean(values, spec: TrimSpec) -> TrimmedMeanResult:
         raise DegenerateTrimError("no values to trim")
     k = (1.0 - spec.q) * m
     if k < 1.0:
-        raise DegenerateTrimError(
-            f"trimming share {spec.q} retains mass {k:.6g} < 1 of {m} values"
-        )
-    ys = np.sort(y)
+        raise _degenerate_trim(spec.q, k, m)
+    return _trim_sorted(np.sort(y), k, spec.side)
+
+
+def _degenerate_trim(q: float, k: float, m: int) -> DegenerateTrimError:
+    return DegenerateTrimError(
+        f"trimming share {q} retains mass {k:.6g} < 1 of {m} values"
+    )
+
+
+def _trim_sorted(ys: np.ndarray, k: float, side: str) -> TrimmedMeanResult:
+    """trimmed_mean on ascending values ys, keeping mass k in [1, m]."""
+    m = ys.size
     boundary_rank = math.ceil(k)
-    if spec.side == "upper":
+    if side == "upper":
         cutoff = ys[boundary_rank - 1]
-        inside = int(np.searchsorted(ys, cutoff, side="left"))
-        ties = int(np.searchsorted(ys, cutoff, side="right")) - inside
+        inside = int(ys.searchsorted(cutoff, side="left"))
+        ties = int(ys.searchsorted(cutoff, side="right")) - inside
         total = float(ys[:inside].sum()) + (k - inside) * cutoff
     else:
         cutoff = ys[m - boundary_rank]
-        beyond = int(np.searchsorted(ys, cutoff, side="right"))
+        beyond = int(ys.searchsorted(cutoff, side="right"))
         inside = m - beyond
-        ties = beyond - int(np.searchsorted(ys, cutoff, side="left"))
+        ties = beyond - int(ys.searchsorted(cutoff, side="left"))
         total = float(ys[m - inside :].sum()) + (k - inside) * cutoff
     if k == m:
         # Nothing is trimmed, so both sides retain the whole sample; one
@@ -254,19 +263,25 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
 
     Each stratum gets its own trimming share from its own observed-selection
     rates. Strata whose cells are undefined (an arm with no observed
-    outcome, or a degenerate trim) are dropped from the aggregate and listed
-    in the warnings; if every stratum fails, estimation fails.
+    outcome, or a trim that keeps less than one unit of treated mass) are
+    dropped from the aggregate and listed in the warnings; if every stratum
+    fails, estimation fails.
     """
-    codes = design.codes
+    # one stable sort puts each block's observed treated outcomes, then its
+    # observed control outcomes, then its unobserved rows, in contiguous
+    # runs that keep dataset order
+    cell = np.where(data.s == 1, 1 - data.d, 2)
+    key = design.codes * 3 + cell
+    y = data.y[np.argsort(key, kind="stable")]
+    edges = np.concatenate(
+        ([0], np.cumsum(np.bincount(key, minlength=3 * design.n_blocks)))
+    ).tolist()
     strata: list[StratumBound] = []
     clamp_count = 0
     for g, blk in enumerate(design.blocks):
-        in_g = codes == g
-        d_g = data.d[in_g]
-        s_g = data.s[in_g]
-        y_g = data.y[in_g]
-        n1s = int((d_g * s_g).sum())
-        n0s = int(((1 - d_g) * s_g).sum())
+        start, mid, stop = edges[3 * g : 3 * g + 3]
+        n1s = mid - start
+        n0s = stop - mid
         if n1s == 0 or n0s == 0:
             strata.append(
                 StratumBound(
@@ -280,20 +295,23 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
         tau_raw = 1.0 - (n0s * blk.t_g) / (n1s * c_g)
         clamped = tau_raw < 0.0
         tau = max(tau_raw, 0.0)
-        y1 = y_g[(d_g == 1) & (s_g == 1)]
-        try:
-            lb = trimmed_mean(y1, TrimSpec(q=tau, side="upper"))
-            ub = trimmed_mean(y1, TrimSpec(q=tau, side="lower"))
-        except DegenerateTrimError as exc:
+        k = (1.0 - tau) * n1s
+        # the kept mass is exactly min(n0s t_g / c_g, n1s); test it in
+        # integers, since k can round to just below one unit
+        if not clamped and n0s * blk.t_g < c_g:
             strata.append(
                 StratumBound(
                     label=blk.label, n_g=blk.n_g, tau=tau, clamped=clamped,
                     mu0=float("nan"), mu1_lb=float("nan"), mu1_ub=float("nan"),
-                    used=False, reason=str(exc),
+                    used=False, reason=str(_degenerate_trim(tau, k, n1s)),
                 )
             )
             continue
-        mu0_g = float(y_g[(d_g == 0) & (s_g == 1)].mean())
+        y1 = np.sort(y[start:mid])
+        k = max(k, 1.0)
+        lb = _trim_sorted(y1, k, "upper")
+        ub = _trim_sorted(y1, k, "lower")
+        mu0_g = float(y[mid:stop].sum()) / n0s  # .mean(), bit for bit
         clamp_count += int(clamped)
         strata.append(
             StratumBound(

@@ -361,17 +361,32 @@ def _run_replication(config, tokens, n, truth, rep):
     return rows
 
 
+def _thread_count(reps: int) -> int:
+    """Worker threads from STRATA_BOUNDS_THREADS, no more than reps."""
+    raw = os.environ.get(THREADS_ENV, "") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(
+            f"{THREADS_ENV} must be a whole number of at least 1, got {raw!r}"
+        )
+    return min(threads, reps)
+
+
 def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSummary:
     """Run the replications, optionally writing the two CSV files.
 
     Parallelism is controlled by the STRATA_BOUNDS_THREADS environment
-    variable (default 1); results are keyed by replication index, so output
-    bytes do not depend on the thread count.
+    variable (default 1, capped at the number of replications); results are
+    keyed by replication index, so output bytes do not depend on the thread
+    count.
     """
     config, tokens, n = _resolve_config(config)
+    threads = _thread_count(config.reps)
     truth = dgp1_truth() if config.dgp == DGP_MATCHED_PAIRS else (DGP2_TRUTH,) * 2
 
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(

@@ -52,44 +52,43 @@ class Involution:
         return out
 
 
-def _sort_key(design: BlockDesign, g: int):
-    blk = design.blocks[g]
-    if blk.x_mean is not None:
-        return blk.x_mean + (blk.label,)
-    return (blk.label,)
-
-
 def pair_blocks(design: BlockDesign, needs: list[int]) -> Involution:
     """Pair the listed blocks among themselves, consecutively by sort key.
 
     Blocks sort by covariate means (first coordinate first), label as the
     final tiebreak; without covariates, label order. An odd leftover block is
     paired with the nearest block outside the set (by first covariate-mean
-    coordinate, or by position in label order); if no outside block exists,
-    pairing fails.
+    coordinate, or by position in label order; ties go to the first label);
+    if no outside block exists, pairing fails. Block indices follow label
+    order, so the index stands in for the label throughout.
     """
-    needs = sorted(set(needs), key=lambda g: _sort_key(design, g))
-    pairs = [(needs[i], needs[i + 1]) for i in range(0, len(needs) - 1, 2)]
-    if len(needs) % 2 == 1:
-        last = needs[-1]
-        outside = [g for g in range(design.n_blocks) if g not in set(needs)]
-        if not outside:
+    blocks = design.blocks
+    needs = np.unique(np.asarray(needs, dtype=np.int64))
+    has_x = blocks[0].x_mean is not None
+    if has_x and needs.size:
+        x = np.array([blocks[g].x_mean for g in needs.tolist()])
+        # lexsort takes its primary key last
+        needs = needs[np.lexsort((needs, *x.T[::-1]))]
+    order = needs.tolist()
+    pairs = list(zip(order[0::2], order[1::2]))
+    if len(order) % 2 == 1:
+        last = order[-1]
+        outside = np.ones(design.n_blocks, dtype=bool)
+        outside[needs] = False
+        candidates = np.flatnonzero(outside)
+        if not candidates.size:
             raise PairingError(
-                f"cannot pair block {design.blocks[last].label!r}: "
+                f"cannot pair block {blocks[last].label!r}: "
                 "no block outside the singleton set"
             )
-        blk = design.blocks[last]
-        if blk.x_mean is not None:
-            ref = blk.x_mean[0]
-            partner = min(
-                outside,
-                key=lambda g: (abs(design.blocks[g].x_mean[0] - ref),
-                               design.blocks[g].label),
+        if has_x:
+            first = np.fromiter(
+                (b.x_mean[0] for b in blocks), dtype=float, count=len(blocks)
             )
+            distance = np.abs(first[candidates] - first[last])
         else:
-            partner = min(outside, key=lambda g: (abs(g - last),
-                                                  design.blocks[g].label))
-        pairs.append((last, partner))
+            distance = np.abs(candidates - last)
+        pairs.append((last, int(candidates[np.argmin(distance)])))
     return Involution(pairs=tuple(pairs))
 
 
@@ -139,6 +138,22 @@ def _block_arm_stats(moments, codes, mask, n_blocks):
             outer_sums[:, j, l] = col
             outer_sums[:, l, j] = col
     return counts, sums, outer_sums
+
+
+def _singleton_cross(inv, single, coef, sums, means):
+    """Symmetrized sum over singleton-arm blocks g of coef_g own_g partner_g'.
+
+    A singleton arm's sum is its single row (own_g); partner_g is the arm
+    mean of the block it is paired with.
+    """
+    partner = inv.partner_map()
+    cross = np.einsum(
+        "g,gi,gj->ij",
+        coef[single],
+        sums[single],
+        means[[partner[g] for g in single]],
+    )
+    return 0.5 * (cross + cross.T)
 
 
 def meat_design(
@@ -209,22 +224,10 @@ def meat_design(
     else:
         if single1:
             inv1 = pair_blocks(design, single1)
-            partner = inv1.partner_map()
-            for g in single1:
-                own = sum1[g]  # single unit: the sum is the row itself
-                other = mean1[partner[g]]
-                zeta_11 = zeta_11 + coef[g] * 0.5 * (
-                    np.outer(own, other) + np.outer(other, own)
-                )
+            zeta_11 = zeta_11 + _singleton_cross(inv1, single1, coef, sum1, mean1)
         if single0:
             inv0 = pair_blocks(design, single0)
-            partner = inv0.partner_map()
-            for g in single0:
-                own = sum0[g]
-                other = mean0[partner[g]]
-                zeta_00 = zeta_00 + coef[g] * 0.5 * (
-                    np.outer(own, other) + np.outer(other, own)
-                )
+            zeta_00 = zeta_00 + _singleton_cross(inv0, single0, coef, sum0, mean0)
 
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
     omega = a1 + a0 + b_n - a3

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -24,10 +25,18 @@ from scipy.optimize import brentq
 def oracle_trimmed_mean(values, q, side):
     """Mean of the (1-q) mass kept after trimming one tail, fractionally.
 
+    Returns (mean, cutoff); see oracle_kept_mean.
+    """
+    return oracle_kept_mean(values, (1.0 - float(q)) * len(values), side)
+
+
+def oracle_kept_mean(values, k, side):
+    """Mean of the kept mass k after trimming one tail, fractionally.
+
     Position-weight construction: after sorting so the kept tail comes first,
-    unit at 0-based position j carries weight clip(k - j, 0, 1) where
-    k = (1-q)*m. Equivalent to splitting the boundary weight across ties
-    because tied units share a value. Returns (mean, cutoff).
+    unit at 0-based position j carries weight clip(k - j, 0, 1). Equivalent
+    to splitting the boundary weight across ties because tied units share a
+    value. Returns (mean, cutoff).
     """
     y = np.sort(np.asarray(values, dtype=float))
     if side == "lower":
@@ -35,7 +44,6 @@ def oracle_trimmed_mean(values, q, side):
     elif side != "upper":
         raise ValueError(f"unknown side {side!r}")
     m = y.size
-    k = (1.0 - float(q)) * m
     if k < 1.0:
         raise ValueError("degenerate trim: retained mass below one unit")
     w = np.clip(k - np.arange(m, dtype=float), 0.0, 1.0)
@@ -84,12 +92,15 @@ def oracle_conditional_lee(y, s, d, block):
         n_g = int(idx.sum())
         if sg[dg == 1].sum() == 0 or sg[dg == 0].sum() == 0:
             continue
-        tau = max(1.0 - sg[dg == 0].mean() / sg[dg == 1].mean(), 0.0)
+        # exact kept mass: min(rate ratio, 1) times the observed treated
+        ratio = Fraction(int(sg[dg == 0].sum()) * int(dg.sum()),
+                         int(sg[dg == 1].sum()) * int((dg == 0).sum()))
         y1 = yg[(dg == 1) & (sg == 1)]
-        if (1.0 - tau) * y1.size < 1.0:
+        keep = min(ratio, 1) * y1.size
+        if keep < 1:
             continue
-        lb_g, _ = oracle_trimmed_mean(y1, tau, "upper")
-        ub_g, _ = oracle_trimmed_mean(y1, tau, "lower")
+        lb_g, _ = oracle_kept_mean(y1, float(keep), "upper")
+        ub_g, _ = oracle_kept_mean(y1, float(keep), "lower")
         mu0_g = yg[(dg == 0) & (sg == 1)].mean()
         num_lb += n_g * lb_g
         num_ub += n_g * ub_g
@@ -360,3 +371,56 @@ def oracle_population_jacobian_ipw(side, s1, s0, m1, sd1):
     jac[3, 3] = -s0
     jac[4, 4] = -p1 / eta
     return jac
+
+
+# ---------------------------------------------------------------------------
+# block-level helpers, one block at a time
+# ---------------------------------------------------------------------------
+
+def pair_blocks_oracle(design, needs):
+    """Pairs of singleton-arm blocks, built with Python sorts and scans.
+
+    Sort key: covariate means compared as tuples, then the label. An odd
+    leftover takes the outside block nearest by first covariate mean (or by
+    index without covariates), the label breaking ties. Returns the pairs
+    tuple; raises PairingError when no outside block exists.
+    """
+    from strata_bounds import PairingError
+
+    def sort_key(g):
+        blk = design.blocks[g]
+        if blk.x_mean is not None:
+            return blk.x_mean + (blk.label,)
+        return (blk.label,)
+
+    needs = sorted(set(needs), key=sort_key)
+    pairs = [(needs[i], needs[i + 1]) for i in range(0, len(needs) - 1, 2)]
+    if len(needs) % 2 == 1:
+        last = needs[-1]
+        outside = [g for g in range(design.n_blocks) if g not in set(needs)]
+        if not outside:
+            raise PairingError("no block outside the singleton set")
+        blk = design.blocks[last]
+        if blk.x_mean is not None:
+            ref = blk.x_mean[0]
+            partner = min(
+                outside,
+                key=lambda g: (abs(design.blocks[g].x_mean[0] - ref),
+                               design.blocks[g].label),
+            )
+        else:
+            partner = min(outside, key=lambda g: (abs(g - last),
+                                                  design.blocks[g].label))
+        pairs.append((last, partner))
+    return tuple(pairs)
+
+
+def always_observed_treat_prob_oracle(design):
+    """sum_g t_g m_g / sum_g n_g m_g as an exact Fraction, block by block,
+    with m_g the observed-control rate; None when no control is observed."""
+    num = den = Fraction(0)
+    for blk in design.blocks:
+        m_g = Fraction(blk.n0s_g, blk.n_g - blk.t_g)
+        num += blk.t_g * m_g
+        den += blk.n_g * m_g
+    return None if den == 0 else num / den

@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, reverse mapping."""
 
+import contextlib
+import gc
 import io
 import json
 
@@ -211,6 +213,32 @@ def test_reverse_monotonicity_round_trip_is_identity(capsys, hand_csv, tmp_path)
 # exit codes
 # ---------------------------------------------------------------------------
 
+def test_estimate_reads_header_with_utf8_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(
+        b"\xef\xbb\xbfy,s,d,block\n1.0,1,1,a\n2.0,1,0,a\n3.0,1,1,b\n,0,0,b\n"
+    )
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"][0]["n"] == 4
+
+
+def test_estimate_does_not_keep_redirected_stdout_alive(hand_csv):
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["estimate", "--input", hand_csv]) == 0
+
+    def live_string_ios():
+        gc.collect()
+        return sum(isinstance(o, io.StringIO) for o in gc.get_objects())
+
+    run()
+    before = live_string_ios()
+    for _ in range(5):
+        run()
+    assert live_string_ios() == before
+
+
 def test_missing_input_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "estimate", "--input", "/nonexistent.csv")
     assert code == 1
@@ -335,6 +363,16 @@ def test_simulate_rejects_bad_estimator_token(capsys, tmp_path):
     )
     assert code == 1
     assert "lee:hac" in err
+
+
+def test_simulate_bad_thread_count_exits_one(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STRATA_BOUNDS_THREADS", "abc")
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "2", "--reps", "1", "--seed", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: STRATA_BOUNDS_THREADS") and err.count("\n") == 1
 
 
 def test_simulate_explicit_estimators_add_rows(capsys, tmp_path):

@@ -288,6 +288,26 @@ def test_conditional_bounds_report_dropped_and_clamped_strata():
     assert by_label["ok"].used and not by_label["ok"].clamped
 
 
+def test_conditional_bounds_keep_stratum_retaining_exactly_one_unit():
+    # "one": a (6, 3) stratum with 3 of 3 treated and 1 of 3 controls
+    # observed keeps n0s t_g / c_g = 1 unit exactly, though (1 - tau) * 3
+    # rounds to just below one. "thin": a (4, 1) stratum with 1 of 3
+    # controls observed keeps a third of a unit and is dropped.
+    y = [4.0, 1.0, 7.0, 2.0, 0.0, 0.0, 5.0, 3.0, 0.0, 0.0]
+    s = [1, 1, 1, 1, 0, 0, 1, 1, 0, 0]
+    d = [1, 1, 1, 0, 0, 0, 1, 0, 0, 0]
+    blocks = ["one"] * 6 + ["thin"] * 4
+    data = build_dataset(y, s, d, blocks)
+    est = conditional_lee_bounds(data, block_design(data))
+    one, thin = est.detail
+    assert one.used and one.reason == ""
+    assert (one.mu1_lb, one.mu1_ub, one.mu0) == (1.0, 7.0, 2.0)
+    assert est.delta_lb == -1.0 and est.delta_ub == 5.0
+    assert not thin.used
+    assert thin.reason.startswith("trimming share 0.666") and "< 1 of 1" in thin.reason
+    assert "strata_dropped:1" in est.flags
+
+
 def test_conditional_bounds_weighting_is_by_block_size():
     # two fully observed strata with no trimming: the aggregate is the
     # size-weighted mean of per-stratum contrasts

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_bounds import (
+    EstimationError,
     Involution,
     PairingError,
     TrimSpec,
+    always_observed_treat_prob,
     block_design,
     dataset_from_arrays,
     dataset_to_csv_text,
@@ -22,6 +24,8 @@ from strata_bounds import (
 )
 
 from scipy.stats import norm
+
+from oracles import always_observed_treat_prob_oracle, pair_blocks_oracle
 
 COMMON = dict(deadline=None, max_examples=60)
 
@@ -158,6 +162,76 @@ def test_pair_blocks_gives_fixed_point_free_involution(n_singletons, extra):
             assert pm[partner] == g  # mutual within the singleton set
     covered = {g for pair in inv.pairs for g in pair}
     assert set(needs) <= covered
+
+
+@st.composite
+def pairing_strategy(draw):
+    """A design of two-unit blocks and a set of blocks to pair.
+
+    Covariate means come from a few values, so means and distances tie;
+    labels are shuffled against dataset order.
+    """
+    n_blocks = draw(st.integers(1, 8))
+    arity = draw(st.integers(0, 3))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+    means = [
+        [draw(value) for _ in range(arity)] for _ in range(n_blocks)
+    ]
+    labels = draw(st.permutations([f"b{g}" for g in range(n_blocks)]))
+    needs = draw(
+        st.lists(
+            st.integers(0, n_blocks - 1), min_size=1, max_size=n_blocks,
+            unique=True,
+        )
+    )
+    x = np.repeat(np.array(means, dtype=float).reshape(n_blocks, arity), 2, axis=0)
+    data = dataset_from_arrays(
+        np.arange(2.0 * n_blocks), np.ones(2 * n_blocks, dtype=int),
+        np.tile([1, 0], n_blocks), np.repeat(labels, 2),
+        x=x if arity else None,
+    )
+    return block_design(data), needs
+
+
+@given(case=pairing_strategy())
+@settings(**COMMON)
+def test_pair_blocks_matches_oracle(case):
+    design, needs = case
+    try:
+        expected = pair_blocks_oracle(design, needs)
+    except PairingError:
+        with pytest.raises(PairingError):
+            pair_blocks(design, needs)
+        return
+    pairs = pair_blocks(design, needs).pairs
+    assert pairs == expected
+    assert all(type(g) is int for pair in pairs for g in pair)
+
+
+@st.composite
+def block_counts_strategy(draw):
+    """Blocks of a few shapes (n_g, t_g) with any number of observed controls."""
+    y, s, d, blocks = [], [], [], []
+    for g in range(draw(st.integers(1, 12))):
+        n_g = draw(st.integers(2, 5))
+        t_g = draw(st.integers(1, n_g - 1))
+        n0s = draw(st.integers(0, n_g - t_g))
+        y.extend([1.0] * (t_g + n0s) + [np.nan] * (n_g - t_g - n0s))
+        s.extend([1] * (t_g + n0s) + [0] * (n_g - t_g - n0s))
+        d.extend([1] * t_g + [0] * (n_g - t_g))
+        blocks.extend([f"g{g:02d}"] * n_g)
+    return block_design(dataset_from_arrays(y, s, d, blocks))
+
+
+@given(design=block_counts_strategy())
+@settings(**COMMON)
+def test_always_observed_treat_prob_matches_exact_oracle(design):
+    expected = always_observed_treat_prob_oracle(design)
+    if expected is None:
+        with pytest.raises(EstimationError):
+            always_observed_treat_prob(design)
+        return
+    assert always_observed_treat_prob(design) == float(expected)
 
 
 @given(

@@ -1,6 +1,7 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from strata_bounds import (
     simulate_dgp1,
     simulate_dgp2,
 )
+from strata_bounds import simulation
 from strata_bounds.simulation import (
     DGP2_TRUTH,
     REPLICATION_COLUMNS,
@@ -222,6 +224,27 @@ def test_monte_carlo_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         out3 / "replications.csv"
     ).read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out3 / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_monte_carlo_rejects_bad_thread_count(monkeypatch, value):
+    monkeypatch.setenv("STRATA_BOUNDS_THREADS", value)
+    with pytest.raises(ValidationError, match="STRATA_BOUNDS_THREADS"):
+        monte_carlo(McConfig(dgp="heavy_tails", reps=1, seed=1))
+
+
+def test_monte_carlo_caps_threads_at_replications(monkeypatch):
+    requested = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setenv("STRATA_BOUNDS_THREADS", "64")
+    monte_carlo(McConfig(dgp="heavy_tails", reps=2, seed=1))
+    assert requested == [2]
 
 
 def test_monte_carlo_single_replication_has_nan_sd(tmp_path):
