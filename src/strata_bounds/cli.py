@@ -83,7 +83,7 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
 
 def flip_treatment(data: Dataset) -> Dataset:
     """Relabel arms (d := 1 - d), keeping outcomes, selection, and blocks."""
-    return Dataset(tuple(replace(rec, d=1 - rec.d) for rec in data.records))
+    return replace(data, d=1 - data.d)
 
 
 def run_estimator(data, design, name: str, variance: str, alpha: float) -> dict:

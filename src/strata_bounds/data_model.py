@@ -1,17 +1,20 @@
 """Data containers, CSV parsing/serialization, and block summaries.
 
-A unit record carries the observed outcome (present only when selected), the
-selection and treatment indicators, an opaque block label, and optional
-numeric covariates. Datasets are immutable; numpy views of the columns are
-built once at construction for the estimators.
+A dataset is a set of validated, read-only columns: the observed outcome
+(present only when selected), the selection and treatment indicators, an
+opaque block label, and optional numeric covariates. The block design holds
+one array entry per block. Both are built once and shared by the
+estimators.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,180 +24,137 @@ from .errors import DesignError, ParseError, ValidationError
 REQUIRED_COLUMNS = ("y", "s", "d", "block")
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One experimental unit.
+def _indicator(values, name: str) -> np.ndarray:
+    """A 0/1 column as int64; the first other value is named."""
+    col = np.asarray(values)
+    bad = (col != 0) & (col != 1)
+    if bad.any():
+        raise ValidationError(
+            f"{name} must be 0 or 1, got {col[bad].tolist()[0]!r}"
+        )
+    return col.astype(np.int64)
 
-    y is the observed outcome and must be present (finite) exactly when
-    s == 1. block is an opaque label compared as a trimmed string.
-    """
 
-    y: float | None
-    s: int
-    d: int
-    block: str
-    x: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValidationError(f"s must be 0 or 1, got {self.s!r}")
-        if self.d not in (0, 1):
-            raise ValidationError(f"d must be 0 or 1, got {self.d!r}")
-        if self.s == 1:
-            if self.y is None or not math.isfinite(self.y):
-                raise ValidationError(
-                    "selected unit (s=1) must carry a finite outcome"
-                )
-        elif self.y is not None:
-            raise ValidationError("unselected unit (s=0) must not carry an outcome")
-        if not isinstance(self.block, str) or not self.block.strip():
-            raise ValidationError("block label must be a non-empty string")
-        if self.block != self.block.strip():
-            object.__setattr__(self, "block", self.block.strip())
-        if self.x is not None:
-            if len(self.x) == 0:
-                object.__setattr__(self, "x", None)
-            elif not all(math.isfinite(v) for v in self.x):
-                raise ValidationError("covariates must be finite numbers")
+def _covariates(x, n: int) -> np.ndarray | None:
+    """Covariates as an (n, k) float matrix, or None when there are none."""
+    if x is None:
+        return None
+    try:
+        x = np.array(x, dtype=float)
+    except (TypeError, ValueError):
+        arities = [np.size(row) for row in x]
+        other = next((a for a in arities if a != arities[0]), None)
+        if other is None:
+            raise ValidationError("covariates must be finite numbers") from None
+        raise ValidationError(
+            f"covariate arity differs across records ({other} vs {arities[0]})"
+        ) from None
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValidationError("covariates need one row per unit")
+    if x.shape[1] == 0:
+        return None
+    if not np.isfinite(x).all():
+        raise ValidationError("covariates must be finite numbers")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of unit records with cached column arrays."""
+    """Validated, read-only unit columns.
 
-    records: tuple[UnitRecord, ...]
-    # cached numpy columns, built in __post_init__
-    y: np.ndarray = field(init=False, repr=False)
-    s: np.ndarray = field(init=False, repr=False)
-    d: np.ndarray = field(init=False, repr=False)
-    blocks: tuple[str, ...] = field(init=False, repr=False)
-    x: np.ndarray | None = field(init=False, repr=False)
+    y is the observed outcome, nan exactly where s == 0; s (selected) and d
+    (treated) are 0/1 int64 columns; blocks holds one block label per unit,
+    an opaque string compared after trimming; x is an (n, k) covariate
+    matrix or None.
+    """
+
+    y: np.ndarray
+    s: np.ndarray
+    d: np.ndarray
+    blocks: tuple[str, ...]
+    x: np.ndarray | None = None
 
     def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        n = len(records)
+        s = _indicator(self.s, "s")
+        d = _indicator(self.d, "d")
+        y = np.array(self.y, dtype=float)
+        blocks = tuple(map(str.strip, map(str, self.blocks)))
+        n = s.size
+        if s.shape != (n,) or y.shape != (n,) or d.shape != (n,) or len(blocks) != n:
+            raise ValidationError("y, s, d and block need one entry per unit")
+        if not np.isfinite(y[s == 1]).all():
+            raise ValidationError("selected unit (s=1) must carry a finite outcome")
+        if not np.isnan(y[s == 0]).all():
+            raise ValidationError("unselected unit (s=0) must not carry an outcome")
+        if not all(blocks):
+            raise ValidationError("block label must be a non-empty string")
+        x = _covariates(self.x, n)
         if n < 2:
             raise ValidationError("dataset needs at least 2 units")
-
-        y = np.full(n, np.nan)
-        s = np.zeros(n, dtype=np.int64)
-        d = np.zeros(n, dtype=np.int64)
-        labels = []
-        arity = len(records[0].x) if records[0].x is not None else 0
-        x = np.empty((n, arity)) if arity else None
-        for i, rec in enumerate(records):
-            s[i] = rec.s
-            d[i] = rec.d
-            if rec.s == 1:
-                y[i] = rec.y
-            labels.append(rec.block)
-            rec_arity = len(rec.x) if rec.x is not None else 0
-            if rec_arity != arity:
-                raise ValidationError(
-                    "covariate arity differs across records "
-                    f"({rec_arity} vs {arity})"
-                )
-            if arity:
-                x[i] = rec.x
-
         if d.sum() == 0 or d.sum() == n:
             raise ValidationError("dataset needs at least one treated and one control unit")
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        thin = sorted(lab for lab, c in counts.items() if c < 2)
+        thin = sorted(lab for lab, c in Counter(blocks).items() if c < 2)
         if thin:
             raise ValidationError(
                 f"every block needs at least 2 units; too small: {', '.join(thin)}"
             )
 
-        y.setflags(write=False)
-        s.setflags(write=False)
-        d.setflags(write=False)
-        if x is not None:
-            x.setflags(write=False)
+        for col in (y, s, d, x):
+            if col is not None:
+                col.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "blocks", tuple(labels))
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.s.size
 
 
 def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
-    """Build a Dataset from parallel sequences (y entries ignored when s=0)."""
-    s = np.asarray(s)
-    d = np.asarray(d)
+    """Build a Dataset from parallel columns; y is ignored where s = 0."""
+    s_col = np.asarray(s)
     y = np.asarray(y, dtype=float)
-    n = s.size
-    records = []
-    for i in range(n):
-        xi = None
-        if x is not None:
-            row = x[i]
-            xi = tuple(float(v) for v in (row if np.ndim(row) else (row,)))
-        records.append(
-            UnitRecord(
-                y=float(y[i]) if s[i] == 1 else None,
-                s=int(s[i]),
-                d=int(d[i]),
-                block=str(block[i]),
-                x=xi,
-            )
-        )
-    return Dataset(records=tuple(records))
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    """Counts and rates for one block.
-
-    m_g is the observed-control rate: observed controls / controls.
-    """
-
-    label: str
-    n_g: int
-    t_g: int
-    eta_g: float
-    m_g: float
-    n1s_g: int
-    n0s_g: int
-    x_mean: tuple[float, ...] | None
-
-    def __post_init__(self):
-        if not (1 <= self.t_g <= self.n_g - 1):
-            raise DesignError(
-                f"block {self.label!r} needs both arms: "
-                f"{self.t_g} treated of {self.n_g}"
-            )
+    if y.shape == s_col.shape:  # Dataset reports a mismatch
+        y = np.where(s_col == 1, y, np.nan)
+    return Dataset(y=y, s=s_col, d=d, blocks=block, x=x)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockDesign:
-    """Per-block summaries (sorted by label) plus the pooled treated share."""
+    """Per-block columns, blocks sorted by label, plus the pooled treated share.
 
-    blocks: tuple[BlockSummary, ...]
+    Block g has label labels[g] and n_g[g] units, t_g[g] of them treated;
+    n1s_g and n0s_g count its observed treated and observed control units.
+    eta_g = t_g / n_g is the treated share and m_g = n0s_g / (n_g - t_g) the
+    observed-control rate. x_mean holds the covariate means, shape (G, k),
+    or None. codes maps each unit, in dataset order, to its block index.
+    """
+
+    labels: tuple[str, ...]
+    n_g: np.ndarray
+    t_g: np.ndarray
+    eta_g: np.ndarray
+    m_g: np.ndarray
+    n1s_g: np.ndarray
+    n0s_g: np.ndarray
+    x_mean: np.ndarray | None
+    codes: np.ndarray = field(repr=False)
     p_hat: float
-    codes: np.ndarray = field(repr=False)  # record -> block index, dataset order
 
     def __post_init__(self):
-        self.codes.setflags(write=False)
+        for name in ("n_g", "t_g", "eta_g", "m_g", "n1s_g", "n0s_g", "x_mean", "codes"):
+            col = getattr(self, name)
+            if col is not None:
+                col.setflags(write=False)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except AttributeError:
-            idx = {b.label: i for i, b in enumerate(self.blocks)}
-            object.__setattr__(self, "_label_index", idx)
-            return idx[label]
+        return len(self.labels)
 
 
 def block_design(data: Dataset) -> BlockDesign:
@@ -206,50 +166,41 @@ def block_design(data: Dataset) -> BlockDesign:
     labels = sorted(set(data.blocks))
     label_to_code = {lab: i for i, lab in enumerate(labels)}
     codes = np.fromiter(
-        (label_to_code[lab] for lab in data.blocks), dtype=np.int64, count=data.n
+        map(label_to_code.__getitem__, data.blocks), dtype=np.int64, count=data.n
     )
 
     n_blocks = len(labels)
     n_g = np.bincount(codes, minlength=n_blocks)
-    t_g = np.bincount(codes, weights=data.d, minlength=n_blocks).astype(np.int64)
-    n1s = np.bincount(
-        codes, weights=data.d * data.s, minlength=n_blocks
-    ).astype(np.int64)
-    n0s = np.bincount(
-        codes, weights=(1 - data.d) * data.s, minlength=n_blocks
-    ).astype(np.int64)
+    t_g = np.bincount(codes[data.d == 1], minlength=n_blocks)
+    n1s = np.bincount(codes[(data.d == 1) & (data.s == 1)], minlength=n_blocks)
+    n0s = np.bincount(codes[(data.d == 0) & (data.s == 1)], minlength=n_blocks)
 
-    bad = [labels[g] for g in range(n_blocks) if not (1 <= t_g[g] <= n_g[g] - 1)]
+    bad = np.flatnonzero((t_g < 1) | (t_g > n_g - 1)).tolist()
     if bad:
         raise DesignError(
             "every block needs at least one treated and one control unit; "
-            f"violated by: {', '.join(bad)}"
+            f"violated by: {', '.join(labels[g] for g in bad)}"
         )
 
-    x_means: list[tuple[float, ...] | None] = [None] * n_blocks
+    x_mean = None
     if data.x is not None:
-        arity = data.x.shape[1]
-        sums = np.zeros((n_blocks, arity))
-        for j in range(arity):
-            sums[:, j] = np.bincount(codes, weights=data.x[:, j], minlength=n_blocks)
-        means = sums / n_g[:, None]
-        x_means = [tuple(float(v) for v in means[g]) for g in range(n_blocks)]
+        x_mean = np.column_stack([
+            np.bincount(codes, weights=col, minlength=n_blocks)
+            for col in data.x.T
+        ]) / n_g[:, None]
 
-    blocks = tuple(
-        BlockSummary(
-            label=labels[g],
-            n_g=int(n_g[g]),
-            t_g=int(t_g[g]),
-            eta_g=float(t_g[g] / n_g[g]),
-            m_g=float(n0s[g] / (n_g[g] - t_g[g])),
-            n1s_g=int(n1s[g]),
-            n0s_g=int(n0s[g]),
-            x_mean=x_means[g],
-        )
-        for g in range(n_blocks)
+    return BlockDesign(
+        labels=tuple(labels),
+        n_g=n_g,
+        t_g=t_g,
+        eta_g=t_g / n_g,
+        m_g=n0s / (n_g - t_g),
+        n1s_g=n1s,
+        n0s_g=n0s,
+        x_mean=x_mean,
+        codes=codes,
+        p_hat=float(t_g.sum() / n_g.sum()),
     )
-    p_hat = float(t_g.sum() / n_g.sum())
-    return BlockDesign(blocks=blocks, p_hat=p_hat, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +231,7 @@ def parse_csv(source) -> Dataset:
     if hasattr(source, "read"):
         return _parse_csv_stream(source)
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet programs write
-        fh = open(source, "r", newline="", encoding="utf-8-sig")
+        fh = open(source, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     with fh:
@@ -289,46 +239,51 @@ def parse_csv(source) -> Dataset:
 
 
 def _parse_csv_stream(fh) -> Dataset:
-    reader = csv.reader(fh)
+    lines = iter(fh)
+    # drop the byte-order mark spreadsheet programs write
+    first = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain((first,), lines) if first else ())
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty file: no header row") from None
-    header = [h.strip() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ParseError(f"missing required columns: {', '.join(missing)}")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names in header")
     x_cols = _x_columns(header)
-    col = {name: header.index(name) for name in header}
+    width = len(header)
+    i_y, i_s, i_d, i_block = (header.index(name) for name in REQUIRED_COLUMNS)
+    x_at = [(name, header.index(name)) for name in x_cols]
 
-    records = []
+    ys: list[float] = []
+    ss: list[int] = []
+    ds: list[int] = []
+    blocks: list[str] = []
+    xs: list[list[float]] = []
     for row_num, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise ParseError(
-                f"row {row_num}: expected {len(header)} cells, got {len(row)}"
+                f"row {row_num}: expected {width} cells, got {len(row)}"
             )
 
-        def cell(name: str) -> str:
-            return row[col[name]].strip()
-
-        s_raw, d_raw = cell("s"), cell("d")
+        s_raw, d_raw = row[i_s].strip(), row[i_d].strip()
         if s_raw not in ("0", "1"):
             raise ParseError(f"row {row_num}: s must be 0 or 1, got {s_raw!r}")
         if d_raw not in ("0", "1"):
             raise ParseError(f"row {row_num}: d must be 0 or 1, got {d_raw!r}")
-        s_val, d_val = int(s_raw), int(d_raw)
+        selected = s_raw == "1"
 
-        y_raw = cell("y")
+        y_raw = row[i_y].strip()
         y_missing = y_raw == "" or y_raw.upper() == "NA"
-        if s_val == 1 and y_missing:
+        if selected and y_missing:
             raise ParseError(f"row {row_num}: y is missing but s = 1")
-        if s_val == 0 and not y_missing:
+        if not selected and not y_missing:
             raise ParseError(f"row {row_num}: y is present but s = 0")
-        y_val = None
+        y_val = math.nan
         if not y_missing:
             try:
                 y_val = float(y_raw)
@@ -339,15 +294,14 @@ def _parse_csv_stream(fh) -> Dataset:
             if not math.isfinite(y_val):
                 raise ParseError(f"row {row_num}: y must be finite, got {y_raw!r}")
 
-        block = cell("block")
+        block = row[i_block].strip()
         if not block:
             raise ParseError(f"row {row_num}: block label is empty")
 
-        x_val = None
-        if x_cols:
+        if x_at:
             vals = []
-            for name in x_cols:
-                raw = cell(name)
+            for name, at in x_at:
+                raw = row[at].strip()
                 try:
                     v = float(raw)
                 except ValueError:
@@ -357,20 +311,23 @@ def _parse_csv_stream(fh) -> Dataset:
                 if not math.isfinite(v):
                     raise ParseError(f"row {row_num}: {name} must be finite")
                 vals.append(v)
-            x_val = tuple(vals)
+            xs.append(vals)
 
-        try:
-            records.append(UnitRecord(y=y_val, s=s_val, d=d_val, block=block, x=x_val))
-        except ValidationError as exc:
-            raise ParseError(f"row {row_num}: {exc}") from None
+        ys.append(y_val)
+        ss.append(int(selected))
+        ds.append(int(d_raw == "1"))
+        blocks.append(block)
 
-    if not records:
+    if not ys:
         raise ParseError("no data rows")
-    return Dataset(records=tuple(records))
+    return Dataset(
+        y=np.array(ys), s=np.array(ss), d=np.array(ds), blocks=tuple(blocks),
+        x=np.array(xs) if x_at else None,
+    )
 
 
 def write_csv(data: Dataset, target) -> None:
-    """Serialize a dataset so parse_csv reads back identical records.
+    """Serialize a dataset so parse_csv reads back identical columns.
 
     Floats are written with shortest round-trip repr; a missing outcome is an
     empty cell. Writing to a path goes through a temp file + atomic rename.
@@ -381,16 +338,11 @@ def write_csv(data: Dataset, target) -> None:
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for rec in data.records:
-            row = [
-                "" if rec.y is None else repr(rec.y),
-                str(rec.s),
-                str(rec.d),
-                rec.block,
-            ]
-            if arity:
-                row.extend(repr(v) for v in rec.x)
-            writer.writerow(row)
+        x_rows = data.x.tolist() if arity else itertools.repeat(())
+        rows = zip(data.y.tolist(), data.s.tolist(), data.d.tolist(), data.blocks, x_rows)
+        for y, s, d, block, x in rows:
+            writer.writerow(["" if s == 0 else repr(y), str(s), str(d), block,
+                             *map(repr, x)])
 
     if hasattr(target, "write"):
         emit(target)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .data_model import BlockDesign, Dataset, UnitRecord
+from .data_model import BlockDesign, Dataset
 from .errors import (
     DegenerateTrimError,
     InternalConsistencyError,
@@ -126,62 +126,6 @@ def _split_system(system: str) -> tuple[str, str]:
 def _filled_outcome(data: Dataset) -> np.ndarray:
     """Outcome column with zeros where unobserved (every use carries an s factor)."""
     return np.where(data.s == 1, np.nan_to_num(data.y, nan=0.0), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# per-record moment evaluations
-# ---------------------------------------------------------------------------
-
-def lee_moments(record: UnitRecord, theta: LeeTheta, side: str) -> np.ndarray:
-    """Five pooled moments for one unit at theta (side 'lb' or 'ub')."""
-    y = record.y if record.s == 1 else 0.0
-    s, d = record.s, record.d
-    if side == "lb":
-        kept = 1.0 if y <= theta.cutoff else 0.0
-        tail = 1.0 - kept
-    else:
-        kept = 1.0 if y >= theta.cutoff else 0.0
-        tail = 1.0 - kept
-    sd = s * d
-    return np.array(
-        [
-            (y - theta.mu1) * sd * kept,
-            (y - theta.mu0) * s * (1 - d),
-            (tail - theta.p) * sd,
-            (s - theta.alpha / (1.0 - theta.p)) * d,
-            (s - theta.alpha) * (1 - d),
-        ]
-    )
-
-
-def lee_ipw_moments(
-    record: UnitRecord, theta: LeeIpwTheta, design: BlockDesign, side: str
-) -> np.ndarray:
-    """Five weighted moments for one unit at theta (side 'lb' or 'ub')."""
-    blk = design.blocks[design.index_of(record.block)]
-    p_hat = design.p_hat
-    eta = blk.eta_g
-    w_c = (1.0 - p_hat) / (1.0 - eta)
-    w_q = eta * (1.0 - p_hat) / ((1.0 - eta) * p_hat)
-    y = record.y if record.s == 1 else 0.0
-    s, d = record.s, record.d
-    y_til = (theta.delta / eta) * y
-    if side == "lb":
-        kept = 1.0 if y_til <= theta.cutoff else 0.0
-    else:
-        kept = 1.0 if y_til >= theta.cutoff else 0.0
-    tail = 1.0 - kept
-    sd = s * d
-    return np.array(
-        [
-            (y_til - theta.mu1) * sd * kept,
-            (y - theta.mu0) * s * (1 - d) * w_c,
-            (tail - theta.q) * sd,
-            blk.m_g * (d - theta.delta),
-            ((1.0 - theta.q) / p_hat) * sd
-            - (1.0 / (1.0 - p_hat)) * s * (1 - d) * w_q,
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ from .errors import EstimationError, UndefinedTrimmingError
 from .lee_estimator import (
     METHOD_IPW,
     BoundsEstimate,
-    TrimSpec,
     TrimmingShare,
+    _trim_both_tails,
     _usage_counts,
-    trimmed_mean,
 )
 
 
@@ -47,24 +46,33 @@ class IpwComponents:
     cutoff_hi: float
 
 
+def _rate_sums(design: BlockDesign) -> tuple[Fraction, Fraction]:
+    """(sum_g t_g m_g, sum_g n_g m_g) in exact rational arithmetic.
+
+    Blocks of one shape (t_g, n_g) share the rate denominator, so their
+    observed controls are summed first and the rationals are formed per
+    shape.
+    """
+    base = int(design.n_g.max()) + 1
+    shapes, at = np.unique(design.t_g * base + design.n_g, return_inverse=True)
+    observed = np.bincount(at, weights=design.n0s_g)  # integers, exact in float64
+    num = Fraction(0)
+    den = Fraction(0)
+    for shape, n0s in zip(shapes.tolist(), observed.astype(np.int64).tolist()):
+        t_g, n_g = divmod(shape, base)
+        rates = Fraction(n0s, n_g - t_g)  # m_g summed over the shape's blocks
+        num += t_g * rates
+        den += n_g * rates
+    return num, den
+
+
 def always_observed_treat_prob(design: BlockDesign) -> float:
     """Treated share among units weighted by block observed-control rates.
 
     Computed in exact rational arithmetic over the block counts, so under
-    equal treated shares the result equals that share bit-for-bit. Blocks of
-    one shape (t_g, n_g) share the rate denominator, so their observed
-    controls are summed first and the rationals are formed per shape.
+    equal treated shares the result equals that share bit-for-bit.
     """
-    observed: dict[tuple[int, int], int] = {}
-    for blk in design.blocks:
-        shape = (blk.t_g, blk.n_g)
-        observed[shape] = observed.get(shape, 0) + blk.n0s_g
-    num = Fraction(0)
-    den = Fraction(0)
-    for (t_g, n_g), n0s in observed.items():
-        rates = Fraction(n0s, n_g - t_g)  # m_g summed over the shape's blocks
-        num += t_g * rates
-        den += n_g * rates
+    num, den = _rate_sums(design)
     if den == 0:
         raise EstimationError("no observed control outcomes in any block")
     return float(num / den)
@@ -72,10 +80,8 @@ def always_observed_treat_prob(design: BlockDesign) -> float:
 
 def _per_unit_block_arrays(data: Dataset, design: BlockDesign):
     """(eta_i, m_i, w_c_i, w_q_i) aligned with the dataset."""
-    eta_blocks = np.array([b.eta_g for b in design.blocks])
-    m_blocks = np.array([b.m_g for b in design.blocks])
-    eta_i = eta_blocks[design.codes]
-    m_i = m_blocks[design.codes]
+    eta_i = design.eta_g[design.codes]
+    m_i = design.m_g[design.codes]
     p = design.p_hat
     w_c = (1.0 - p) / (1.0 - eta_i)
     w_q = eta_i * (1.0 - p) / ((1.0 - eta_i) * p)
@@ -119,8 +125,9 @@ def lee_ipw_bounds(
     y_tilde = np.full(data.n, np.nan)
     y_tilde[obs_treated] = (delta / eta_i[obs_treated]) * y[obs_treated]
 
-    lb = trimmed_mean(y_tilde[obs_treated], TrimSpec(q=share.q, side="upper"))
-    ub = trimmed_mean(y_tilde[obs_treated], TrimSpec(q=share.q, side="lower"))
+    # the kept mass is exactly sum_g n0s_g t_g / (n_g - t_g)
+    keeps_unit = share.clamped or _rate_sums(design)[0] >= 1
+    lb, ub = _trim_both_tails(y_tilde[obs_treated], share.q, keeps_unit)
 
     wc_obs = w_c[obs_control]
     mu0 = float((wc_obs * y[obs_control]).sum() / wc_obs.sum())

@@ -74,6 +74,22 @@ def trimmed_mean(values, spec: TrimSpec) -> TrimmedMeanResult:
     return _trim_sorted(np.sort(y), k, spec.side)
 
 
+def _trim_both_tails(values, q: float, keeps_unit: bool):
+    """Upper- and lower-trimmed means of values at trimming share q.
+
+    The kept mass (1-q)*m rounds to just below one unit where exactly one
+    unit is kept, so the caller tests it in exact arithmetic (keeps_unit)
+    and the float mass is raised to at least one.
+    """
+    m = values.size
+    k = (1.0 - q) * m
+    if not keeps_unit:
+        raise _degenerate_trim(q, k, m)
+    ys = np.sort(values)
+    k = max(k, 1.0)
+    return _trim_sorted(ys, k, "upper"), _trim_sorted(ys, k, "lower")
+
+
 def _degenerate_trim(q: float, k: float, m: int) -> DegenerateTrimError:
     return DegenerateTrimError(
         f"trimming share {q} retains mass {k:.6g} < 1 of {m} values"
@@ -196,10 +212,8 @@ def _usage_counts(data: Dataset) -> UsageCounts:
 
 def _heterogeneous_shares(design: BlockDesign) -> bool:
     """Exact check (integer cross-products) that treated shares differ."""
-    first = design.blocks[0]
-    return any(
-        b.t_g * first.n_g != first.t_g * b.n_g for b in design.blocks[1:]
-    )
+    t_g, n_g = design.t_g, design.n_g
+    return bool(np.any(t_g * n_g[0] != t_g[0] * n_g))
 
 
 def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
@@ -210,13 +224,17 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     warning (the weighted variant removes the imbalance).
     """
     share = trimming_share_pooled(data)
+    counts = _usage_counts(data)
     obs_treated = (data.d == 1) & (data.s == 1)
     obs_control = (data.d == 0) & (data.s == 1)
     y1 = data.y[obs_treated]
     y0 = data.y[obs_control]
     mu0 = float(y0.mean())
-    lb = trimmed_mean(y1, TrimSpec(q=share.q, side="upper"))
-    ub = trimmed_mean(y1, TrimSpec(q=share.q, side="lower"))
+    # the kept mass is exactly n0s n1 / n0
+    keeps_unit = share.clamped or (
+        counts.control_observed * counts.treated >= counts.control
+    )
+    lb, ub = _trim_both_tails(y1, share.q, keeps_unit)
 
     flags = ("trimming_share_clamped",) if share.clamped else ()
     warnings = ()
@@ -225,7 +243,6 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
             "heterogeneous_treated_shares: pooled trimming is biased for the "
             "always-observed effect; consider the weighted estimator",
         )
-    counts = _usage_counts(data)
     return BoundsEstimate(
         method=METHOD_LEE,
         delta_lb=lb.mean - mu0,
@@ -278,44 +295,42 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     ).tolist()
     strata: list[StratumBound] = []
     clamp_count = 0
-    for g, blk in enumerate(design.blocks):
+    blocks = zip(design.labels, design.n_g.tolist(), design.t_g.tolist())
+    for g, (label, n_g, t_g) in enumerate(blocks):
         start, mid, stop = edges[3 * g : 3 * g + 3]
         n1s = mid - start
         n0s = stop - mid
         if n1s == 0 or n0s == 0:
             strata.append(
                 StratumBound(
-                    label=blk.label, n_g=blk.n_g, tau=float("nan"), clamped=False,
+                    label=label, n_g=n_g, tau=float("nan"), clamped=False,
                     mu0=float("nan"), mu1_lb=float("nan"), mu1_ub=float("nan"),
                     used=False, reason="no observed outcomes in one arm",
                 )
             )
             continue
-        c_g = blk.n_g - blk.t_g
-        tau_raw = 1.0 - (n0s * blk.t_g) / (n1s * c_g)
+        tau_raw = 1.0 - (n0s * t_g) / (n1s * (n_g - t_g))
         clamped = tau_raw < 0.0
         tau = max(tau_raw, 0.0)
-        k = (1.0 - tau) * n1s
-        # the kept mass is exactly min(n0s t_g / c_g, n1s); test it in
-        # integers, since k can round to just below one unit
-        if not clamped and n0s * blk.t_g < c_g:
+        # the kept mass is exactly min(n0s t_g / (n_g - t_g), n1s)
+        try:
+            lb, ub = _trim_both_tails(
+                y[start:mid], tau, clamped or n0s * t_g >= n_g - t_g
+            )
+        except DegenerateTrimError as exc:
             strata.append(
                 StratumBound(
-                    label=blk.label, n_g=blk.n_g, tau=tau, clamped=clamped,
+                    label=label, n_g=n_g, tau=tau, clamped=clamped,
                     mu0=float("nan"), mu1_lb=float("nan"), mu1_ub=float("nan"),
-                    used=False, reason=str(_degenerate_trim(tau, k, n1s)),
+                    used=False, reason=str(exc),
                 )
             )
             continue
-        y1 = np.sort(y[start:mid])
-        k = max(k, 1.0)
-        lb = _trim_sorted(y1, k, "upper")
-        ub = _trim_sorted(y1, k, "lower")
         mu0_g = float(y[mid:stop].sum()) / n0s  # .mean(), bit for bit
         clamp_count += int(clamped)
         strata.append(
             StratumBound(
-                label=blk.label, n_g=blk.n_g, tau=tau, clamped=clamped,
+                label=label, n_g=n_g, tau=tau, clamped=clamped,
                 mu0=mu0_g, mu1_lb=lb.mean, mu1_ub=ub.mean, used=True,
             )
         )

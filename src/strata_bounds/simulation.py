@@ -120,7 +120,8 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
     y = np.where(d == 1, y_base + bonus, y_base)
 
     width = len(str(n // 2 - 1))
-    labels = [str(i // 2).zfill(width) for i in range(n)]
+    pair_labels = [str(g).zfill(width) for g in range(n // 2)]
+    labels = [label for label in pair_labels for _ in (0, 1)]
     return dataset_from_arrays(y, s, d, labels, x=x[:, None])
 
 

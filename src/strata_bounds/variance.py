@@ -30,29 +30,26 @@ VARIANCE_METHODS = ("design", "iid", "label")
 # pairing of singleton-arm blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Involution:
     """Fixed-point-free partner map over block indices.
 
-    pairs lists (block, partner); in-set pairs appear once and are mutual,
-    an odd leftover maps to an out-of-set partner block.
+    pairs is an (m, 2) int64 array of (block, partner) rows; in-set pairs
+    appear once and are mutual, an odd leftover maps to an out-of-set
+    partner block.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        if any(i == j for i, j in self.pairs):
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise PairingError("involution must be fixed-point-free")
-
-    def partner_map(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, j in self.pairs:
-            out[i] = j
-            out.setdefault(j, i)
-        return out
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
 
-def pair_blocks(design: BlockDesign, needs: list[int]) -> Involution:
+def pair_blocks(design: BlockDesign, needs) -> Involution:
     """Pair the listed blocks among themselves, consecutively by sort key.
 
     Blocks sort by covariate means (first coordinate first), label as the
@@ -62,34 +59,30 @@ def pair_blocks(design: BlockDesign, needs: list[int]) -> Involution:
     if no outside block exists, pairing fails. Block indices follow label
     order, so the index stands in for the label throughout.
     """
-    blocks = design.blocks
-    needs = np.unique(np.asarray(needs, dtype=np.int64))
-    has_x = blocks[0].x_mean is not None
-    if has_x and needs.size:
-        x = np.array([blocks[g].x_mean for g in needs.tolist()])
+    in_set = np.zeros(design.n_blocks, dtype=bool)
+    in_set[np.asarray(needs, dtype=np.int64)] = True
+    needs = np.flatnonzero(in_set)
+    x_mean = design.x_mean
+    if x_mean is not None and needs.size:
         # lexsort takes its primary key last
-        needs = needs[np.lexsort((needs, *x.T[::-1]))]
-    order = needs.tolist()
-    pairs = list(zip(order[0::2], order[1::2]))
-    if len(order) % 2 == 1:
-        last = order[-1]
-        outside = np.ones(design.n_blocks, dtype=bool)
-        outside[needs] = False
-        candidates = np.flatnonzero(outside)
+        needs = needs[np.lexsort((needs, *x_mean[needs].T[::-1]))]
+    odd = needs.size % 2
+    pairs = needs[: needs.size - odd].reshape(-1, 2)
+    if odd:
+        last = int(needs[-1])
+        candidates = np.flatnonzero(~in_set)
         if not candidates.size:
             raise PairingError(
-                f"cannot pair block {blocks[last].label!r}: "
+                f"cannot pair block {design.labels[last]!r}: "
                 "no block outside the singleton set"
             )
-        if has_x:
-            first = np.fromiter(
-                (b.x_mean[0] for b in blocks), dtype=float, count=len(blocks)
-            )
-            distance = np.abs(first[candidates] - first[last])
+        if x_mean is not None:
+            distance = np.abs(x_mean[candidates, 0] - x_mean[last, 0])
         else:
             distance = np.abs(candidates - last)
-        pairs.append((last, int(candidates[np.argmin(distance)])))
-    return Involution(pairs=tuple(pairs))
+        partner = candidates[np.argmin(distance)]
+        pairs = np.vstack((pairs, [(last, partner)]))
+    return Involution(pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +94,9 @@ class MeatReport:
     """Pieces of the design-consistent meat.
 
     omega = a1 + a0 + b_n - a3 and b_n = -(zeta_11 + zeta_00 - 2 zeta_10)
-    hold exactly by construction. singleton_treated / singleton_control list
-    the labels of blocks whose arm had one unit (paired mode only).
+    hold exactly by construction. singleton_treated / singleton_control hold
+    the indices of blocks whose arm had one unit (paired mode only); their
+    labels are design.labels[g].
     """
 
     a1: np.ndarray
@@ -113,31 +107,37 @@ class MeatReport:
     zeta_00: np.ndarray
     b_n: np.ndarray
     omega: np.ndarray
-    singleton_treated: tuple[str, ...]
-    singleton_control: tuple[str, ...]
+    singleton_treated: np.ndarray
+    singleton_control: np.ndarray
     involution_treated: Involution | None
     involution_control: Involution | None
     mode: str
 
 
 def _block_arm_stats(moments, codes, mask, n_blocks):
-    """Per-block arm sums, per-block sums of outer products, and counts."""
-    k = moments.shape[1]
+    """One arm's rows, their block codes, and per-block counts and sums."""
     codes_arm = codes[mask]
     rows = moments[mask]
     counts = np.bincount(codes_arm, minlength=n_blocks)
-    sums = np.zeros((n_blocks, k))
-    for j in range(k):
-        sums[:, j] = np.bincount(codes_arm, weights=rows[:, j], minlength=n_blocks)
-    outer_sums = np.zeros((n_blocks, k, k))
-    for j in range(k):
-        for l in range(j, k):
-            col = np.bincount(
-                codes_arm, weights=rows[:, j] * rows[:, l], minlength=n_blocks
-            )
-            outer_sums[:, j, l] = col
-            outer_sums[:, l, j] = col
-    return counts, sums, outer_sums
+    sums = np.column_stack([
+        np.bincount(codes_arm, weights=col, minlength=n_blocks) for col in rows.T
+    ])
+    return rows, codes_arm, counts, sums
+
+
+def _zeta_within(coef, rows, codes_arm, counts, sums):
+    """Within-arm pair term over blocks with at least two units in the arm.
+
+    With w_g = coef_g / (c_g (c_g - 1)), it is sum_g w_g (S_g S_g' - sum_i
+    r_i r_i'): a weighted Gram matrix of the block sums S_g minus one of the
+    rows r_i, so no per-block outer products are formed.
+    """
+    multi = counts >= 2
+    c = counts[multi].astype(float)
+    w = np.zeros(counts.size)
+    w[multi] = coef[multi] / (c * (c - 1.0))
+    zeta = sums.T @ (w[:, None] * sums) - rows.T @ (w[codes_arm][:, None] * rows)
+    return 0.5 * (zeta + zeta.T)
 
 
 def _singleton_cross(inv, single, coef, sums, means):
@@ -146,13 +146,10 @@ def _singleton_cross(inv, single, coef, sums, means):
     A singleton arm's sum is its single row (own_g); partner_g is the arm
     mean of the block it is paired with.
     """
-    partner = inv.partner_map()
-    cross = np.einsum(
-        "g,gi,gj->ij",
-        coef[single],
-        sums[single],
-        means[[partner[g] for g in single]],
-    )
+    partner = np.empty(means.shape[0], dtype=np.int64)
+    partner[inv.pairs[:, 1]] = inv.pairs[:, 0]
+    partner[inv.pairs[:, 0]] = inv.pairs[:, 1]  # in-set blocks win
+    cross = sums[single].T @ (coef[single, None] * means[partner[single]])
     return 0.5 * (cross + cross.T)
 
 
@@ -169,63 +166,44 @@ def meat_design(
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
-    n, k = moments.shape
+    n = moments.shape[0]
     codes = design.codes
     d = data.d
     n_blocks = design.n_blocks
 
-    treated_rows = moments[d == 1]
-    control_rows = moments[d == 0]
-    a1 = treated_rows.T @ treated_rows / n
-    a0 = control_rows.T @ control_rows / n
+    rows1, codes1, cnt1, sum1 = _block_arm_stats(moments, codes, d == 1, n_blocks)
+    rows0, codes0, cnt0, sum0 = _block_arm_stats(moments, codes, d == 0, n_blocks)
+    a1 = rows1.T @ rows1 / n
+    a0 = rows0.T @ rows0 / n
     mbar = moments.mean(axis=0)
     a3 = np.outer(mbar, mbar)
 
-    cnt1, sum1, outer1 = _block_arm_stats(moments, codes, d == 1, n_blocks)
-    cnt0, sum0, outer0 = _block_arm_stats(moments, codes, d == 0, n_blocks)
-
-    sizes = np.array([b.n_g for b in design.blocks], dtype=float)
-    etas = np.array([b.eta_g for b in design.blocks])
-    coef = (sizes / n) * etas * (1.0 - etas)
+    etas = design.eta_g
+    coef = (design.n_g / n) * etas * (1.0 - etas)
 
     mean1 = sum1 / cnt1[:, None]
     mean0 = sum0 / cnt0[:, None]
-    cross = np.einsum("g,gi,gj->ij", coef, mean1, mean0)
+    cross = mean1.T @ (coef[:, None] * mean0)
     zeta_10 = 0.5 * (cross + cross.T)
 
-    def zeta_within(counts, sums, outers):
-        multi = counts >= 2
-        c = counts[multi].astype(float)
-        zeta = np.einsum(
-            "g,gi,gj->ij",
-            coef[multi] / (c * (c - 1.0)),
-            sums[multi],
-            sums[multi],
-        )
-        zeta -= np.einsum(
-            "g,gij->ij", coef[multi] / (c * (c - 1.0)), outers[multi]
-        )
-        return zeta, np.flatnonzero(counts == 1).tolist()
-
-    zeta_11, single1 = zeta_within(cnt1, sum1, outer1)
-    zeta_00, single0 = zeta_within(cnt0, sum0, outer0)
+    zeta_11 = _zeta_within(coef, rows1, codes1, cnt1, sum1)
+    zeta_00 = _zeta_within(coef, rows0, codes0, cnt0, sum0)
+    single1 = np.flatnonzero(cnt1 == 1)
+    single0 = np.flatnonzero(cnt0 == 1)
 
     inv1 = inv0 = None
     if mode == "label":
-        if single1 or single0:
-            bad = sorted(
-                {design.blocks[g].label for g in single1}
-                | {design.blocks[g].label for g in single0}
-            )
+        if single1.size or single0.size:
+            bad = np.union1d(single1, single0).tolist()
             raise FeasibilityError(
                 "label-mode variance needs at least 2 units per arm per "
-                f"block; singleton arms in: {', '.join(bad)}"
+                f"block; singleton arms in: {', '.join(design.labels[g] for g in bad)}"
             )
     else:
-        if single1:
+        if single1.size:
             inv1 = pair_blocks(design, single1)
             zeta_11 = zeta_11 + _singleton_cross(inv1, single1, coef, sum1, mean1)
-        if single0:
+        if single0.size:
             inv0 = pair_blocks(design, single0)
             zeta_00 = zeta_00 + _singleton_cross(inv0, single0, coef, sum0, mean0)
 
@@ -240,8 +218,8 @@ def meat_design(
         zeta_00=zeta_00,
         b_n=b_n,
         omega=omega,
-        singleton_treated=tuple(design.blocks[g].label for g in single1),
-        singleton_control=tuple(design.blocks[g].label for g in single0),
+        singleton_treated=single1,
+        singleton_control=single0,
         involution_treated=inv1,
         involution_control=inv0,
         mode=mode,
@@ -265,13 +243,13 @@ def label_variance(data: Dataset, design: BlockDesign) -> float:
     Works on the per-unit value Y*S (observed outcome, zero when missing).
     Every block needs at least two treated and two control units.
     """
-    bad = [
-        b.label for b in design.blocks if b.t_g < 2 or b.n_g - b.t_g < 2
-    ]
+    n_g, t1 = design.n_g, design.t_g
+    t0 = n_g - t1
+    bad = np.flatnonzero((t1 < 2) | (t0 < 2)).tolist()
     if bad:
         raise FeasibilityError(
             "label-based variance needs at least 2 treated and 2 control "
-            f"units per block; violated by: {', '.join(bad)}"
+            f"units per block; violated by: {', '.join(design.labels[g] for g in bad)}"
         )
     codes = design.codes
     d = data.d
@@ -279,16 +257,12 @@ def label_variance(data: Dataset, design: BlockDesign) -> float:
     n_blocks = design.n_blocks
     n = data.n
 
-    sizes = np.array([b.n_g for b in design.blocks], dtype=float)
-    t1 = np.array([b.t_g for b in design.blocks], dtype=float)
-    t0 = sizes - t1
-
     sum1 = np.bincount(codes[d == 1], weights=v[d == 1], minlength=n_blocks)
     sum0 = np.bincount(codes[d == 0], weights=v[d == 0], minlength=n_blocks)
     ss1 = np.bincount(codes[d == 1], weights=v[d == 1] ** 2, minlength=n_blocks)
     ss0 = np.bincount(codes[d == 0], weights=v[d == 0] ** 2, minlength=n_blocks)
 
-    w = sizes / n
+    w = n_g / n
     rho_11 = float((w * (sum1**2 - ss1) / (t1 * (t1 - 1.0))).sum())
     rho_00 = float((w * (sum0**2 - ss0) / (t0 * (t0 - 1.0))).sum())
     rho_10 = float((w * (sum1 / t1) * (sum0 / t0)).sum())

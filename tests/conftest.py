@@ -12,6 +12,17 @@ def build_dataset(y, s, d, blocks, x=None):
     return dataset_from_arrays(np.where(s == 1, y, np.nan), s, d, blocks, x=x)
 
 
+def assert_same_columns(a, b):
+    """Two datasets hold identical columns (nan outcomes compare equal)."""
+    np.testing.assert_array_equal(a.y, b.y, strict=True)
+    np.testing.assert_array_equal(a.s, b.s, strict=True)
+    np.testing.assert_array_equal(a.d, b.d, strict=True)
+    assert a.blocks == b.blocks
+    assert (a.x is None) == (b.x is None)
+    if a.x is not None:
+        np.testing.assert_array_equal(a.x, b.x, strict=True)
+
+
 def hand_arrays():
     """10 treated (8 observed, y=1..8) and 10 controls (6 observed, y=1..6)."""
     y = list(range(1, 9)) + [0, 0] + list(range(1, 7)) + [0, 0, 0, 0]

@@ -68,8 +68,11 @@ def oracle_lee(y, s, d):
     y1 = y[(d == 1) & (s == 1)]
     y0 = y[(d == 0) & (s == 1)]
     mu0 = float(y0.mean())
-    mu1_lb, cut_lb = oracle_trimmed_mean(y1, q, "upper")
-    mu1_ub, cut_ub = oracle_trimmed_mean(y1, q, "lower")
+    # exact kept mass: min(rate ratio, 1) times the observed treated
+    ratio = Fraction(y0.size * int(d.sum()), y1.size * int((d == 0).sum()))
+    keep = float(min(ratio, 1) * y1.size)
+    mu1_lb, cut_lb = oracle_kept_mean(y1, keep, "upper")
+    mu1_ub, cut_ub = oracle_kept_mean(y1, keep, "lower")
     return q, mu0, mu1_lb, mu1_ub, cut_lb, cut_ub, clamped
 
 
@@ -148,8 +151,16 @@ def oracle_ipw(y, s, d, block):
 
     tr_obs = (d == 1) & (s == 1)
     y_til = (delta / eta_i[tr_obs]) * y[tr_obs]
-    mu1_lb, cut_lb = oracle_trimmed_mean(y_til, q, "upper")
-    mu1_ub, cut_ub = oracle_trimmed_mean(y_til, q, "lower")
+    # exact kept mass: sum over blocks of observed controls times
+    # t_g / (n_g - t_g), at most the observed treated
+    kept = sum(
+        Fraction(int(s[(block == g) & (d == 0)].sum()) * int(d[block == g].sum()),
+                 int(((block == g) & (d == 0)).sum()))
+        for g in labels
+    )
+    keep = float(min(kept, int(tr_obs.sum())))
+    mu1_lb, cut_lb = oracle_kept_mean(y_til, keep, "upper")
+    mu1_ub, cut_ub = oracle_kept_mean(y_til, keep, "lower")
 
     ct_obs = (d == 0) & (s == 1)
     mu0 = float(np.sum(w_c[ct_obs] * y[ct_obs]) / np.sum(w_c[ct_obs]))
@@ -387,11 +398,13 @@ def pair_blocks_oracle(design, needs):
     """
     from strata_bounds import PairingError
 
+    labels = design.labels
+    x_mean = None if design.x_mean is None else design.x_mean.tolist()
+
     def sort_key(g):
-        blk = design.blocks[g]
-        if blk.x_mean is not None:
-            return blk.x_mean + (blk.label,)
-        return (blk.label,)
+        if x_mean is not None:
+            return tuple(x_mean[g]) + (labels[g],)
+        return (labels[g],)
 
     needs = sorted(set(needs), key=sort_key)
     pairs = [(needs[i], needs[i + 1]) for i in range(0, len(needs) - 1, 2)]
@@ -400,17 +413,13 @@ def pair_blocks_oracle(design, needs):
         outside = [g for g in range(design.n_blocks) if g not in set(needs)]
         if not outside:
             raise PairingError("no block outside the singleton set")
-        blk = design.blocks[last]
-        if blk.x_mean is not None:
-            ref = blk.x_mean[0]
+        if x_mean is not None:
+            ref = x_mean[last][0]
             partner = min(
-                outside,
-                key=lambda g: (abs(design.blocks[g].x_mean[0] - ref),
-                               design.blocks[g].label),
+                outside, key=lambda g: (abs(x_mean[g][0] - ref), labels[g])
             )
         else:
-            partner = min(outside, key=lambda g: (abs(g - last),
-                                                  design.blocks[g].label))
+            partner = min(outside, key=lambda g: (abs(g - last), labels[g]))
         pairs.append((last, partner))
     return tuple(pairs)
 
@@ -419,8 +428,62 @@ def always_observed_treat_prob_oracle(design):
     """sum_g t_g m_g / sum_g n_g m_g as an exact Fraction, block by block,
     with m_g the observed-control rate; None when no control is observed."""
     num = den = Fraction(0)
-    for blk in design.blocks:
-        m_g = Fraction(blk.n0s_g, blk.n_g - blk.t_g)
-        num += blk.t_g * m_g
-        den += blk.n_g * m_g
+    blocks = zip(design.n_g.tolist(), design.t_g.tolist(), design.n0s_g.tolist())
+    for n_g, t_g, n0s_g in blocks:
+        m_g = Fraction(n0s_g, n_g - t_g)
+        num += t_g * m_g
+        den += n_g * m_g
     return None if den == 0 else num / den
+
+
+# ---------------------------------------------------------------------------
+# moment systems, one unit at a time
+# ---------------------------------------------------------------------------
+
+def lee_moments(y, s, d, theta, side):
+    """Five pooled moments for one unit at theta (side 'lb' or 'ub')."""
+    y = y if s == 1 else 0.0
+    if side == "lb":
+        kept = 1.0 if y <= theta.cutoff else 0.0
+    else:
+        kept = 1.0 if y >= theta.cutoff else 0.0
+    tail = 1.0 - kept
+    sd = s * d
+    return np.array(
+        [
+            (y - theta.mu1) * sd * kept,
+            (y - theta.mu0) * s * (1 - d),
+            (tail - theta.p) * sd,
+            (s - theta.alpha / (1.0 - theta.p)) * d,
+            (s - theta.alpha) * (1 - d),
+        ]
+    )
+
+
+def lee_ipw_moments(y, s, d, block, theta, design, side):
+    """Five weighted moments for one unit of block label `block` at theta."""
+    g = design.labels.index(block)
+    n_g, t_g = int(design.n_g[g]), int(design.t_g[g])
+    eta = t_g / n_g
+    m_g = int(design.n0s_g[g]) / (n_g - t_g)
+    p_hat = design.p_hat
+    w_c = (1.0 - p_hat) / (1.0 - eta)
+    w_q = eta * (1.0 - p_hat) / ((1.0 - eta) * p_hat)
+    y = y if s == 1 else 0.0
+    y_til = (theta.delta / eta) * y
+    if side == "lb":
+        kept = 1.0 if y_til <= theta.cutoff else 0.0
+    else:
+        kept = 1.0 if y_til >= theta.cutoff else 0.0
+    tail = 1.0 - kept
+    sd = s * d
+    return np.array(
+        [
+            (y_til - theta.mu1) * sd * kept,
+            (y - theta.mu0) * s * (1 - d) * w_c,
+            (tail - theta.q) * sd,
+            m_g * (d - theta.delta),
+            ((1.0 - theta.q) / p_hat) * sd
+            - (1.0 / (1.0 - p_hat)) * s * (1 - d) * w_q,
+        ]
+    )

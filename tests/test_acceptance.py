@@ -165,7 +165,7 @@ def test_criterion_3_equal_share_reduction_identity():
         design = block_design(data)
         pooled = lee_bounds(data, design)
         weighted, comps = lee_ipw_bounds(data, design)
-        assert comps.delta_hat == design.blocks[0].eta_g  # bit-exact
+        assert comps.delta_hat == design.eta_g[0]  # bit-exact
         worst = max(
             worst,
             abs(weighted.delta_lb - pooled.delta_lb),

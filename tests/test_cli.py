@@ -7,11 +7,13 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from strata_bounds import dataset_to_csv_text, write_csv
-from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, main
+from strata_bounds import dataset_to_csv_text, parse_csv, write_csv
+from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, cli, main
 
 from conftest import build_dataset
+from oracles import oracle_ipw, oracle_lee
 
 from frozen_values import (
     HAND_DELTA_LB,
@@ -221,6 +223,57 @@ def test_estimate_reads_header_with_utf8_byte_order_mark(capsys, tmp_path):
     code, out, err = run_cli(capsys, "estimate", "--input", str(path))
     assert code == 0 and err == ""
     assert json.loads(out)["results"][0]["n"] == 4
+
+
+def test_estimate_reads_byte_order_mark_on_stdin():
+    result = CliRunner().invoke(
+        cli, ["estimate", "--input", "-", "--variance", "none"],
+        input=b"\xef\xbb\xbfy,s,d,block\n1.0,1,1,a\n2.0,1,0,a\n3.0,1,1,b\n,0,0,b\n",
+    )
+    assert result.exit_code == 0, result.exception
+    assert json.loads(result.output)["results"][0]["n"] == 4
+
+
+# three observed treated, one of three controls observed: the kept treated
+# mass is exactly one unit, though (1 - q) * 3 rounds to just below one
+ONE_UNIT_KEPT = (
+    "y,s,d,block\n4.0,1,1,a\n1.0,1,1,a\n7.0,1,1,a\n2.0,1,0,a\n,0,0,a\n,0,0,a\n"
+)
+
+
+@pytest.mark.parametrize("estimator", ["lee", "lee-ipw"])
+def test_pooled_estimators_keep_exactly_one_unit(capsys, tmp_path, estimator):
+    path = tmp_path / "one.csv"
+    path.write_text(ONE_UNIT_KEPT)
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", estimator,
+        "--variance", "none",
+    )
+    assert code == 0, err
+    (rec,) = json.loads(out)["results"]
+    data = parse_csv(str(path))
+    if estimator == "lee":
+        _, mu0, mu1_lb, mu1_ub, *_ = oracle_lee(data.y, data.s, data.d)
+    else:
+        ref = oracle_ipw(data.y, data.s, data.d, data.blocks)
+        mu0, mu1_lb, mu1_ub = ref["mu0"], ref["mu1_lb"], ref["mu1_ub"]
+    # one unit kept: the smallest and the largest observed treated outcome
+    assert (mu1_lb, mu1_ub) == pytest.approx((1.0, 7.0), rel=1e-12)
+    assert rec["delta_lb"] == pytest.approx(mu1_lb - mu0, rel=1e-11)
+    assert rec["delta_ub"] == pytest.approx(mu1_ub - mu0, rel=1e-11)
+
+
+@pytest.mark.parametrize("estimator", ["lee", "lee-ipw"])
+def test_pooled_estimators_reject_mass_below_one_unit(capsys, tmp_path, estimator):
+    # two observed treated, one of three controls observed: 2/3 of a unit
+    path = tmp_path / "thin.csv"
+    path.write_text("y,s,d,block\n4.0,1,1,a\n1.0,1,1,a\n2.0,1,0,a\n,0,0,a\n,0,0,a\n")
+    code, _, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", estimator,
+        "--variance", "none",
+    )
+    assert code == 2
+    assert "retains mass 0.666667 < 1 of 2 values" in err
 
 
 def test_estimate_does_not_keep_redirected_stdout_alive(hand_csv):

@@ -1,4 +1,4 @@
-"""Records, datasets, block summaries, and CSV round-tripping."""
+"""Dataset columns, block designs, and CSV round-tripping."""
 
 import io
 import math
@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from strata_bounds import (
-    BlockSummary,
     Dataset,
     DesignError,
     ParseError,
-    UnitRecord,
     ValidationError,
     block_design,
     dataset_from_arrays,
@@ -21,44 +19,55 @@ from strata_bounds import (
     write_csv,
 )
 
-from conftest import build_dataset, hand_arrays
+from conftest import assert_same_columns, build_dataset, hand_arrays
 
 from frozen_values import DESIGN_ETAS, DESIGN_P_HAT
 
 
 # ---------------------------------------------------------------------------
-# UnitRecord
+# one unit's values
 # ---------------------------------------------------------------------------
 
 def test_record_accepts_observed_and_missing():
-    obs = UnitRecord(y=1.5, s=1, d=0, block="a")
-    miss = UnitRecord(y=None, s=0, d=1, block="a")
-    assert obs.y == 1.5 and miss.y is None
+    data = Dataset(y=[1.5, np.nan], s=[1, 0], d=[0, 1], blocks=["a", "a"])
+    assert data.y[0] == 1.5 and math.isnan(data.y[1])
+    assert data.s.dtype == data.d.dtype == np.int64
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(y=1.0, s=2, d=0, block="a"),
-        dict(y=1.0, s=1, d=-1, block="a"),
-        dict(y=None, s=1, d=0, block="a"),
-        dict(y=float("nan"), s=1, d=0, block="a"),
-        dict(y=float("inf"), s=1, d=0, block="a"),
-        dict(y=1.0, s=0, d=0, block="a"),
-        dict(y=1.0, s=1, d=0, block=""),
-        dict(y=1.0, s=1, d=0, block="   "),
-        dict(y=1.0, s=1, d=0, block="a", x=(1.0, float("nan"))),
+        dict(y=1.0, s=2, d=0, block="a", match="s must be 0 or 1, got 2"),
+        dict(y=1.0, s=1, d=-1, block="a", match="d must be 0 or 1, got -1"),
+        dict(y=None, s=1, d=0, block="a", match="must carry a finite outcome"),
+        dict(y=float("nan"), s=1, d=0, block="a", match="finite outcome"),
+        dict(y=float("inf"), s=1, d=0, block="a", match="finite outcome"),
+        dict(y=1.0, s=0, d=0, block="a", match="must not carry an outcome"),
+        dict(y=1.0, s=1, d=0, block="", match="non-empty string"),
+        dict(y=1.0, s=1, d=0, block="   ", match="non-empty string"),
+        dict(y=1.0, s=1, d=0, block="a", x=(1.0, float("nan")),
+             match="covariates must be finite"),
     ],
 )
 def test_record_rejects_invalid(kwargs):
-    with pytest.raises(ValidationError):
-        UnitRecord(**kwargs)
+    # the bad unit sits second, next to a valid treated unit
+    unit = dict(kwargs)
+    match = unit.pop("match")
+    x = unit.pop("x", None)
+    with pytest.raises(ValidationError, match=match):
+        Dataset(
+            y=[2.0, unit["y"]], s=[1, unit["s"]], d=[1, unit["d"]],
+            blocks=["a", unit["block"]],
+            x=None if x is None else [(0.0, 0.0), x],
+        )
 
 
 def test_record_trims_block_label_and_drops_empty_x():
-    rec = UnitRecord(y=1.0, s=1, d=0, block="  b1  ", x=())
-    assert rec.block == "b1"
-    assert rec.x is None
+    data = Dataset(
+        y=[1.0, 2.0], s=[1, 1], d=[0, 1], blocks=["  b1  ", "b1"], x=[(), ()]
+    )
+    assert data.blocks == ("b1", "b1")
+    assert data.x is None
 
 
 # ---------------------------------------------------------------------------
@@ -74,38 +83,62 @@ def test_dataset_columns_cached_and_missing_outcomes_are_nan(hand_dataset):
 
 
 def test_dataset_columns_are_read_only(hand_dataset):
-    with pytest.raises(ValueError):
-        hand_dataset.y[0] = 99.0
+    for col in (hand_dataset.y, hand_dataset.s, hand_dataset.d):
+        with pytest.raises(ValueError):
+            col[0] = 1
+
+
+def test_dataset_copies_its_inputs():
+    y = np.array([1.0, 2.0])
+    s = np.array([1, 1])
+    data = Dataset(y=y, s=s, d=[1, 0], blocks=["a", "a"])
+    y[0] = 99.0
+    s[0] = 0
+    assert data.y[0] == 1.0 and data.s[0] == 1
+    assert y.flags.writeable
 
 
 def test_dataset_needs_two_units():
     with pytest.raises(ValidationError, match="at least 2"):
-        Dataset(records=(UnitRecord(y=1.0, s=1, d=1, block="a"),))
+        Dataset(y=[1.0], s=[1], d=[1], blocks=["a"])
 
 
 def test_dataset_needs_both_arms():
-    recs = tuple(UnitRecord(y=1.0, s=1, d=1, block="a") for _ in range(4))
     with pytest.raises(ValidationError, match="treated and one control"):
-        Dataset(records=recs)
+        Dataset(y=[1.0] * 4, s=[1] * 4, d=[1] * 4, blocks=["a"] * 4)
 
 
 def test_dataset_rejects_singleton_block():
-    recs = (
-        UnitRecord(y=1.0, s=1, d=1, block="a"),
-        UnitRecord(y=2.0, s=1, d=0, block="a"),
-        UnitRecord(y=3.0, s=1, d=0, block="lonely"),
-    )
     with pytest.raises(ValidationError, match="lonely"):
-        Dataset(records=recs)
+        Dataset(
+            y=[1.0, 2.0, 3.0], s=[1, 1, 1], d=[1, 0, 0],
+            blocks=["a", "a", "lonely"],
+        )
 
 
 def test_dataset_rejects_mixed_covariate_arity():
-    recs = (
-        UnitRecord(y=1.0, s=1, d=1, block="a", x=(1.0,)),
-        UnitRecord(y=2.0, s=1, d=0, block="a", x=(1.0, 2.0)),
-    )
     with pytest.raises(ValidationError, match="arity"):
-        Dataset(records=recs)
+        Dataset(
+            y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a", "a"],
+            x=[(1.0,), (1.0, 2.0)],
+        )
+
+
+@pytest.mark.parametrize(
+    "columns,fragment",
+    [
+        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a"]), "one entry per unit"),
+        (dict(y=[1.0], s=[1, 1], d=[1, 0], blocks=["a", "a"]), "one entry per unit"),
+        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a", "a"], x=[[1.0]]),
+         "one row per unit"),
+    ],
+)
+def test_dataset_rejects_columns_of_unequal_length(columns, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        Dataset(**columns)
+    y, s, d, blocks = (columns[k] for k in ("y", "s", "d", "blocks"))
+    with pytest.raises(ValidationError, match=fragment):
+        dataset_from_arrays(y, s, d, blocks, x=columns.get("x"))
 
 
 def test_dataset_from_arrays_ignores_y_where_unselected():
@@ -115,8 +148,8 @@ def test_dataset_from_arrays_ignores_y_where_unselected():
         d=[1, 1, 0, 0],
         block=["a", "a", "a", "a"],
     )
-    assert data.records[1].y is None
     assert math.isnan(data.y[1])
+    assert data.y[[0, 2, 3]].tolist() == [1.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +158,17 @@ def test_dataset_from_arrays_ignores_y_where_unselected():
 
 def test_block_design_frozen_two_block_values(two_block_dataset):
     design = block_design(two_block_dataset)
-    assert tuple(b.eta_g for b in design.blocks) == DESIGN_ETAS
+    assert tuple(design.eta_g.tolist()) == DESIGN_ETAS
     assert design.p_hat == DESIGN_P_HAT
-    assert [b.label for b in design.blocks] == ["a", "b"]
-    assert [b.n_g for b in design.blocks] == [4, 6]
-    assert [b.t_g for b in design.blocks] == [1, 3]
-    assert [b.n1s_g for b in design.blocks] == [1, 3]
-    assert [b.n0s_g for b in design.blocks] == [3, 3]
-    assert design.index_of("b") == 1
+    assert design.labels == ("a", "b")
+    assert design.n_g.tolist() == [4, 6]
+    assert design.t_g.tolist() == [1, 3]
+    assert design.n1s_g.tolist() == [1, 3]
+    assert design.n0s_g.tolist() == [3, 3]
+    assert design.m_g.tolist() == [1.0, 1.0]
+    assert design.x_mean is None
+    with pytest.raises(ValueError):
+        design.n_g[0] = 5
 
 
 def test_block_design_codes_follow_dataset_order(two_block_dataset):
@@ -148,7 +184,7 @@ def test_block_design_sorts_labels_not_input_order():
         blocks=["zz", "zz", "aa", "aa"],
     )
     design = block_design(data)
-    assert [b.label for b in design.blocks] == ["aa", "zz"]
+    assert design.labels == ("aa", "zz")
     assert design.codes.tolist() == [1, 1, 0, 0]
 
 
@@ -162,8 +198,7 @@ def test_block_design_covariate_means():
         x=x,
     )
     design = block_design(data)
-    assert design.blocks[0].x_mean == (2.0,)
-    assert design.blocks[1].x_mean == (15.0,)
+    assert design.x_mean.tolist() == [[2.0], [15.0]]
 
 
 def test_block_design_rejects_one_armed_block_by_name():
@@ -178,11 +213,13 @@ def test_block_design_rejects_one_armed_block_by_name():
 
 
 def test_block_summary_rejects_degenerate_counts():
-    with pytest.raises(DesignError):
-        BlockSummary(
-            label="g", n_g=3, t_g=3, eta_g=1.0, m_g=0.0,
-            n1s_g=0, n0s_g=0, x_mean=None,
-        )
+    # a block with no treated unit, next to one with no control
+    data = build_dataset(
+        y=[1.0] * 7, s=[1] * 7, d=[0, 0, 0, 1, 1, 1, 0],
+        blocks=["g"] * 3 + ["h"] * 2 + ["ok"] * 2,
+    )
+    with pytest.raises(DesignError, match="violated by: g, h$"):
+        block_design(data)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +237,7 @@ HAND_CSV = (
 
 def test_parse_csv_hand_text_matches_fixture(hand_dataset):
     parsed = parse_csv(io.StringIO(HAND_CSV))
-    assert parsed.records == hand_dataset.records
+    assert_same_columns(parsed, hand_dataset)
 
 
 def test_parse_csv_skips_blank_lines_and_trims_header():
@@ -212,7 +249,6 @@ def test_parse_csv_skips_blank_lines_and_trims_header():
 def test_parse_csv_reads_covariates_in_declared_order():
     text = "x2,y,s,d,block,x1\n5.0,1,1,1,a,7.0\n6.0,2,1,0,a,8.0\n"
     data = parse_csv(io.StringIO(text))
-    assert data.records[0].x == (7.0, 5.0)
     assert data.x.tolist() == [[7.0, 5.0], [8.0, 6.0]]
 
 
@@ -249,7 +285,7 @@ def test_parse_csv_missing_file_is_a_parse_error(tmp_path):
 
 def test_parse_csv_accepts_lowercase_na_only_as_uppercase_alias():
     data = parse_csv(io.StringIO("y,s,d,block\nna,0,1,a\n1,1,0,a\n"))
-    assert data.records[0].y is None
+    assert math.isnan(data.y[0]) and data.s.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +300,13 @@ def test_csv_round_trip_preserves_records_exactly():
     x = rng.normal(size=(8, 2))
     data = build_dataset(y, s, d, ["a"] * 4 + ["b"] * 4, x=x)
     back = parse_csv(io.StringIO(dataset_to_csv_text(data)))
-    assert back.records == data.records
+    assert_same_columns(back, data)
 
 
 def test_write_csv_to_path_is_atomic(tmp_path, hand_dataset):
     path = tmp_path / "data.csv"
     write_csv(hand_dataset, str(path))
-    assert parse_csv(str(path)).records == hand_dataset.records
+    assert_same_columns(parse_csv(str(path)), hand_dataset)
     leftovers = [p for p in os.listdir(tmp_path) if ".tmp." in p]
     assert leftovers == []
 
@@ -287,4 +323,4 @@ def test_write_csv_header_includes_covariates():
 def test_hand_arrays_agree_with_hand_fixture(hand_dataset):
     y, s, d, blocks = hand_arrays()
     rebuilt = build_dataset(y, s, d, blocks)
-    assert rebuilt.records == hand_dataset.records
+    assert_same_columns(rebuilt, hand_dataset)

@@ -12,12 +12,9 @@ from strata_bounds import (
     LeeIpwTheta,
     LeeTheta,
     SingularJacobianError,
-    UnitRecord,
     block_design,
     fit_theta,
     jacobian,
-    lee_ipw_moments,
-    lee_moments,
     moment_matrix,
     silverman_bandwidth,
     solve_sandwich,
@@ -26,6 +23,8 @@ from strata_bounds.gmm_core import condition_number_1, invert, solve_linear
 from strata_bounds.ipw_estimator import _per_unit_block_arrays
 
 from conftest import build_dataset, random_dataset
+
+from oracles import lee_ipw_moments, lee_moments
 
 from frozen_values import (
     HAND_ALPHA,
@@ -42,48 +41,51 @@ SYSTEMS = ("lee_lb", "lee_ub", "ipw_lb", "ipw_ub")
 
 
 # ---------------------------------------------------------------------------
-# per-record moment rows
+# per-unit moment rows (the oracle for moment_matrix)
 # ---------------------------------------------------------------------------
 
 THETA = LeeTheta(mu1=2.0, mu0=1.0, cutoff=3.0, p=0.25, alpha=0.6)
 
 
 def test_lee_moments_observed_control_at_its_mean():
-    rec = UnitRecord(y=1.0, s=1, d=0, block="a")
     np.testing.assert_allclose(
-        lee_moments(rec, THETA, "lb"), [0.0, 0.0, 0.0, 0.0, 1.0 - 0.6]
+        lee_moments(1.0, 1, 0, THETA, "lb"), [0.0, 0.0, 0.0, 0.0, 1.0 - 0.6]
     )
 
 
 def test_lee_moments_unobserved_treated():
-    rec = UnitRecord(y=None, s=0, d=1, block="a")
-    rows = lee_moments(rec, THETA, "lb")
+    rows = lee_moments(np.nan, 0, 1, THETA, "lb")
     np.testing.assert_allclose(rows, [0.0, 0.0, 0.0, -0.6 / 0.75, 0.0])
 
 
 def test_lee_moments_kept_indicator_flips_between_sides():
-    rec = UnitRecord(y=2.5, s=1, d=1, block="a")  # below the cutoff 3.0
-    lb = lee_moments(rec, THETA, "lb")
-    ub = lee_moments(rec, THETA, "ub")
+    lb = lee_moments(2.5, 1, 1, THETA, "lb")  # below the cutoff 3.0
+    ub = lee_moments(2.5, 1, 1, THETA, "ub")
     assert lb[0] == pytest.approx(2.5 - 2.0)  # kept by the lower bound
     assert lb[2] == pytest.approx(0.0 - 0.25)
     assert ub[0] == 0.0  # trimmed away by the upper bound
     assert ub[2] == pytest.approx(1.0 - 0.25)
 
 
-def test_moment_matrix_rows_equal_per_record_evaluations(hand_dataset):
-    design = block_design(hand_dataset)
-    for system in SYSTEMS:
-        fit = fit_theta(hand_dataset, design, system)
-        for i, rec in enumerate(hand_dataset.records):
-            if system.startswith("lee"):
-                row = lee_moments(rec, fit.theta, system[-2:])
-            else:
-                row = lee_ipw_moments(rec, fit.theta, design, system[-2:])
-            np.testing.assert_allclose(
-                fit.matrix.values[i], row, atol=1e-14,
-                err_msg=f"{system} record {i}",
-            )
+def test_moment_matrix_rows_equal_per_record_evaluations(
+    hand_dataset, delta_hand_dataset
+):
+    for data in (hand_dataset, delta_hand_dataset):
+        design = block_design(data)
+        units = zip(data.y.tolist(), data.s.tolist(), data.d.tolist(), data.blocks)
+        units = list(units)
+        for system in SYSTEMS:
+            fit = fit_theta(data, design, system)
+            side = system[-2:]
+            for i, (y, s, d, block) in enumerate(units):
+                if system.startswith("lee"):
+                    row = lee_moments(y, s, d, fit.theta, side)
+                else:
+                    row = lee_ipw_moments(y, s, d, block, fit.theta, design, side)
+                np.testing.assert_allclose(
+                    fit.matrix.values[i], row, atol=1e-14,
+                    err_msg=f"{system} unit {i}",
+                )
 
 
 # ---------------------------------------------------------------------------

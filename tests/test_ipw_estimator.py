@@ -30,7 +30,7 @@ def test_control_anchored_share_equals_common_share_exactly():
     for _ in range(30):
         data = random_equal_share_dataset(rng)
         design = block_design(data)
-        etas = {b.eta_g for b in design.blocks}
+        etas = set(design.eta_g.tolist())
         assert len(etas) == 1
         assert always_observed_treat_prob(design) == etas.pop()
 
@@ -80,9 +80,8 @@ def test_weighted_bounds_match_oracle_fieldwise():
         obs_treated = (data.d == 1) & (data.s == 1)
         np.testing.assert_allclose(
             comps.y_tilde[obs_treated],
-            (ref["delta"] / np.array(
-                [design.blocks[g].eta_g for g in design.codes[obs_treated]]
-            )) * data.y[obs_treated],
+            (ref["delta"] / design.eta_g[design.codes[obs_treated]])
+            * data.y[obs_treated],
             atol=1e-12,
         )
         assert np.isnan(comps.y_tilde[~obs_treated]).all()
@@ -96,7 +95,7 @@ def test_weighted_bounds_reduce_to_pooled_under_equal_shares():
         design = block_design(data)
         pooled = lee_bounds(data, design)
         weighted, comps = lee_ipw_bounds(data, design)
-        assert comps.delta_hat == design.blocks[0].eta_g  # bit-exact
+        assert comps.delta_hat == design.eta_g[0]  # bit-exact
         assert weighted.q == pytest.approx(pooled.q, abs=1e-12)
         assert weighted.delta_lb == pytest.approx(pooled.delta_lb, abs=1e-10)
         assert weighted.delta_ub == pytest.approx(pooled.delta_ub, abs=1e-10)

@@ -1,6 +1,7 @@
 """Property-based invariants on randomized inputs."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from strata_bounds import (
     TrimSpec,
     always_observed_treat_prob,
     block_design,
+    conditional_lee_bounds,
     dataset_from_arrays,
     dataset_to_csv_text,
     lee_bounds,
+    lee_ipw_bounds,
     meat_iid,
     pair_blocks,
     parse_csv,
@@ -25,6 +28,9 @@ from strata_bounds import (
 
 from scipy.stats import norm
 
+from strata_bounds.cli import flip_treatment
+
+from conftest import assert_same_columns
 from oracles import always_observed_treat_prob_oracle, pair_blocks_oracle
 
 COMMON = dict(deadline=None, max_examples=60)
@@ -112,7 +118,56 @@ def test_csv_round_trip_is_lossless(parts):
         return
     data = dataset_from_arrays(np.where(s == 1, y, np.nan), s, d, blocks)
     back = parse_csv(io.StringIO(dataset_to_csv_text(data)))
-    assert back.records == data.records
+    assert_same_columns(back, data)
+
+
+def _pooled_bounds(data):
+    """(delta_lb, delta_ub) of lee and lee-ipw, or the error each raised."""
+    design = block_design(data)
+    out = []
+    for run in (lee_bounds, lambda *a: lee_ipw_bounds(*a)[0],
+                conditional_lee_bounds):
+        try:
+            est = run(data, design)
+            out.append((est.delta_lb, est.delta_ub))
+        except EstimationError as exc:
+            out.append(type(exc))
+    return out
+
+
+@given(parts=dataset_strategy())
+@settings(**COMMON)
+def test_flipping_arms_twice_is_the_identity(parts):
+    y, s, d, blocks = parts
+    if d.sum() == 0 or d.sum() == d.size:
+        return
+    data = dataset_from_arrays(y, s, d, blocks)
+    once = flip_treatment(data)
+    assert (once.d == 1 - data.d).all()
+    back = flip_treatment(once)
+    assert_same_columns(back, data)
+    assert _pooled_bounds(back)[:2] == _pooled_bounds(data)[:2]
+
+
+@given(parts=dataset_strategy(), seed=st.integers(0, 2**32 - 1))
+@settings(**COMMON)
+def test_block_relabeling_leaves_point_bounds_unchanged(parts, seed):
+    y, s, d, blocks = parts
+    if d.sum() == 0 or d.sum() == d.size:
+        return
+    # a random bijection onto new labels, which also reorders the blocks
+    old = sorted(set(blocks))
+    new = np.random.default_rng(seed).permutation(len(old))
+    rename = {lab: f"r{k}" for lab, k in zip(old, new.tolist())}
+    data = dataset_from_arrays(y, s, d, blocks)
+    relabeled = dataset_from_arrays(y, s, d, [rename[b] for b in blocks])
+    scale = 1e-12 * max(1.0, float(np.abs(y).max()))
+    for a, b in zip(_pooled_bounds(data), _pooled_bounds(relabeled)):
+        if isinstance(a, type) or isinstance(b, type):
+            assert a == b
+            continue
+        for u, v in zip(a, b):
+            assert math.isclose(u, v, rel_tol=1e-12, abs_tol=scale)
 
 
 @given(
@@ -154,14 +209,14 @@ def test_pair_blocks_gives_fixed_point_free_involution(n_singletons, extra):
         return
     inv = pair_blocks(design, needs)
     assert isinstance(inv, Involution)
-    pm = inv.partner_map()
-    assert all(pm[g] != g for g in needs)
-    for g in needs:
-        partner = pm[g]
-        if partner in needs:
-            assert pm[partner] == g  # mutual within the singleton set
-    covered = {g for pair in inv.pairs for g in pair}
-    assert set(needs) <= covered
+    pairs = inv.pairs
+    assert pairs.shape == ((len(needs) + 1) // 2, 2)
+    assert (pairs[:, 0] != pairs[:, 1]).all()
+    # each singleton block sits in exactly one pair, so in-set pairs are
+    # mutual; only an odd leftover's partner lies outside the set
+    flat = pairs.ravel().tolist()
+    assert sorted(g for g in flat if g in needs) == needs
+    assert flat[:-1] == [g for g in flat[:-1] if g in needs]
 
 
 @st.composite
@@ -204,8 +259,8 @@ def test_pair_blocks_matches_oracle(case):
             pair_blocks(design, needs)
         return
     pairs = pair_blocks(design, needs).pairs
-    assert pairs == expected
-    assert all(type(g) is int for pair in pairs for g in pair)
+    assert pairs.dtype == np.int64
+    assert tuple(map(tuple, pairs.tolist())) == expected
 
 
 @st.composite

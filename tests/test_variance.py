@@ -89,8 +89,8 @@ def test_meat_design_assembly_identity(hand_dataset):
     )
     np.testing.assert_array_equal(report.omega, report.omega.T)
     assert report.mode == "paired"
-    assert report.singleton_treated == ()
-    assert report.singleton_control == ()
+    assert report.singleton_treated.size == 0
+    assert report.singleton_control.size == 0
 
 
 def test_meat_design_constant_moments_cancel_exactly():
@@ -190,16 +190,15 @@ def _pairs_design(labels_sizes_treated, y_shift=0.0, x_vals=None):
 def test_pair_blocks_pairs_within_set_by_label():
     _, design = _pairs_design([("a", 2, 1), ("b", 2, 1), ("c", 2, 1), ("d", 2, 1)])
     inv = pair_blocks(design, [0, 1, 2, 3])
-    assert inv.pairs == ((0, 1), (2, 3))
-    pm = inv.partner_map()
-    assert pm[0] == 1 and pm[1] == 0 and pm[2] == 3 and pm[3] == 2
+    assert inv.pairs.dtype == np.int64
+    assert inv.pairs.tolist() == [[0, 1], [2, 3]]
+    assert pair_blocks(design, [3, 1, 2, 0, 2]).pairs.tolist() == [[0, 1], [2, 3]]
 
 
 def test_pair_blocks_odd_leftover_takes_outside_partner():
     _, design = _pairs_design([("a", 2, 1), ("b", 2, 1), ("c", 2, 1), ("z", 4, 2)])
     inv = pair_blocks(design, [0, 1, 2])
-    assert inv.pairs[0] == (0, 1)
-    assert inv.pairs[1] == (2, 3)  # nearest outside block
+    assert inv.pairs.tolist() == [[0, 1], [2, 3]]  # 3 is the nearest outside block
 
 
 def test_pair_blocks_uses_covariate_means_when_present():
@@ -209,7 +208,7 @@ def test_pair_blocks_uses_covariate_means_when_present():
     )
     inv = pair_blocks(design, [0, 1, 2, 3])
     # sorted by covariate mean: a (0.0), c (0.1), b (10.0), d (10.2)
-    assert inv.pairs == ((0, 2), (1, 3))
+    assert inv.pairs.tolist() == [[0, 2], [1, 3]]
 
 
 def test_pair_blocks_fails_without_outside_partner():
@@ -235,8 +234,9 @@ def test_meat_design_pairs_singletons_and_reports_them():
     rng = np.random.default_rng(4)
     moments = rng.normal(size=(4, 2))
     report = meat_design(data, design, moments)
-    assert report.singleton_treated == ("a", "b")
-    assert report.singleton_control == ("a", "b")
+    assert report.singleton_treated.tolist() == [0, 1]
+    assert report.singleton_control.tolist() == [0, 1]
+    assert [design.labels[g] for g in report.singleton_treated] == ["a", "b"]
     assert report.involution_treated is not None
     # with the partner-arm rule, the singleton cross term uses the partner
     # block's arm mean on both sides
