@@ -138,9 +138,9 @@ def run_estimator(data, design, name: str, variance: str, alpha: float) -> dict:
             f for f in report.flags if f not in record["flags"]
         )
     if name == "conditional-lee":
-        detail = estimate.detail
-        record["strata_used"] = sum(1 for sb in detail if sb.used)
-        record["strata_dropped"] = sum(1 for sb in detail if not sb.used)
+        used = int(estimate.detail.used.sum())
+        record["strata_used"] = used
+        record["strata_dropped"] = estimate.detail.used.size - used
     return record
 
 
@@ -198,30 +198,32 @@ def _cell(value) -> str:
     return format_number(value)
 
 
+def _flat_record(rec: dict) -> dict:
+    """The record with each interval split into its _lo and _hi ends."""
+    flat = dict(rec)
+    for name in ("ci_lb", "ci_ub", "ci_set"):
+        pair = flat.pop(name, None)
+        flat[f"{name}_lo"] = None if pair is None else pair[0]
+        flat[f"{name}_hi"] = None if pair is None else pair[1]
+    return flat
+
+
 def _estimate_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ESTIMATE_CSV_COLUMNS)
     for rec in records:
-        flat = dict(rec)
-        for name in ("ci_lb", "ci_ub", "ci_set"):
-            pair = flat.pop(name, None)
-            flat[f"{name}_lo"] = None if pair is None else pair[0]
-            flat[f"{name}_hi"] = None if pair is None else pair[1]
+        flat = _flat_record(rec)
         writer.writerow([_cell(flat.get(col)) for col in ESTIMATE_CSV_COLUMNS])
     return buf.getvalue()
 
 
 def _estimate_table(records: list[dict]) -> str:
     lines: list[str] = []
+    order = [c for c in ESTIMATE_CSV_COLUMNS if c not in ("estimator", "variance")]
     for rec in records:
         lines.append(f"== {rec['estimator']} (variance: {rec['variance']}) ==")
-        order = [c for c in ESTIMATE_CSV_COLUMNS if c not in ("estimator", "variance")]
-        flat = dict(rec)
-        for name in ("ci_lb", "ci_ub", "ci_set"):
-            pair = flat.pop(name, None)
-            flat[f"{name}_lo"] = None if pair is None else pair[0]
-            flat[f"{name}_hi"] = None if pair is None else pair[1]
+        flat = _flat_record(rec)
         for key in order + ["strata_used", "strata_dropped"]:
             if key not in flat or (key in ("flags", "warnings", "notes") and not flat[key]):
                 continue

@@ -14,14 +14,17 @@ import io
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DesignError, ParseError, ValidationError
 
 REQUIRED_COLUMNS = ("y", "s", "d", "block")
+# rows parse_csv reads and validates at a time; memory grows with this, not
+# with the file
+CSV_CHUNK_ROWS = 4096
 
 
 def _indicator(values, name: str) -> np.ndarray:
@@ -65,63 +68,93 @@ class Dataset:
     """Validated, read-only unit columns.
 
     y is the observed outcome, nan exactly where s == 0; s (selected) and d
-    (treated) are 0/1 int64 columns; blocks holds one block label per unit,
-    an opaque string compared after trimming; x is an (n, k) covariate
-    matrix or None.
+    (treated) are 0/1 int64 columns; codes is an int64 column mapping each
+    unit to its block, an index into labels, the sorted table of distinct
+    block labels (opaque strings compared after trimming); x is an (n, k)
+    covariate matrix or None.
     """
 
     y: np.ndarray
     s: np.ndarray
     d: np.ndarray
-    blocks: tuple[str, ...]
+    codes: np.ndarray
+    labels: tuple[str, ...]
     x: np.ndarray | None = None
 
     def __post_init__(self):
         s = _indicator(self.s, "s")
         d = _indicator(self.d, "d")
         y = np.array(self.y, dtype=float)
-        blocks = tuple(map(str.strip, map(str, self.blocks)))
+        codes = np.array(self.codes)
+        labels = tuple(map(str.strip, map(str, self.labels)))
         n = s.size
-        if s.shape != (n,) or y.shape != (n,) or d.shape != (n,) or len(blocks) != n:
+        if s.shape != (n,) or y.shape != (n,) or d.shape != (n,) or codes.shape != (n,):
             raise ValidationError("y, s, d and block need one entry per unit")
         if not np.isfinite(y[s == 1]).all():
             raise ValidationError("selected unit (s=1) must carry a finite outcome")
         if not np.isnan(y[s == 0]).all():
             raise ValidationError("unselected unit (s=0) must not carry an outcome")
-        if not all(blocks):
+        if not all(labels):
             raise ValidationError("block label must be a non-empty string")
+        if list(labels) != sorted(labels) or len(set(labels)) != len(labels):
+            raise ValidationError("block labels must be sorted and distinct")
+        if n and (
+            codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(labels)
+        ):
+            raise ValidationError("block codes must index the block labels")
+        codes = codes.astype(np.int64)
         x = _covariates(self.x, n)
         if n < 2:
             raise ValidationError("dataset needs at least 2 units")
         if d.sum() == 0 or d.sum() == n:
             raise ValidationError("dataset needs at least one treated and one control unit")
-        thin = sorted(lab for lab, c in Counter(blocks).items() if c < 2)
+        sizes = np.bincount(codes, minlength=len(labels))
+        thin = [labels[g] for g in np.flatnonzero(sizes < 2).tolist()]
         if thin:
             raise ValidationError(
                 f"every block needs at least 2 units; too small: {', '.join(thin)}"
             )
 
-        for col in (y, s, d, x):
+        for col in (y, s, d, codes, x):
             if col is not None:
                 col.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
         return self.s.size
 
+    @property
+    def blocks(self) -> tuple[str, ...]:
+        """One block label per unit, in dataset order."""
+        return tuple(map(self.labels.__getitem__, self.codes.tolist()))
+
+
+def _encode_labels(labels: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Per-unit trimmed block labels as int64 codes into their sorted
+    distinct table."""
+    table = sorted(dict.fromkeys(labels))
+    lookup = dict(zip(table, range(len(table))))
+    codes = np.fromiter(
+        map(lookup.__getitem__, labels), dtype=np.int64, count=len(labels)
+    )
+    return codes, tuple(table)
+
 
 def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
-    """Build a Dataset from parallel columns; y is ignored where s = 0."""
+    """Build a Dataset from parallel columns, with one block label per unit;
+    y is ignored where s = 0."""
     s_col = np.asarray(s)
     y = np.asarray(y, dtype=float)
     if y.shape == s_col.shape:  # Dataset reports a mismatch
         y = np.where(s_col == 1, y, np.nan)
-    return Dataset(y=y, s=s_col, d=d, blocks=block, x=x)
+    codes, labels = _encode_labels(list(map(str.strip, map(str, block))))
+    return Dataset(y=y, s=s_col, d=d, codes=codes, labels=labels, x=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,20 +193,19 @@ class BlockDesign:
 def block_design(data: Dataset) -> BlockDesign:
     """Summarize blocks; every block must contain both arms.
 
-    Blocks are sorted by label (string order) so downstream output is
+    Blocks follow the dataset's sorted label table, so downstream output is
     deterministic; p_hat is the exact pooled treated share.
     """
-    labels = sorted(set(data.blocks))
-    label_to_code = {lab: i for i, lab in enumerate(labels)}
-    codes = np.fromiter(
-        map(label_to_code.__getitem__, data.blocks), dtype=np.int64, count=data.n
-    )
-
+    codes, labels = data.codes, data.labels
     n_blocks = len(labels)
-    n_g = np.bincount(codes, minlength=n_blocks)
-    t_g = np.bincount(codes[data.d == 1], minlength=n_blocks)
-    n1s = np.bincount(codes[(data.d == 1) & (data.s == 1)], minlength=n_blocks)
-    n0s = np.bincount(codes[(data.d == 0) & (data.s == 1)], minlength=n_blocks)
+    # per block, counts of (d, s) = (0, 0), (0, 1), (1, 0), (1, 1)
+    cells = np.bincount(
+        codes * 4 + data.d * 2 + data.s, minlength=4 * n_blocks
+    ).reshape(n_blocks, 4)
+    n_g = cells.sum(axis=1)
+    t_g = cells[:, 2] + cells[:, 3]
+    n1s = cells[:, 3]
+    n0s = cells[:, 1]
 
     bad = np.flatnonzero((t_g < 1) | (t_g > n_g - 1)).tolist()
     if bad:
@@ -190,7 +222,7 @@ def block_design(data: Dataset) -> BlockDesign:
         ]) / n_g[:, None]
 
     return BlockDesign(
-        labels=tuple(labels),
+        labels=labels,
         n_g=n_g,
         t_g=t_g,
         eta_g=t_g / n_g,
@@ -247,22 +279,95 @@ def _parse_csv_stream(fh) -> Dataset:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty file: no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ParseError(f"missing required columns: {', '.join(missing)}")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names in header")
-    x_cols = _x_columns(header)
     width = len(header)
-    i_y, i_s, i_d, i_block = (header.index(name) for name in REQUIRED_COLUMNS)
-    x_at = [(name, header.index(name)) for name in x_cols]
+    at = tuple(header.index(name) for name in REQUIRED_COLUMNS)
+    x_at = tuple((name, header.index(name)) for name in _x_columns(header))
 
+    chunks = []
+    offset = 0
+    try:
+        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+            chunks.append(
+                _canonical_columns(rows, width, at, x_at)
+                or _check_rows(rows, offset, width, at, x_at)
+            )
+            offset += len(rows)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+    ys, ss, ds, blocks, xs = zip(*chunks) if chunks else ((),) * 5
+    if not sum(map(len, ys)):
+        raise ParseError("no data rows")
+    codes, labels = _encode_labels(list(itertools.chain.from_iterable(blocks)))
+    return Dataset(
+        y=np.concatenate(ys), s=np.concatenate(ss), d=np.concatenate(ds),
+        codes=codes, labels=labels,
+        x=np.concatenate(xs) if x_at else None,
+    )
+
+
+def _canonical_columns(rows: list[list[str]], width: int, at, x_at):
+    """The columns of a chunk of rows, validated by column, or None.
+
+    width is the header's; at holds the positions of y, s, d and block, and
+    x_at the name and position of each covariate.
+
+    This is the fast path for canonical rows: every row full width, s and d
+    exactly "0" or "1", y empty exactly where s = 0 and a finite number
+    elsewhere, non-empty block labels and finite covariates. Anything else,
+    including valid blank rows, spaces and "NA", returns None and is left to
+    _check_rows, which gives the same columns or the row's error.
+    """
+    m = len(rows)
+    if set(map(len, rows)) != {width}:
+        return None
+    y_col, s_col, d_col, block_col = (list(map(itemgetter(i), rows)) for i in at)
+    if not {*s_col, *d_col} <= {"0", "1"}:
+        return None
+    # each s and d cell is one character, so its column joins to one byte a row
+    s, d = (
+        np.frombuffer("".join(col).encode(), dtype=np.uint8).astype(np.int64) - ord("0")
+        for col in (s_col, d_col)
+    )
+    if any(itertools.compress(y_col, (s == 0).tolist())):
+        return None
+    try:
+        # numpy converts each string with float(), as _check_rows does; an
+        # empty y where s = 1 fails here
+        y_obs = np.array(list(itertools.compress(y_col, (s == 1).tolist())), dtype=float)
+        x = np.array(
+            [list(map(itemgetter(i), rows)) for _, i in x_at], dtype=float
+        ).reshape(-1, m).T
+    except ValueError:
+        return None
+    blocks = list(map(str.strip, block_col))
+    if not (np.isfinite(y_obs).all() and np.isfinite(x).all() and all(blocks)):
+        return None
+    y = np.full(m, np.nan)
+    y[s == 1] = y_obs
+    return y, s, d, blocks, x
+
+
+def _check_rows(rows: list[list[str]], offset: int, width: int, at, x_at):
+    """The columns of a chunk of rows, checked one row at a time.
+
+    Blank rows are skipped. The first invalid row raises a ParseError that
+    names its 1-based data row, counted from offset.
+    """
+    i_y, i_s, i_d, i_block = at
     ys: list[float] = []
     ss: list[int] = []
     ds: list[int] = []
     blocks: list[str] = []
     xs: list[list[float]] = []
-    for row_num, row in enumerate(reader, start=1):
+    for row_num, row in enumerate(rows, start=offset + 1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:
@@ -300,8 +405,8 @@ def _parse_csv_stream(fh) -> Dataset:
 
         if x_at:
             vals = []
-            for name, at in x_at:
-                raw = row[at].strip()
+            for name, i in x_at:
+                raw = row[i].strip()
                 try:
                     v = float(raw)
                 except ValueError:
@@ -318,12 +423,9 @@ def _parse_csv_stream(fh) -> Dataset:
         ds.append(int(d_raw == "1"))
         blocks.append(block)
 
-    if not ys:
-        raise ParseError("no data rows")
-    return Dataset(
-        y=np.array(ys), s=np.array(ss), d=np.array(ds), blocks=tuple(blocks),
-        x=np.array(xs) if x_at else None,
-    )
+    x = np.array(xs, dtype=float).reshape(len(ys), len(x_at))
+    return (np.array(ys, dtype=float), np.array(ss, dtype=np.int64),
+            np.array(ds, dtype=np.int64), blocks, x)
 
 
 def write_csv(data: Dataset, target) -> None:

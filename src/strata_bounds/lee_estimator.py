@@ -181,6 +181,7 @@ class BoundsEstimate:
     counts the observed outcomes entering the estimate; counts carries the
     full arm breakdown. flags mark clamping and similar conditions; warnings
     are advisory (e.g. heterogeneous treated shares under the pooled method).
+    detail holds the per-stratum cells of the conditional method, else None.
     """
 
     method: str
@@ -196,7 +197,7 @@ class BoundsEstimate:
     counts: UsageCounts
     flags: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-    detail: tuple = ()
+    detail: StrataDetail | None = None
 
 
 def _usage_counts(data: Dataset) -> UsageCounts:
@@ -260,19 +261,49 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     )
 
 
-@dataclass(frozen=True)
-class StratumBound:
-    """Per-stratum cell of the conditional estimator."""
+@dataclass(frozen=True, eq=False)
+class StrataDetail:
+    """Per-block cells of the conditional estimator, in design.labels order.
 
-    label: str
-    n_g: int
-    tau: float
-    clamped: bool
-    mu0: float
-    mu1_lb: float
-    mu1_ub: float
-    used: bool
-    reason: str = ""
+    tau is the stratum's trimming share, nan where an arm has no observed
+    outcome; clamped marks a negative raw share set to zero; mu0, mu1_lb and
+    mu1_ub are the observed-control mean and the two trimmed treated means,
+    nan where the stratum is unused; used marks the strata in the aggregate.
+    Every field is a read-only array.
+    """
+
+    tau: np.ndarray
+    clamped: np.ndarray
+    mu0: np.ndarray
+    mu1_lb: np.ndarray
+    mu1_ub: np.ndarray
+    used: np.ndarray
+
+    def __post_init__(self):
+        for name in ("tau", "clamped", "mu0", "mu1_lb", "mu1_ub", "used"):
+            getattr(self, name).setflags(write=False)
+
+
+def _segment_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of values[lo[i]:hi[i]] for each i; an empty segment sums to 0.
+
+    Each segment is summed on its own, so no sum cancels against another.
+    """
+    padded = np.append(values, 0.0)  # a segment may end at values.size
+    sums = np.add.reduceat(padded, np.column_stack((lo, hi)).ravel())[::2]
+    sums[lo == hi] = 0.0
+    return sums
+
+
+def _tie_runs(y: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of the run of equal (key, y) that holds each
+    position of the sorted arrays."""
+    n = y.size
+    idx = np.arange(n)
+    tied = (key[1:] == key[:-1]) & (y[1:] == y[:-1])  # position i+1 ties i
+    first = np.maximum.accumulate(np.where(np.append(False, tied), 0, idx))
+    last = np.minimum.accumulate(np.where(np.append(tied, False), n, idx)[::-1])
+    return first, last[::-1]
 
 
 def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
@@ -282,81 +313,90 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     rates. Strata whose cells are undefined (an arm with no observed
     outcome, or a trim that keeps less than one unit of treated mass) are
     dropped from the aggregate and listed in the warnings; if every stratum
-    fails, estimation fails.
+    fails, estimation fails. All strata are trimmed at once, with the
+    fractional boundary mass of trimmed_mean.
     """
-    # one stable sort puts each block's observed treated outcomes, then its
-    # observed control outcomes, then its unobserved rows, in contiguous
-    # runs that keep dataset order
+    # one sort puts each block's observed treated outcomes in ascending
+    # order, then its observed control outcomes in dataset order, then its
+    # unobserved rows, in contiguous runs
     cell = np.where(data.s == 1, 1 - data.d, 2)
     key = design.codes * 3 + cell
-    y = data.y[np.argsort(key, kind="stable")]
-    edges = np.concatenate(
-        ([0], np.cumsum(np.bincount(key, minlength=3 * design.n_blocks)))
-    ).tolist()
-    strata: list[StratumBound] = []
-    clamp_count = 0
-    blocks = zip(design.labels, design.n_g.tolist(), design.t_g.tolist())
-    for g, (label, n_g, t_g) in enumerate(blocks):
-        start, mid, stop = edges[3 * g : 3 * g + 3]
-        n1s = mid - start
-        n0s = stop - mid
-        if n1s == 0 or n0s == 0:
-            strata.append(
-                StratumBound(
-                    label=label, n_g=n_g, tau=float("nan"), clamped=False,
-                    mu0=float("nan"), mu1_lb=float("nan"), mu1_ub=float("nan"),
-                    used=False, reason="no observed outcomes in one arm",
-                )
-            )
-            continue
-        tau_raw = 1.0 - (n0s * t_g) / (n1s * (n_g - t_g))
-        clamped = tau_raw < 0.0
-        tau = max(tau_raw, 0.0)
-        # the kept mass is exactly min(n0s t_g / (n_g - t_g), n1s)
-        try:
-            lb, ub = _trim_both_tails(
-                y[start:mid], tau, clamped or n0s * t_g >= n_g - t_g
-            )
-        except DegenerateTrimError as exc:
-            strata.append(
-                StratumBound(
-                    label=label, n_g=n_g, tau=tau, clamped=clamped,
-                    mu0=float("nan"), mu1_lb=float("nan"), mu1_ub=float("nan"),
-                    used=False, reason=str(exc),
-                )
-            )
-            continue
-        mu0_g = float(y[mid:stop].sum()) / n0s  # .mean(), bit for bit
-        clamp_count += int(clamped)
-        strata.append(
-            StratumBound(
-                label=label, n_g=n_g, tau=tau, clamped=clamped,
-                mu0=mu0_g, mu1_lb=lb.mean, mu1_ub=ub.mean, used=True,
-            )
-        )
+    order = np.lexsort((np.where(cell == 0, data.y, 0.0), key))
+    y, key = data.y[order], key[order]
+    sizes = np.bincount(key, minlength=3 * design.n_blocks)
+    starts = (np.cumsum(sizes) - sizes).reshape(-1, 3)
+    n1s, n0s = design.n1s_g, design.n0s_g
+    t_g, c_g = design.t_g, design.n_g - design.t_g
 
-    used = [st for st in strata if st.used]
-    if not used:
+    defined = (n1s > 0) & (n0s > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = 1.0 - (n0s * t_g) / (n1s * c_g)
+    tau[~defined] = np.nan
+    clamped = tau < 0.0
+    tau = np.maximum(tau, 0.0)
+    # the kept mass is exactly min(n0s t_g / c_g, n1s)
+    used = defined & (clamped | (n0s * t_g >= c_g))
+
+    g = np.flatnonzero(used)
+    if not g.size:
         raise EstimationError(
             "conditional bounds undefined in every stratum: "
-            + "; ".join(f"{st.label}: {st.reason}" for st in strata)
+            + "; ".join(
+                f"{label}: {reason}"
+                for label, reason in _drop_reasons(design, n1s, tau, used)
+            )
         )
-    weight = float(sum(st.n_g for st in used))
-    mu0 = sum(st.n_g * st.mu0 for st in used) / weight
-    mu1_lb = sum(st.n_g * st.mu1_lb for st in used) / weight
-    mu1_ub = sum(st.n_g * st.mu1_ub for st in used) / weight
-    q_agg = sum(st.n_g * st.tau for st in used) / weight
+    m = n1s[g]
+    # (1 - tau) m rounds to just below one unit where exactly one unit is kept
+    k = np.maximum((1.0 - tau[g]) * m, 1.0)
+    rank = np.ceil(k).astype(np.int64)  # rank of the boundary value
+    lo, hi = starts[g, 0], starts[g, 0] + m
+    run_first, run_last = _tie_runs(y, key)
+    # lower bound: keep the bottom mass k; the values below the cutoff count
+    # fully and its tied run shares what is left
+    cut_lb = lo + rank - 1
+    inside_lb = run_first[cut_lb]
+    # upper bound: keep the top mass k
+    cut_ub = hi - rank
+    inside_ub = run_last[cut_ub] + 1
+    lo0 = starts[g, 1]
+    sums = _segment_sums(
+        y,
+        np.concatenate((lo, inside_ub, lo, lo0)),
+        np.concatenate((inside_lb, hi, hi, lo0 + n0s[g])),
+    ).reshape(4, -1)
+    total_lb = sums[0] + (k - (inside_lb - lo)) * y[cut_lb]
+    total_ub = sums[1] + (k - (hi - inside_ub)) * y[cut_ub]
+    # nothing trimmed: both sides keep the whole sample, summed once
+    whole = k == m
+    total_lb[whole] = total_ub[whole] = sums[2][whole]
+
+    mu0_g = np.full(design.n_blocks, np.nan)
+    mu1_lb_g = np.full(design.n_blocks, np.nan)
+    mu1_ub_g = np.full(design.n_blocks, np.nan)
+    mu0_g[g] = sums[3] / n0s[g]
+    mu1_lb_g[g] = total_lb / k
+    mu1_ub_g[g] = total_ub / k
+
+    # block-size weights; np.cumsum adds left to right
+    w = design.n_g[g]
+    weight = float(w.sum())
+    mu0, mu1_lb, mu1_ub, q_agg = (
+        float(np.cumsum(w * col[g])[-1]) / weight
+        for col in (mu0_g, mu1_lb_g, mu1_ub_g, tau)
+    )
 
     flags = []
+    clamp_count = int(clamped.sum())
     if clamp_count:
         flags.append(f"stratum_trimming_clamped:{clamp_count}")
     warnings = []
-    dropped = [st for st in strata if not st.used]
+    dropped = _drop_reasons(design, n1s, tau, used)
     if dropped:
         flags.append(f"strata_dropped:{len(dropped)}")
         warnings.append(
             "dropped strata: "
-            + "; ".join(f"{st.label} ({st.reason})" for st in dropped)
+            + "; ".join(f"{label} ({reason})" for label, reason in dropped)
         )
     counts = _usage_counts(data)
     return BoundsEstimate(
@@ -373,5 +413,22 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
         counts=counts,
         flags=tuple(flags),
         warnings=tuple(warnings),
-        detail=tuple(strata),
+        detail=StrataDetail(
+            tau=tau, clamped=clamped, mu0=mu0_g, mu1_lb=mu1_lb_g,
+            mu1_ub=mu1_ub_g, used=used,
+        ),
     )
+
+
+def _drop_reasons(design, n1s, tau, used) -> list[tuple[str, str]]:
+    """(label, reason) for each stratum left out of the aggregate."""
+    reasons = []
+    for g in np.flatnonzero(~used).tolist():
+        q = float(tau[g])
+        if math.isnan(q):
+            reason = "no observed outcomes in one arm"
+        else:
+            m = int(n1s[g])
+            reason = str(_degenerate_trim(q, (1.0 - q) * m, m))
+        reasons.append((design.labels[g], reason))
+    return reasons

@@ -9,8 +9,10 @@ changing it would silently change every seeded result.
 matched_pairs: units sorted by a standard-normal covariate form consecutive
 pairs; one unit per pair is treated; outcomes are 2X + 2 + noise; selection
 is 0.8 (treated) / 0.7 (control) independent of outcomes; observed treated
-outcomes get an additive Uniform(0, 2) bonus. Truth for the bounds comes
-from a 10^7-draw direct simulation of the trimmed population quantities.
+outcomes get an additive Uniform(0, 2) bonus. Truth for the bounds is the
+exact population value: the observed treated outcome is a normal plus a
+uniform, whose distribution function and partial first moment have closed
+forms in the normal distribution and density.
 
 heavy_tails: 100 strata of 20 (10 treated each); outcomes 2X + 2 + 12V with
 V a truncated Pareto tail; the largest control outcome in each stratum is an
@@ -27,11 +29,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtr
 
-from .data_model import Dataset, block_design, dataset_from_arrays
+from .data_model import Dataset, block_design
 from .errors import EstimationError, ValidationError
 from .ipw_estimator import lee_ipw_bounds
 from .lee_estimator import conditional_lee_bounds, lee_bounds
@@ -42,9 +44,6 @@ DGP_HEAVY_TAILS = "heavy_tails"
 DGPS = (DGP_MATCHED_PAIRS, DGP_HEAVY_TAILS)
 
 _MASK64 = (1 << 64) - 1
-# fixed internal stream for the reference-truth simulation, independent of
-# user seeds so the truth is identical across configs
-_TRUTH_KEY = 86028157 | (999983 << 64)
 
 THREADS_ENV = "STRATA_BOUNDS_THREADS"
 
@@ -119,30 +118,57 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
     y_base = 2.0 * x + 2.0 + eps
     y = np.where(d == 1, y_base + bonus, y_base)
 
-    width = len(str(n // 2 - 1))
-    pair_labels = [str(g).zfill(width) for g in range(n // 2)]
-    labels = [label for label in pair_labels for _ in (0, 1)]
-    return dataset_from_arrays(y, s, d, labels, x=x[:, None])
+    # zero-padded, so label order is pair order
+    labels = tuple(map(f"%0{len(str(n // 2 - 1))}d".__mod__, range(n // 2)))
+    return Dataset(
+        y=np.where(s == 1, y, np.nan), s=s, d=d,
+        codes=np.repeat(np.arange(n // 2), 2), labels=labels, x=x[:, None],
+    )
 
 
-@lru_cache(maxsize=1)
 def dgp1_truth() -> tuple[float, float]:
-    """Population bounds for matched_pairs by direct 10^7-draw simulation.
+    """Exact population bounds for matched_pairs.
 
-    The treated-observed outcome is 2X + 2 + noise + Uniform(0,2); the
-    population trimming share is 1 - 0.7/0.8 = 0.125; the control mean is
-    exactly 2 because selection is independent of outcomes.
+    The treated-observed outcome is W = 2X + 2 + noise + Uniform(0, 2), that
+    is Z + V with Z ~ N(0, 5) and V ~ Uniform(2, 4). Its distribution
+    function is F(w) = [G(w - 2) - G(w - 4)] / 2 with G(t) = t Phi(t/sigma)
+    + sigma phi(t/sigma), an antiderivative of Phi(t/sigma), sigma = sqrt(5);
+    its partial first moment E[W; W <= w] has the same shape. The
+    population trimming share is 1 - 0.7/0.8 = 0.125, and the control mean
+    is exactly 2 because selection is independent of outcomes.
     """
-    rng = philox_generator(_TRUTH_KEY)
-    size = 10_000_000
-    w = 2.0 * rng.standard_normal(size) + 2.0
-    w += rng.standard_normal(size)
-    w += 2.0 * rng.random(size)
-    w.sort()
-    keep = round(0.875 * size)
-    lb = float(w[:keep].mean()) - 2.0
-    ub = float(w[size - keep :].mean()) - 2.0
-    return lb, ub
+    # imported here: loading scipy.optimize would slow every command's start
+    from scipy.optimize import brentq
+
+    sigma = math.sqrt(5.0)
+    keep = 0.875  # one minus the trimming share
+
+    def normal_parts(t):
+        """Phi(t / sigma) and sigma phi(t / sigma)."""
+        return ndtr(t / sigma), sigma * math.exp(-t * t / 10.0) / math.sqrt(2.0 * math.pi)
+
+    def cdf(w):
+        def g(t):
+            cum, dens = normal_parts(t)
+            return t * cum + dens
+
+        return 0.5 * (g(w - 2.0) - g(w - 4.0))
+
+    def partial_moment(w):
+        # E[W; W <= w] = 1/2 int_{w-4}^{w-2} (w - a) Phi(a/sigma)
+        # - sigma phi(a/sigma) da; k is an antiderivative of the integrand
+        def k(a):
+            cum, dens = normal_parts(a)
+            return (a * (w - a / 2.0) - sigma**2 / 2.0) * cum + (w - a / 2.0) * dens
+
+        return 0.5 * (k(w - 2.0) - k(w - 4.0))
+
+    def quantile(p):
+        return brentq(lambda w: cdf(w) - p, -30.0, 40.0, xtol=1e-14)
+
+    lb = partial_moment(quantile(keep)) / keep - 2.0
+    ub = (3.0 - partial_moment(quantile(1.0 - keep))) / keep - 2.0  # E[W] = 3
+    return float(lb), float(ub)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +236,11 @@ def simulate_dgp2(seed: int) -> Dataset:
 
     s = s.astype(np.int64)
     y = np.where(d == 1, y1, y0)
-    labels = [f"{i // size_g:03d}" for i in range(n)]
-    return dataset_from_arrays(y, s, d, labels, x=x[:, None])
+    return Dataset(
+        y=np.where(s == 1, y, np.nan), s=s, d=d,
+        codes=np.repeat(np.arange(n_strata), size_g),
+        labels=tuple(map("%03d".__mod__, range(n_strata))), x=x[:, None],
+    )
 
 
 DGP2_TRUTH = 1.0  # constant unit effect by construction

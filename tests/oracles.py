@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 from scipy.optimize import brentq
 
 
@@ -113,6 +113,31 @@ def oracle_conditional_lee(y, s, d, block):
     if den == 0:
         raise ValueError("no stratum with defined cells")
     return (num_lb - num0) / den, (num_ub - num0) / den, used
+
+
+def oracle_dgp1_truth():
+    """Matched-pairs population bounds by numerical integration.
+
+    The observed treated outcome W = 2X + 2 + noise + Uniform(0, 2) has
+    density f(w) = [Phi((w - 2)/sqrt 5) - Phi((w - 4)/sqrt 5)] / 2; the
+    bounds are the means of W below its 0.875 quantile and above its 0.125
+    quantile, minus the control mean 2. Returns (lb, ub).
+    """
+    sigma = math.sqrt(5.0)
+
+    def pdf(w):
+        return 0.5 * (stats.norm.cdf((w - 2.0) / sigma) - stats.norm.cdf((w - 4.0) / sigma))
+
+    def integral(fun, lo, hi):
+        return integrate.quad(fun, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    def quantile(p):
+        return brentq(lambda w: integral(pdf, -np.inf, w) - p, -30.0, 40.0, xtol=1e-14)
+
+    keep = 0.875
+    lb = integral(lambda w: w * pdf(w), -np.inf, quantile(keep)) / keep
+    ub = integral(lambda w: w * pdf(w), quantile(1.0 - keep), np.inf) / keep
+    return lb - 2.0, ub - 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from strata_bounds import data_model
 from strata_bounds import (
     Dataset,
     DesignError,
@@ -29,9 +31,9 @@ from frozen_values import DESIGN_ETAS, DESIGN_P_HAT
 # ---------------------------------------------------------------------------
 
 def test_record_accepts_observed_and_missing():
-    data = Dataset(y=[1.5, np.nan], s=[1, 0], d=[0, 1], blocks=["a", "a"])
+    data = Dataset(y=[1.5, np.nan], s=[1, 0], d=[0, 1], codes=[0, 0], labels=("a",))
     assert data.y[0] == 1.5 and math.isnan(data.y[1])
-    assert data.s.dtype == data.d.dtype == np.int64
+    assert data.s.dtype == data.d.dtype == data.codes.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -50,24 +52,27 @@ def test_record_accepts_observed_and_missing():
     ],
 )
 def test_record_rejects_invalid(kwargs):
-    # the bad unit sits second, next to a valid treated unit
+    # the bad unit sits second, next to a valid treated unit of its block
     unit = dict(kwargs)
     match = unit.pop("match")
     x = unit.pop("x", None)
     with pytest.raises(ValidationError, match=match):
         Dataset(
             y=[2.0, unit["y"]], s=[1, unit["s"]], d=[1, unit["d"]],
-            blocks=["a", unit["block"]],
+            codes=[0, 0], labels=(unit["block"],),
             x=None if x is None else [(0.0, 0.0), x],
         )
 
 
 def test_record_trims_block_label_and_drops_empty_x():
-    data = Dataset(
-        y=[1.0, 2.0], s=[1, 1], d=[0, 1], blocks=["  b1  ", "b1"], x=[(), ()]
+    data = dataset_from_arrays(
+        y=[1.0, 2.0], s=[1, 1], d=[0, 1], block=["  b1  ", "b1"], x=[(), ()]
     )
     assert data.blocks == ("b1", "b1")
+    assert data.labels == ("b1",) and data.codes.tolist() == [0, 0]
     assert data.x is None
+    trimmed = Dataset(y=[1.0, 2.0], s=[1, 1], d=[0, 1], codes=[0, 0], labels=(" b1 ",))
+    assert trimmed.labels == ("b1",)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +88,7 @@ def test_dataset_columns_cached_and_missing_outcomes_are_nan(hand_dataset):
 
 
 def test_dataset_columns_are_read_only(hand_dataset):
-    for col in (hand_dataset.y, hand_dataset.s, hand_dataset.d):
+    for col in (hand_dataset.y, hand_dataset.s, hand_dataset.d, hand_dataset.codes):
         with pytest.raises(ValueError):
             col[0] = 1
 
@@ -91,35 +96,37 @@ def test_dataset_columns_are_read_only(hand_dataset):
 def test_dataset_copies_its_inputs():
     y = np.array([1.0, 2.0])
     s = np.array([1, 1])
-    data = Dataset(y=y, s=s, d=[1, 0], blocks=["a", "a"])
+    codes = np.array([0, 0])
+    data = Dataset(y=y, s=s, d=[1, 0], codes=codes, labels=("a",))
     y[0] = 99.0
     s[0] = 0
-    assert data.y[0] == 1.0 and data.s[0] == 1
+    codes[0] = 1
+    assert data.y[0] == 1.0 and data.s[0] == 1 and data.codes[0] == 0
     assert y.flags.writeable
 
 
 def test_dataset_needs_two_units():
     with pytest.raises(ValidationError, match="at least 2"):
-        Dataset(y=[1.0], s=[1], d=[1], blocks=["a"])
+        Dataset(y=[1.0], s=[1], d=[1], codes=[0], labels=("a",))
 
 
 def test_dataset_needs_both_arms():
     with pytest.raises(ValidationError, match="treated and one control"):
-        Dataset(y=[1.0] * 4, s=[1] * 4, d=[1] * 4, blocks=["a"] * 4)
+        Dataset(y=[1.0] * 4, s=[1] * 4, d=[1] * 4, codes=[0] * 4, labels=("a",))
 
 
 def test_dataset_rejects_singleton_block():
     with pytest.raises(ValidationError, match="lonely"):
         Dataset(
             y=[1.0, 2.0, 3.0], s=[1, 1, 1], d=[1, 0, 0],
-            blocks=["a", "a", "lonely"],
+            codes=[0, 0, 1], labels=("a", "lonely"),
         )
 
 
 def test_dataset_rejects_mixed_covariate_arity():
     with pytest.raises(ValidationError, match="arity"):
         Dataset(
-            y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a", "a"],
+            y=[1.0, 2.0], s=[1, 1], d=[1, 0], codes=[0, 0], labels=("a",),
             x=[(1.0,), (1.0, 2.0)],
         )
 
@@ -127,18 +134,45 @@ def test_dataset_rejects_mixed_covariate_arity():
 @pytest.mark.parametrize(
     "columns,fragment",
     [
-        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a"]), "one entry per unit"),
-        (dict(y=[1.0], s=[1, 1], d=[1, 0], blocks=["a", "a"]), "one entry per unit"),
-        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a", "a"], x=[[1.0]]),
+        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], codes=[0]), "one entry per unit"),
+        (dict(y=[1.0], s=[1, 1], d=[1, 0], codes=[0, 0]), "one entry per unit"),
+        (dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], codes=[0, 0], x=[[1.0]]),
          "one row per unit"),
     ],
 )
 def test_dataset_rejects_columns_of_unequal_length(columns, fragment):
     with pytest.raises(ValidationError, match=fragment):
-        Dataset(**columns)
-    y, s, d, blocks = (columns[k] for k in ("y", "s", "d", "blocks"))
+        Dataset(**columns, labels=("a",))
+    y, s, d, codes = (columns[k] for k in ("y", "s", "d", "codes"))
     with pytest.raises(ValidationError, match=fragment):
-        dataset_from_arrays(y, s, d, blocks, x=columns.get("x"))
+        dataset_from_arrays(y, s, d, ["a"] * len(codes), x=columns.get("x"))
+
+
+@pytest.mark.parametrize(
+    "codes,labels,fragment",
+    [
+        ([0, 0, 1, 1], ("b", "a"), "sorted and distinct"),
+        ([0, 0, 1, 1], ("a", " a "), "sorted and distinct"),
+        ([0, 0, 1, 2], ("a", "b"), "index the block labels"),
+        ([0, 0, -1, 1], ("a", "b"), "index the block labels"),
+        ([0.0, 0.0, 1.0, 1.0], ("a", "b"), "index the block labels"),
+        ([0, 0, 0, 0], ("a", "b"), "too small: b"),
+    ],
+)
+def test_dataset_rejects_bad_label_tables(codes, labels, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        Dataset(y=[1.0] * 4, s=[1] * 4, d=[1, 0, 1, 0], codes=codes, labels=labels)
+
+
+def test_dataset_codes_follow_sorted_label_order():
+    # code-point order, as Python sorts strings: digits, upper, lower case
+    block = ["b", "b", "B", "B", "10", "10", "9", "9", "é", "é", "a", "a"]
+    data = dataset_from_arrays(
+        y=np.arange(12.0), s=[1] * 12, d=[1, 0] * 6, block=block
+    )
+    assert data.labels == tuple(sorted(set(block)))
+    assert data.blocks == tuple(block)
+    assert [data.labels[c] for c in data.codes.tolist()] == block
 
 
 def test_dataset_from_arrays_ignores_y_where_unselected():
@@ -252,30 +286,99 @@ def test_parse_csv_reads_covariates_in_declared_order():
     assert data.x.tolist() == [[7.0, 5.0], [8.0, 6.0]]
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty file"),
-        ("y,s,d\n1,1,1\n", "missing required columns: block"),
-        ("y,s,d,block,y\n1,1,1,a,1\n", "duplicate column"),
-        ("y,s,d,block,z\n1,1,1,a,2\n", "x1..xk"),
-        ("y,s,d,block,x1,x3\n1,1,1,a,2,3\n", "x1..xk"),
-        ("y,s,d,block\n", "no data rows"),
-        ("y,s,d,block\n1,1,1\n", "row 1: expected 4 cells"),
-        ("y,s,d,block\n1,1,1,a\n1,2,1,a\n", "row 2: s must be 0 or 1"),
-        ("y,s,d,block\n1,1,yes,a\n", "row 1: d must be 0 or 1"),
-        ("y,s,d,block\nNA,1,1,a\n", "row 1: y is missing but s = 1"),
-        ("y,s,d,block\n3,0,1,a\n", "row 1: y is present but s = 0"),
-        ("y,s,d,block\nabc,1,1,a\n", "row 1: y must be numeric"),
-        ("y,s,d,block\ninf,1,1,a\n", "row 1: y must be finite"),
-        ("y,s,d,block\n1,1,1,\n", "row 1: block label is empty"),
-        ("y,s,d,block,x1\n1,1,1,a,oops\n", "row 1: x1 must be numeric"),
-        ("y,s,d,block,x1\n1,1,1,a,nan\n", "row 1: x1 must be finite"),
-    ],
-)
+PARSE_ERRORS = [
+    ("", "empty file"),
+    ("y,s,d\n1,1,1\n", "missing required columns: block"),
+    ("y,s,d,block,y\n1,1,1,a,1\n", "duplicate column"),
+    ("y,s,d,block,z\n1,1,1,a,2\n", "x1..xk"),
+    ("y,s,d,block,x1,x3\n1,1,1,a,2,3\n", "x1..xk"),
+    ("y,s,d,block\n", "no data rows"),
+    ("y,s,d,block\n1,1,1\n", "row 1: expected 4 cells"),
+    ("y,s,d,block\n1,1,1,a\n1,2,1,a\n", "row 2: s must be 0 or 1"),
+    ("y,s,d,block\n1,1,yes,a\n", "row 1: d must be 0 or 1"),
+    ("y,s,d,block\nNA,1,1,a\n", "row 1: y is missing but s = 1"),
+    ("y,s,d,block\n3,0,1,a\n", "row 1: y is present but s = 0"),
+    ("y,s,d,block\nabc,1,1,a\n", "row 1: y must be numeric"),
+    ("y,s,d,block\ninf,1,1,a\n", "row 1: y must be finite"),
+    ("y,s,d,block\n1,1,1,\n", "row 1: block label is empty"),
+    ("y,s,d,block,x1\n1,1,1,a,oops\n", "row 1: x1 must be numeric"),
+    ("y,s,d,block,x1\n1,1,1,a,nan\n", "row 1: x1 must be finite"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", PARSE_ERRORS)
 def test_parse_csv_reports_row_nummed_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment.replace("(", "\\(")):
         parse_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text,fragment", [case for case in PARSE_ERRORS if case[1].startswith("row ")]
+)
+def test_parse_csv_reports_row_errors_past_the_first_chunk(text, fragment):
+    # the same bad rows behind more than a chunk of valid ones: the same
+    # message, with the row number shifted
+    header, body = text.split("\n", 1)
+    extra = len(header.split(",")) - 4
+    shift = data_model.CSV_CHUNK_ROWS + 7
+    valid = ",".join(["1", "1", "1", "a"] + ["2"] * extra)
+    shifted = "\n".join([header] + [valid] * shift) + "\n" + body
+    row, rest = re.fullmatch(r"row (\d+): (.*)", fragment).groups()
+    expected = f"row {int(row) + shift}: {rest}"
+    with pytest.raises(ParseError, match=re.escape(expected)):
+        parse_csv(io.StringIO(shifted))
+
+
+def _mixed_csv_pair(n_rows=60):
+    """The same data twice: as canonical CSV text, and with valid
+    non-canonical rows mixed in (spaces, NA, blank rows, quoted fields), a
+    byte-order mark and CRLF line ends."""
+    rng = np.random.default_rng(5)
+    canonical, mixed = ["y,s,d,block,x1"], ["\ufeffy , s,d,block,x1"]
+    for i in range(n_rows):
+        s = int(rng.random() < 0.7)
+        y = repr(float(rng.normal())) if s else ""
+        cells = [y, str(s), str(i % 2), f"g{i // 4}", repr(float(rng.normal()))]
+        canonical.append(",".join(cells))
+        kind = i % 6
+        if kind == 1:
+            mixed.append(",".join(f"  {c} " for c in cells))
+        elif kind == 2:
+            mixed.append(",".join([y or "NA"] + cells[1:]))
+        elif kind == 3:
+            mixed.append(",".join(f'"{c}"' for c in cells))
+        elif kind == 4:
+            mixed.extend(["", " , ,\t, , ", ",".join([y or "na"] + cells[1:])])
+        else:
+            mixed.append(",".join(cells))
+    return "\n".join(canonical) + "\n", "\r\n".join(mixed) + "\r\n"
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 5, 7])
+def test_parse_csv_reads_non_canonical_rows_like_canonical_ones(
+    monkeypatch, tmp_path, chunk_rows
+):
+    # chunk_rows None keeps the file in one chunk; the others put chunk
+    # boundaries next to and inside the non-canonical rows
+    if chunk_rows is not None:
+        monkeypatch.setattr(data_model, "CSV_CHUNK_ROWS", chunk_rows)
+    canonical, mixed = _mixed_csv_pair()
+    want = parse_csv(io.StringIO(canonical))
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(mixed.encode("utf-8"))
+    assert_same_columns(parse_csv(str(path)), want)
+    stdin = io.TextIOWrapper(io.BytesIO(mixed.encode("utf-8")), encoding="utf-8")
+    assert_same_columns(parse_csv(stdin), want)
+    np.testing.assert_array_equal(parse_csv(str(path)).codes, want.codes, strict=True)
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_parse_csv_reports_an_oversized_cell_as_a_parse_error(line):
+    # csv.reader refuses cells over 128 KiB, in the header or in a row
+    lines = ["y,s,d,block", "1,1,1,a", "1,1,0,b"]
+    lines[line - 1] += "b" * 200_000
+    with pytest.raises(ParseError, match=f"line {line}: field larger than field limit"):
+        parse_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_parse_csv_missing_file_is_a_parse_error(tmp_path):

@@ -263,7 +263,7 @@ def test_conditional_bounds_match_oracle_on_random_datasets():
         lb, ub, used = oracle_conditional_lee(data.y, data.s, data.d, data.blocks)
         assert est.delta_lb == pytest.approx(lb, abs=1e-10)
         assert est.delta_ub == pytest.approx(ub, abs=1e-10)
-        assert [sb.label for sb in est.detail if sb.used] == used
+        assert [design.labels[g] for g in np.flatnonzero(est.detail.used)] == used
         checked += 1
     assert checked >= 40  # most random datasets must be estimable
 
@@ -276,16 +276,22 @@ def test_conditional_bounds_report_dropped_and_clamped_strata():
     d = [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0]
     blocks = ["drop"] * 4 + ["clamp"] * 4 + ["ok"] * 4
     data = build_dataset(y, s, d, blocks)
-    est = conditional_lee_bounds(data, block_design(data))
+    design = block_design(data)
+    est = conditional_lee_bounds(data, design)
     assert est.method == "conditional_lee"
     assert "strata_dropped:1" in est.flags
     assert "stratum_trimming_clamped:1" in est.flags
     assert any("drop" in w for w in est.warnings)
     assert math.isnan(est.cutoff_lb) and math.isnan(est.cutoff_ub)
-    by_label = {sb.label: sb for sb in est.detail}
-    assert not by_label["drop"].used
-    assert by_label["clamp"].used and by_label["clamp"].clamped
-    assert by_label["ok"].used and not by_label["ok"].clamped
+    detail = est.detail
+    drop, clamp, ok = (design.labels.index(name) for name in ("drop", "clamp", "ok"))
+    assert not detail.used[drop]
+    assert detail.used[clamp] and detail.clamped[clamp]
+    assert detail.used[ok] and not detail.clamped[ok]
+    assert math.isnan(detail.tau[drop]) and math.isnan(detail.mu0[drop])
+    assert detail.tau[clamp] == 0.0
+    with pytest.raises(ValueError):
+        detail.used[drop] = True
 
 
 def test_conditional_bounds_keep_stratum_retaining_exactly_one_unit():
@@ -299,12 +305,15 @@ def test_conditional_bounds_keep_stratum_retaining_exactly_one_unit():
     blocks = ["one"] * 6 + ["thin"] * 4
     data = build_dataset(y, s, d, blocks)
     est = conditional_lee_bounds(data, block_design(data))
-    one, thin = est.detail
-    assert one.used and one.reason == ""
-    assert (one.mu1_lb, one.mu1_ub, one.mu0) == (1.0, 7.0, 2.0)
+    detail = est.detail  # blocks "one" and "thin", in label order
+    (warning,) = est.warnings
+    assert detail.used[0] and "one (" not in warning
+    assert (detail.mu1_lb[0], detail.mu1_ub[0], detail.mu0[0]) == (1.0, 7.0, 2.0)
     assert est.delta_lb == -1.0 and est.delta_ub == 5.0
-    assert not thin.used
-    assert thin.reason.startswith("trimming share 0.666") and "< 1 of 1" in thin.reason
+    assert not detail.used[1]
+    thin_reason = warning.split("thin (", 1)[1]
+    assert thin_reason.startswith("trimming share 0.666") and "< 1 of 1" in thin_reason
+    assert math.isnan(detail.mu1_lb[1]) and detail.tau[1] == 1.0 - 1.0 / 3.0
     assert "strata_dropped:1" in est.flags
 
 

@@ -31,7 +31,11 @@ from scipy.stats import norm
 from strata_bounds.cli import flip_treatment
 
 from conftest import assert_same_columns
-from oracles import always_observed_treat_prob_oracle, pair_blocks_oracle
+from oracles import (
+    always_observed_treat_prob_oracle,
+    oracle_conditional_lee,
+    pair_blocks_oracle,
+)
 
 COMMON = dict(deadline=None, max_examples=60)
 
@@ -314,3 +318,96 @@ def test_trim_keeps_exact_mass_even_with_ties(q, m):
     assert res.mean == 1.0
     assert res.cutoff == 1.0
     assert res.ties_at_cutoff == m
+
+
+# ---------------------------------------------------------------------------
+# the vectorized per-stratum trimming against the per-stratum oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def strata_strategy(draw):
+    """Strata of 2 to 30 units, often with outcomes drawn from only two or
+    three values; some strata keep exactly one unit of treated mass."""
+    n_blocks = draw(st.integers(1, 6))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    pool = draw(st.one_of(st.none(), st.lists(finite, min_size=2, max_size=3)))
+    value = finite if pool is None else st.sampled_from(pool)
+    y, s, d, blocks = [], [], [], []
+    for g in range(n_blocks):
+        if draw(st.integers(0, 4)) == 0:
+            # (2c, c) with every treated and one control observed keeps
+            # n0s t_g / c_g = 1 unit exactly
+            c = draw(st.integers(1, 15))
+            n_g, t_g = 2 * c, c
+            sel = [1] * c + [1] + [0] * (c - 1)
+        else:
+            n_g = draw(st.integers(2, 30))
+            t_g = draw(st.integers(1, n_g - 1))
+            sel = draw(st.lists(st.integers(0, 1), min_size=n_g, max_size=n_g))
+        y.extend(draw(st.lists(value, min_size=n_g, max_size=n_g)))
+        s.extend(sel)
+        d.extend([1] * t_g + [0] * (n_g - t_g))
+        blocks.extend([f"g{g:02d}"] * n_g)
+    s = np.array(s)
+    return np.where(s == 1, np.array(y), np.nan), s, np.array(d), blocks
+
+
+@given(parts=strata_strategy())
+@settings(**COMMON)
+def test_conditional_bounds_match_the_per_stratum_oracle(parts):
+    y, s, d, blocks = parts
+    data = dataset_from_arrays(y, s, d, blocks)
+    design = block_design(data)
+    try:
+        lb, ub, used = oracle_conditional_lee(y, s, d, blocks)
+    except ValueError:
+        with pytest.raises(EstimationError, match="every stratum"):
+            conditional_lee_bounds(data, design)
+        return
+    est = conditional_lee_bounds(data, design)
+    scale = 1e-10 * max(1.0, float(np.abs(y[s == 1]).max(initial=0.0)))
+    assert est.delta_lb == pytest.approx(lb, abs=scale)
+    assert est.delta_ub == pytest.approx(ub, abs=scale)
+    detail = est.detail
+    assert [design.labels[g] for g in np.flatnonzero(detail.used)] == used
+    one_arm = (design.n1s_g == 0) | (design.n0s_g == 0)
+    np.testing.assert_array_equal(np.isnan(detail.tau), one_arm)
+    for col in (detail.mu0, detail.mu1_lb, detail.mu1_ub):
+        np.testing.assert_array_equal(np.isnan(col), ~detail.used)
+    assert not (detail.clamped & ~detail.used).any()
+    kept = detail.used
+    assert (detail.mu1_lb[kept] <= detail.mu1_ub[kept] + scale).all()
+    dropped = int((~kept).sum())
+    assert (f"strata_dropped:{dropped}" in est.flags) == (dropped > 0)
+
+
+@given(
+    parts=strata_strategy(),
+    shift=st.floats(-100.0, 100.0),
+    scale=st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0)),
+)
+@settings(**COMMON)
+def test_affine_outcome_map_moves_bounds_to_match(parts, shift, scale):
+    # y -> a + b y: the shift cancels in the contrast, the bounds scale
+    # with b, and b < 0 swaps the lower and upper bound
+    y, s, d, blocks = parts
+    if d.sum() == 0 or d.sum() == d.size:
+        return
+    data = dataset_from_arrays(y, s, d, blocks)
+    before = _pooled_bounds(data)
+    after = _pooled_bounds(dataset_from_arrays(shift + scale * y, s, d, blocks))
+    # lee-ipw trims the unnormalized outcomes (delta / eta_i) y, so a shift
+    # cancels only where every block has the same treated share and the
+    # weight is exactly 1; elsewhere it is checked under y -> b y
+    design = block_design(data)
+    if np.any(design.t_g * design.n_g[0] != design.t_g[0] * design.n_g):
+        after[1] = _pooled_bounds(dataset_from_arrays(scale * y, s, d, blocks))[1]
+    y_max = max(1.0, float(np.abs(y[s == 1]).max(initial=0.0)))
+    tol = 1e-9 * (abs(shift) + abs(scale) * y_max)
+    for a, b in zip(before, after):
+        if isinstance(a, type) or isinstance(b, type):
+            assert a == b
+            continue
+        want = (scale * a[0], scale * a[1]) if scale > 0 else (scale * a[1], scale * a[0])
+        assert b[0] == pytest.approx(want[0], abs=tol)
+        assert b[1] == pytest.approx(want[1], abs=tol)

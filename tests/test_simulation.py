@@ -27,6 +27,7 @@ from strata_bounds.simulation import (
 )
 
 from conftest import assert_same_columns
+from oracles import oracle_dgp1_truth
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,13 @@ def test_dgp1_truth_brackets():
     lb, ub = dgp1_truth()
     assert 0.4 < lb < 0.5
     assert 1.5 < ub < 1.6
-    assert dgp1_truth() == (lb, ub)  # cached
+    assert dgp1_truth() == (lb, ub)
+
+
+def test_dgp1_truth_matches_quadrature():
+    # the closed form against numerical integration of the outcome density
+    for got, want in zip(dgp1_truth(), oracle_dgp1_truth()):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
