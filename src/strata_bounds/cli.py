@@ -21,8 +21,6 @@ import click
 
 from .data_model import Dataset, block_design, parse_csv
 from .errors import EstimationError, ValidationError
-from .ipw_estimator import lee_ipw_bounds
-from .lee_estimator import conditional_lee_bounds, lee_bounds
 from .simulation import (
     DGP_HEAVY_TAILS,
     DGP_MATCHED_PAIRS,
@@ -30,10 +28,9 @@ from .simulation import (
     format_number,
     monte_carlo,
 )
-from .variance import sandwich_report
+from .variance import ESTIMATORS, VARIANCE_CHOICES, estimate_bounds
 
-ESTIMATOR_CHOICES = ("lee", "conditional-lee", "lee-ipw", "all")
-VARIANCE_CHOICES = ("design", "iid", "label", "none")
+ESTIMATOR_CHOICES = ESTIMATORS + ("all",)
 FORMAT_CHOICES = ("json", "csv", "table")
 
 ESTIMATE_CSV_COLUMNS = (
@@ -89,23 +86,17 @@ def flip_treatment(data: Dataset) -> Dataset:
 def run_estimator(data, design, name: str, variance: str, alpha: float) -> dict:
     """One estimator on one dataset, returning a flat result record."""
     notes: list[str] = []
-    report = None
     if name == "conditional-lee":
-        estimate = conditional_lee_bounds(data, design)
         if variance != "none":
             notes.append(
                 "conditional-lee reports no variance; method set to none"
             )
         variance = "none"
-    elif variance == "none":
-        if name == "lee":
-            estimate = lee_bounds(data, design)
-        else:
-            estimate, _ = lee_ipw_bounds(data, design)
-    else:
-        kind = "lee" if name == "lee" else "ipw"
-        report = sandwich_report(data, design, kind, variance, alpha=alpha)
-        estimate = report.fit_lb.estimate
+    methods = () if variance == "none" else (variance,)
+    estimate, reports = estimate_bounds(data, design, name, methods, alpha)
+    report = reports.get(variance)
+    if isinstance(report, EstimationError):
+        raise report
 
     record = {
         "estimator": name,
@@ -129,14 +120,10 @@ def run_estimator(data, design, name: str, variance: str, alpha: float) -> dict:
         "critical_set": (
             report.intervals.critical_set if report is not None else None
         ),
-        "flags": list(estimate.flags),
+        "flags": list(report.flags if report is not None else estimate.flags),
         "warnings": list(estimate.warnings),
         "notes": notes,
     }
-    if report is not None:
-        record["flags"].extend(
-            f for f in report.flags if f not in record["flags"]
-        )
     if name == "conditional-lee":
         used = int(estimate.detail.used.sum())
         record["strata_used"] = used
@@ -266,11 +253,7 @@ def estimate(input_path, estimator, variance, alpha, reverse_monotonicity, fmt):
     if reverse_monotonicity:
         data = flip_treatment(data)
     design = block_design(data)
-    names = (
-        ("lee", "conditional-lee", "lee-ipw")
-        if estimator == "all"
-        else (estimator,)
-    )
+    names = ESTIMATORS if estimator == "all" else (estimator,)
     records = [
         run_estimator(data, design, name, variance, alpha) for name in names
     ]

@@ -214,9 +214,24 @@ def moment_matrix(
 
 def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
     """Closed-form fit of one system, certified by its moment residuals."""
+    kind, _ = _split_system(system)
+    if kind == "lee":
+        return fit_from_estimate(data, design, system, lee_bounds(data, design))
+    estimate, components = lee_ipw_bounds(data, design)
+    return fit_from_estimate(data, design, system, estimate, components)
+
+
+def fit_from_estimate(
+    data: Dataset,
+    design: BlockDesign,
+    system: str,
+    estimate: BoundsEstimate,
+    components: IpwComponents | None = None,
+) -> FitResult:
+    """fit_theta from a point estimate already in hand: lee_bounds' for the
+    pooled systems, lee_ipw_bounds' with its components for the weighted."""
     kind, side = _split_system(system)
     if kind == "lee":
-        estimate = lee_bounds(data, design)
         share = trimming_share_pooled(data)
         theta = LeeTheta(
             mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
@@ -225,10 +240,8 @@ def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
             p=estimate.q,
             alpha=share.rate_control,
         )
-        components = None
         clamped = share.clamped
     else:
-        estimate, components = lee_ipw_bounds(data, design)
         theta = LeeIpwTheta(
             mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
             mu0=estimate.mu0,
@@ -248,14 +261,13 @@ def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
         raise InternalConsistencyError(
             f"moment residuals violated for {system}: " + "; ".join(bad)
         )
-    flags = tuple(estimate.flags)
     return FitResult(
         system=system,
         theta=theta,
         matrix=matrix,
         estimate=estimate,
         components=components,
-        flags=flags,
+        flags=tuple(estimate.flags),
     )
 
 
@@ -290,7 +302,7 @@ def jacobian(
 
     Indicators 1{v <= c} / 1{v >= c} become normal CDFs at bandwidth h; every
     entry is the exact derivative of the smoothed column mean. Raises if the
-    result is numerically singular (1-norm condition above 1e12).
+    result is not finite or numerically singular (1-norm condition > 1e12).
     """
     kind, side = _split_system(system)
     n = data.n
@@ -358,7 +370,7 @@ def jacobian(
         jac[3, 3] = -float(m_i.sum()) / n
         jac[4, 4] = -n1 / (p_hat * n)
 
-    if condition_number_1(jac) > CONDITION_LIMIT:
+    if not (np.linalg.cond(jac, 1) <= CONDITION_LIMIT):  # nan fails too
         raise SingularJacobianError(
             f"moment Jacobian for {system} is numerically singular "
             f"(1-norm condition above {CONDITION_LIMIT:.0e})"
@@ -366,64 +378,13 @@ def jacobian(
     return jac
 
 
-# ---------------------------------------------------------------------------
-# small dense linear algebra (partial-pivot elimination)
-# ---------------------------------------------------------------------------
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    k = a.shape[0]
-    if a.shape != (k, k) or b.shape[0] != k:
-        raise ValueError("shape mismatch in solve_linear")
-    for col in range(k):
-        piv = int(np.argmax(np.abs(a[col:, col]))) + col
-        if abs(a[piv, col]) < 1e-300:
-            raise SingularJacobianError("singular matrix in solve_linear")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv_piv = 1.0 / a[col, col]
-        for row in range(col + 1, k):
-            factor = a[row, col] * inv_piv
-            if factor != 0.0:
-                a[row, col:] -= factor * a[col, col:]
-                b[row] -= factor * b[col]
-    x = np.zeros_like(b)
-    for row in range(k - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x[:, 0] if squeeze else x
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    return solve_linear(a, np.eye(a.shape[0]))
-
-
-def condition_number_1(a: np.ndarray) -> float:
-    """1-norm condition number via explicit inversion (matrices are tiny)."""
-    norm_a = float(np.abs(a).sum(axis=0).max())
-    if norm_a == 0.0:
-        return float("inf")
-    try:
-        inv_a = invert(a)
-    except SingularJacobianError:
-        return float("inf")
-    norm_inv = float(np.abs(inv_a).sum(axis=0).max())
-    return norm_a * norm_inv
-
-
 def solve_sandwich(m_hat: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Sandwich M^{-1} Omega M^{-T}, symmetrized."""
-    if condition_number_1(m_hat) > CONDITION_LIMIT:
+    """Sandwich M^{-1} Omega M^{-T}, symmetrized; refuses an M that is not
+    finite or has a 1-norm condition number above 1e12."""
+    if not (np.linalg.cond(m_hat, 1) <= CONDITION_LIMIT):
         raise SingularJacobianError(
             "moment Jacobian is numerically singular in solve_sandwich"
         )
-    m_inv = invert(m_hat)
+    m_inv = np.linalg.inv(m_hat)
     v = m_inv @ omega @ m_inv.T
     return 0.5 * (v + v.T)

@@ -35,9 +35,7 @@ from scipy.special import ndtr
 
 from .data_model import Dataset, block_design
 from .errors import EstimationError, ValidationError
-from .ipw_estimator import lee_ipw_bounds
-from .lee_estimator import conditional_lee_bounds, lee_bounds
-from .variance import sandwich_report
+from .variance import ESTIMATORS, VARIANCE_CHOICES, estimate_bounds
 
 DGP_MATCHED_PAIRS = "matched_pairs"
 DGP_HEAVY_TAILS = "heavy_tails"
@@ -297,17 +295,14 @@ _DEFAULT_PANEL = {
     DGP_HEAVY_TAILS: ("lee-ipw:design", "conditional-lee:none"),
 }
 
-_ESTIMATOR_NAMES = ("lee", "conditional-lee", "lee-ipw")
-_VARIANCE_NAMES = ("design", "iid", "label", "none")
-
 
 def _parse_token(token: str) -> tuple[str, str]:
     est, _, var = token.partition(":")
     var = var or "none"
-    if est not in _ESTIMATOR_NAMES or var not in _VARIANCE_NAMES:
+    if est not in ESTIMATORS or var not in VARIANCE_CHOICES:
         raise ValidationError(
             f"bad estimator token {token!r}; use <estimator>:<variance> with "
-            f"estimator in {_ESTIMATOR_NAMES} and variance in {_VARIANCE_NAMES}"
+            f"estimator in {ESTIMATORS} and variance in {VARIANCE_CHOICES}"
         )
     if est == "conditional-lee" and var != "none":
         raise ValidationError(
@@ -317,7 +312,8 @@ def _parse_token(token: str) -> tuple[str, str]:
     return est, var
 
 
-def _resolve_config(config: McConfig) -> tuple[McConfig, tuple[str, ...], int]:
+def _resolve_config(config: McConfig):
+    """The config's (token, estimator, variance) triples and sample size."""
     if config.dgp not in DGPS:
         raise ValidationError(f"dgp must be one of {DGPS}, got {config.dgp!r}")
     if config.reps < 1:
@@ -333,9 +329,7 @@ def _resolve_config(config: McConfig) -> tuple[McConfig, tuple[str, ...], int]:
         if n < 4 or n % 2 != 0:
             raise ValidationError("matched_pairs needs an even n of at least 4")
     tokens = config.estimators or _DEFAULT_PANEL[config.dgp]
-    for token in tokens:
-        _parse_token(token)
-    return config, tuple(tokens), n
+    return tuple((t, *_parse_token(t)) for t in tokens), n
 
 
 def _covered(interval: tuple[float, float], value: float) -> bool:
@@ -349,44 +343,45 @@ def _run_replication(config, tokens, n, truth, rep):
         else simulate_dgp2(child_seed(config.seed, rep))
     )
     design = block_design(data)
-    rows = []
-    for token in tokens:
-        est_name, var_name = _parse_token(token)
-        row = {"rep": rep, "estimator": token, "flags": ""}
+    # each estimator runs once, with every variance method the panel asks of it
+    results = {}
+    for est in dict.fromkeys(est for _, est, _ in tokens):
+        methods = tuple(dict.fromkeys(
+            var for _, e, var in tokens if e == est and var != "none"
+        ))
         try:
-            report = None
-            if var_name == "none":
-                if est_name == "lee":
-                    estimate = lee_bounds(data, design)
-                elif est_name == "conditional-lee":
-                    estimate = conditional_lee_bounds(data, design)
-                else:
-                    estimate, _ = lee_ipw_bounds(data, design)
-            else:
-                kind = "lee" if est_name == "lee" else "ipw"
-                report = sandwich_report(
-                    data, design, kind, var_name, alpha=config.alpha
-                )
-                estimate = report.fit_lb.estimate
-            row["delta_lb"] = estimate.delta_lb
-            row["delta_ub"] = estimate.delta_ub
-            flags = list(estimate.flags)
-            if report is not None:
-                row["se_lb"] = report.se_lb
-                row["se_ub"] = report.se_ub
-                flags.extend(f for f in report.flags if f not in flags)
-                if config.dgp == DGP_MATCHED_PAIRS:
-                    row["covered_lb"] = _covered(report.ci_lb, truth[0])
-                    row["covered_ub"] = _covered(report.ci_ub, truth[1])
-                else:
-                    # no per-bound truth here: both columns carry coverage of
-                    # the constant effect by the identified-set interval
-                    hit = _covered(report.ci_set, DGP2_TRUTH)
-                    row["covered_lb"] = hit
-                    row["covered_ub"] = hit
-            row["flags"] = ";".join(flags)
+            results[est] = estimate_bounds(
+                data, design, est, methods, alpha=config.alpha
+            )
         except EstimationError as exc:
-            row["flags"] = f"error:{type(exc).__name__}"
+            results[est] = exc, {}
+    rows = []
+    for token, est, var in tokens:
+        row = {"rep": rep, "estimator": token, "flags": ""}
+        estimate, reports = results[est]
+        report = reports.get(var)
+        error = estimate if isinstance(estimate, EstimationError) else report
+        if isinstance(error, EstimationError):
+            row["flags"] = f"error:{type(error).__name__}"
+            rows.append(row)
+            continue
+        row["delta_lb"] = estimate.delta_lb
+        row["delta_ub"] = estimate.delta_ub
+        row["flags"] = ";".join(
+            report.flags if report is not None else estimate.flags
+        )
+        if report is not None:
+            row["se_lb"] = report.se_lb
+            row["se_ub"] = report.se_ub
+            if config.dgp == DGP_MATCHED_PAIRS:
+                row["covered_lb"] = _covered(report.ci_lb, truth[0])
+                row["covered_ub"] = _covered(report.ci_ub, truth[1])
+            else:
+                # no per-bound truth here: both columns carry coverage of
+                # the constant effect by the identified-set interval
+                hit = _covered(report.ci_set, DGP2_TRUTH)
+                row["covered_lb"] = hit
+                row["covered_ub"] = hit
         rows.append(row)
     return rows
 
@@ -413,7 +408,7 @@ def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSumma
     keyed by replication index, so output bytes do not depend on the thread
     count.
     """
-    config, tokens, n = _resolve_config(config)
+    tokens, n = _resolve_config(config)
     threads = _thread_count(config.reps)
     truth = dgp1_truth() if config.dgp == DGP_MATCHED_PAIRS else (DGP2_TRUTH,) * 2
 
@@ -435,7 +430,7 @@ def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSumma
         raise EstimationError("every replication failed; no summary to report")
 
     summaries = []
-    for token in tokens:
+    for token, _, _ in tokens:
         mine = [r for r in rows if r["estimator"] == token]
         good = [r for r in mine if "delta_lb" in r]
         failed = len(mine) - len(good)

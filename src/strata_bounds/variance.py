@@ -8,7 +8,9 @@ variant refuses singleton arms instead, and an i.i.d.-style meat that drops
 the block correction is available as a conservative comparator. A scalar
 label-based estimator of the squared between-arm mean gap is also provided.
 Standard errors, per-bound confidence intervals, and the width-adjusted
-identified-set interval complete the report.
+identified-set interval complete the report. estimate_bounds runs one
+estimator with any number of variance methods; the command line and the
+Monte Carlo driver both go through it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data_model import BlockDesign, Dataset
-from .errors import FeasibilityError, PairingError
-from .gmm_core import FitResult, fit_theta, jacobian, solve_sandwich
+from .errors import EstimationError, FeasibilityError, PairingError
+from .gmm_core import FitResult, fit_from_estimate, jacobian, solve_sandwich
+from .ipw_estimator import lee_ipw_bounds
+from .lee_estimator import BoundsEstimate, conditional_lee_bounds, lee_bounds
 
+ESTIMATORS = ("lee", "conditional-lee", "lee-ipw")
 VARIANCE_METHODS = ("design", "iid", "label")
+VARIANCE_CHOICES = VARIANCE_METHODS + ("none",)  # "none": no variance
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +346,16 @@ def confidence_intervals(
 
 
 # ---------------------------------------------------------------------------
-# full sandwich report for one estimator
+# the estimator x variance dispatch
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class VarianceReport:
-    """Sandwich variance of both bounds under one meat method."""
+    """Sandwich variance of both bounds under one meat method.
+
+    flags holds the estimate's flags, then variance_clipped_lb and _ub and
+    degenerate_ci where they apply.
+    """
 
     method: str
     alpha: float
@@ -384,54 +394,100 @@ def sandwich_report(
 
     kind is "lee" or "ipw"; method is "design", "iid", or "label".
     """
-    if method not in VARIANCE_METHODS:
+    name = "lee-ipw" if kind == "ipw" else kind
+    _, reports = estimate_bounds(data, design, name, (method,), alpha)
+    report = reports[method]
+    if isinstance(report, EstimationError):
+        raise report
+    return report
+
+
+def estimate_bounds(
+    data: Dataset,
+    design: BlockDesign,
+    name: str,
+    methods: tuple[str, ...] = (),
+    alpha: float = 0.05,
+) -> tuple[BoundsEstimate, dict[str, VarianceReport | EstimationError]]:
+    """One estimator (of ESTIMATORS) and its variance under each method.
+
+    The point estimator runs once; an error it raises propagates. With
+    methods, each bound's system is fitted and differentiated once, and each
+    method forms its own meat and sandwich. The dict maps each method to its
+    report, or to the EstimationError that stopped it alone.
+    """
+    for method in methods:
+        if method not in VARIANCE_METHODS:
+            raise ValueError(
+                f"method must be one of {VARIANCE_METHODS}, got {method!r}"
+            )
+    if name == "lee":
+        estimate, components = lee_bounds(data, design), None
+    elif name == "lee-ipw":
+        estimate, components = lee_ipw_bounds(data, design)
+    elif name == "conditional-lee" and not methods:
+        return conditional_lee_bounds(data, design), {}
+    else:
         raise ValueError(
-            f"method must be one of {VARIANCE_METHODS}, got {method!r}"
+            f"estimator must be one of {ESTIMATORS}, and conditional-lee "
+            f"takes no variance method; got {name!r} with {methods}"
         )
-    n = data.n
-    flags: list[str] = []
-    results = {}
-    meats = {}
+    if not methods:
+        return estimate, {}
+
+    kind = "lee" if name == "lee" else "ipw"
+    sides = []  # per bound: (fit, jacobian), or the error that stopped it
     for side in ("lb", "ub"):
-        fit = fit_theta(data, design, f"{kind}_{side}")
-        jac = jacobian(data, design, fit.theta, f"{kind}_{side}")
+        try:
+            fit = fit_from_estimate(
+                data, design, f"{kind}_{side}", estimate, components
+            )
+            sides.append((fit, jacobian(data, design, fit.theta, fit.system)))
+        except EstimationError as exc:
+            sides.append(exc)
+    reports = {}
+    for method in methods:
+        try:
+            reports[method] = _variance_report(
+                data, design, sides, method, alpha
+            )
+        except EstimationError as exc:
+            reports[method] = exc
+    return estimate, reports
+
+
+def _variance_report(data, design, sides, method, alpha) -> VarianceReport:
+    """One method's meat and sandwich, lower bound first, then the intervals."""
+    fields, clipped = {}, []
+    for side, fitted in zip(("lb", "ub"), sides):
+        if isinstance(fitted, EstimationError):
+            raise fitted
+        fit, jac = fitted
+        meat = None
         if method == "iid":
             omega = meat_iid(fit.matrix.values)
-            meat = None
         else:
-            meat = meat_design(
-                data,
-                design,
-                fit.matrix.values,
-                mode="paired" if method == "design" else "label",
-            )
+            mode = "paired" if method == "design" else "label"
+            meat = meat_design(data, design, fit.matrix.values, mode=mode)
             omega = meat.omega
         v_hat = solve_sandwich(jac, omega)
-        se, clipped = bound_standard_error(v_hat, n)
-        if clipped:
-            flags.append(f"variance_clipped_{side}")
-        results[side] = (fit, v_hat, se)
-        meats[side] = meat
+        se, clip = bound_standard_error(v_hat, data.n)
+        if clip:
+            clipped.append(f"variance_clipped_{side}")
+        fields.update({
+            f"fit_{side}": fit, f"meat_{side}": meat,
+            f"v_hat_{side}": v_hat, f"se_{side}": se,
+        })
 
-    fit_lb, v_lb, se_lb = results["lb"]
-    fit_ub, v_ub, se_ub = results["ub"]
-    delta_lb = fit_lb.estimate.delta_lb
-    delta_ub = fit_ub.estimate.delta_ub
-    intervals = confidence_intervals(delta_lb, delta_ub, se_lb, se_ub, alpha)
+    fit_lb = fields["fit_lb"]
+    intervals = confidence_intervals(
+        fit_lb.estimate.delta_lb, fields["fit_ub"].estimate.delta_ub,
+        fields["se_lb"], fields["se_ub"], alpha,
+    )
+    flags = [*fit_lb.flags, *clipped]
     if intervals.degenerate:
         flags.append("degenerate_ci")
-    flags.extend(f for f in fit_lb.flags if f not in flags)
     return VarianceReport(
-        method=method,
-        alpha=alpha,
-        se_lb=se_lb,
-        se_ub=se_ub,
-        intervals=intervals,
-        v_hat_lb=v_lb,
-        v_hat_ub=v_ub,
-        meat_lb=meats["lb"],
-        meat_ub=meats["ub"],
-        fit_lb=fit_lb,
-        fit_ub=fit_ub,
-        flags=tuple(flags),
+        method=method, alpha=alpha, intervals=intervals, flags=tuple(flags),
+        **fields,
     )

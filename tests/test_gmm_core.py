@@ -19,7 +19,6 @@ from strata_bounds import (
     silverman_bandwidth,
     solve_sandwich,
 )
-from strata_bounds.gmm_core import condition_number_1, invert, solve_linear
 from strata_bounds.ipw_estimator import _per_unit_block_arrays
 
 from conftest import build_dataset, random_dataset
@@ -315,62 +314,60 @@ def test_jacobian_rejects_numerically_singular_result(hand_dataset):
     with pytest.raises(SingularJacobianError):
         # an absurd bandwidth flattens the cutoff column to zero
         jacobian(hand_dataset, design, fit.theta, "lee_lb", bandwidth=1e12)
-
-
-# ---------------------------------------------------------------------------
-# dense linear algebra
-# ---------------------------------------------------------------------------
-
-def test_solve_linear_matches_numpy_on_random_systems():
-    rng = np.random.default_rng(55)
-    for _ in range(50):
-        k = int(rng.integers(1, 7))
-        a = rng.normal(size=(k, k)) + 0.5 * np.eye(k)
-        b = rng.normal(size=k)
-        np.testing.assert_allclose(
-            solve_linear(a, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12
-        )
-        bm = rng.normal(size=(k, 3))
-        np.testing.assert_allclose(
-            solve_linear(a, bm), np.linalg.solve(a, bm), rtol=1e-9, atol=1e-12
+    with pytest.raises(SingularJacobianError, match="numerically singular"):
+        # a nan parameter makes a nan entry, whose condition number is nan
+        jacobian(
+            hand_dataset, design, replace(fit.theta, mu1=math.nan), "lee_lb"
         )
 
 
-def test_invert_matches_numpy():
-    rng = np.random.default_rng(56)
-    a = rng.normal(size=(5, 5)) + np.eye(5)
-    np.testing.assert_allclose(invert(a), np.linalg.inv(a), rtol=1e-9, atol=1e-12)
+# ---------------------------------------------------------------------------
+# sandwich
+# ---------------------------------------------------------------------------
 
-
-def test_solve_linear_rejects_singular_matrix():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularJacobianError):
-        solve_linear(a, np.array([1.0, 0.0]))
-
-
-def test_solve_linear_needs_pivoting():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(
-        solve_linear(a, np.array([2.0, 3.0])), [3.0, 2.0]
-    )
-
-
-def test_condition_number_identity_and_singular():
-    assert condition_number_1(np.eye(4)) == 1.0
-    assert math.isinf(condition_number_1(np.zeros((3, 3))))
-
-
-def test_solve_sandwich_symmetric_and_matches_numpy():
+def _sandwich_cases():
+    """(bread, meat) pairs: one 5x5 system and 50 random ones of sizes 1-6."""
     rng = np.random.default_rng(57)
     m = rng.normal(size=(5, 5)) + 2.0 * np.eye(5)
     half = rng.normal(size=(5, 5))
-    omega = half @ half.T
-    v = solve_sandwich(m, omega)
-    np.testing.assert_array_equal(v, v.T)
-    m_inv = np.linalg.inv(m)
-    np.testing.assert_allclose(v, m_inv @ omega @ m_inv.T, rtol=1e-8, atol=1e-10)
+    yield m, half @ half.T
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        k = int(rng.integers(1, 7))
+        half = rng.normal(size=(k, k))
+        yield rng.normal(size=(k, k)) + 0.5 * np.eye(k), half @ half.T
+
+
+def test_solve_sandwich_symmetric_and_matches_numpy():
+    for m, omega in _sandwich_cases():
+        v = solve_sandwich(m, omega)
+        np.testing.assert_array_equal(v, v.T)
+        # M^{-1} (M^{-1} Omega)' = M^{-1} Omega M^{-T} for a symmetric Omega
+        expected = np.linalg.solve(m, np.linalg.solve(m, omega).T)
+        np.testing.assert_allclose(v, expected, rtol=1e-8, atol=1e-10)
+    # exact for the identity and for a swap, which needs a row pivot
+    np.testing.assert_array_equal(
+        solve_sandwich(np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0])),
+        np.diag([1.0, 2.0, 3.0, 4.0]),
+    )
+    np.testing.assert_array_equal(
+        solve_sandwich(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                       np.array([[1.0, 0.5], [0.5, 2.0]])),
+        [[2.0, 0.5], [0.5, 1.0]],
+    )
 
 
 def test_solve_sandwich_rejects_singular_bread():
-    with pytest.raises(SingularJacobianError):
-        solve_sandwich(np.zeros((2, 2)), np.eye(2))
+    breads = [
+        np.zeros((2, 2)),
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # rank one
+        np.diag([np.nan, 1.0, 1.0, 1.0, 1.0]),
+        np.diag([np.inf, 1.0, 1.0, 1.0, 1.0]),
+    ]
+    for bread in breads:
+        with pytest.raises(
+            SingularJacobianError,
+            match="moment Jacobian is numerically singular in solve_sandwich",
+        ):
+            solve_sandwich(bread, np.eye(bread.shape[0]))

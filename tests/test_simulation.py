@@ -1,6 +1,8 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
+import importlib
 import math
+import pkgutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +20,15 @@ from strata_bounds import (
     simulate_dgp1,
     simulate_dgp2,
 )
-from strata_bounds import simulation
+import strata_bounds
+from strata_bounds import (
+    jacobian,
+    lee_bounds,
+    meat_design,
+    meat_iid,
+    moment_matrix,
+    simulation,
+)
 from strata_bounds.simulation import (
     DGP2_TRUTH,
     REPLICATION_COLUMNS,
@@ -320,6 +330,72 @@ def test_monte_carlo_explicit_estimator_tokens(tmp_path):
     assert math.isnan(by_name["lee:none"].mean_se_lb)
     # bounds are identical across variance methods
     assert by_name["lee:iid"].mean_delta_lb == by_name["lee:none"].mean_delta_lb
+
+
+PANEL = ("lee:none", "lee:iid", "lee:label", "lee:design")
+
+
+def _replication_rows(out, tokens):
+    config = McConfig(
+        dgp="matched_pairs", reps=3, seed=9, n=200, estimators=tokens
+    )
+    out.mkdir()
+    monte_carlo(config, out_dir=str(out))
+    return (out / "replications.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("token", PANEL)
+def test_monte_carlo_panel_composition_changes_no_row(tmp_path, token):
+    rows = [
+        row
+        for row in _replication_rows(tmp_path / "panel", PANEL)
+        if row.split(",")[1] == token
+    ]
+    assert len(rows) == 3
+    if token == "lee:label":
+        # matched pairs leave one unit per arm in every block
+        assert all(row.endswith(",error:FeasibilityError") for row in rows)
+    else:
+        assert rows == _replication_rows(tmp_path / "alone", (token,))
+
+
+def _count_calls(monkeypatch, functions):
+    """Count calls of each function through every package module binding it."""
+    modules = [strata_bounds] + [
+        importlib.import_module(f"strata_bounds.{info.name}")
+        for info in pkgutil.iter_modules(strata_bounds.__path__)
+    ]
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
+    counts = _count_calls(
+        monkeypatch, [lee_bounds, moment_matrix, jacobian, meat_iid, meat_design]
+    )
+    config = McConfig(
+        dgp="matched_pairs", reps=1, seed=3, n=200,
+        estimators=("lee:iid", "lee:design"),
+    )
+    monte_carlo(config)
+    # one point estimate; one moment matrix and Jacobian per bound; one meat
+    # per bound and method
+    assert counts == {
+        "lee_bounds": 1,
+        "moment_matrix": 2,
+        "jacobian": 2,
+        "meat_iid": 2,
+        "meat_design": 2,
+    }
 
 
 def test_monte_carlo_coverage_indicators_are_binary(tmp_path):

@@ -14,8 +14,10 @@ from strata_bounds import (
     block_design,
     confidence_intervals,
     dataset_from_arrays,
+    estimate_bounds,
     fit_theta,
     label_variance,
+    lee_bounds,
     meat_design,
     meat_iid,
     pair_blocks,
@@ -416,9 +418,8 @@ def test_sandwich_report_unit_order_invariance():
     )
 
 
-def test_sandwich_report_iid_larger_than_design_on_pair_data():
-    # strong pair matching on the outcome: ignoring the blocks overstates
-    # the variance of the contrast
+def _matched_pair_data():
+    # strong pair matching on the outcome
     rng = np.random.default_rng(2)
     n_pairs = 400
     shift = np.repeat(rng.normal(0.0, 5.0, n_pairs), 2)
@@ -428,9 +429,33 @@ def test_sandwich_report_iid_larger_than_design_on_pair_data():
     d[1::2] = 1 - coin
     y = shift + rng.normal(0.0, 0.3, 2 * n_pairs) + d
     blocks = [f"{i // 2:04d}" for i in range(2 * n_pairs)]
-    data = dataset_from_arrays(y, np.ones(2 * n_pairs, dtype=int), d, blocks)
+    return dataset_from_arrays(y, np.ones(2 * n_pairs, dtype=int), d, blocks)
+
+
+def test_sandwich_report_iid_larger_than_design_on_pair_data():
+    # ignoring the blocks overstates the variance of the contrast
+    data = _matched_pair_data()
     design = block_design(data)
     rep_design = sandwich_report(data, design, "lee", "design")
     rep_iid = sandwich_report(data, design, "lee", "iid")
     assert rep_design.se_lb < rep_iid.se_lb
     assert rep_design.se_ub < rep_iid.se_ub
+
+
+def test_estimate_bounds_fails_one_method_alone():
+    data = _matched_pair_data()
+    design = block_design(data)
+    estimate, reports = estimate_bounds(
+        data, design, "lee", ("iid", "label", "design")
+    )
+    assert estimate == lee_bounds(data, design)
+    # pairs have one unit per arm, which the label meat refuses
+    assert isinstance(reports["label"], FeasibilityError)
+    for method in ("iid", "design"):
+        alone = sandwich_report(data, design, "lee", method)
+        assert reports[method].se_lb == alone.se_lb
+        assert reports[method].se_ub == alone.se_ub
+    with pytest.raises(FeasibilityError):
+        sandwich_report(data, design, "lee", "label")
+    with pytest.raises(ValueError, match="conditional-lee"):
+        estimate_bounds(data, design, "conditional-lee", ("iid",))
