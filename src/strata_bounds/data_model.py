@@ -25,6 +25,21 @@ REQUIRED_COLUMNS = ("y", "s", "d", "block")
 # rows parse_csv reads and validates at a time; memory grows with this, not
 # with the file
 CSV_CHUNK_ROWS = 4096
+# block labels an error message names before it gives only their count
+LABELS_IN_MESSAGE = 5
+
+
+def _name_blocks(labels, indices) -> str:
+    """The labels of the indexed blocks, for an error message.
+
+    Up to LABELS_IN_MESSAGE are listed in full; a longer list is cut to its
+    count and first few labels, "5012 blocks: a, b, c, d, e, ...".
+    """
+    indices = list(indices)
+    shown = ", ".join(labels[g] for g in indices[:LABELS_IN_MESSAGE])
+    if len(indices) <= LABELS_IN_MESSAGE:
+        return shown
+    return f"{len(indices)} blocks: {shown}, ..."
 
 
 def _indicator(values, name: str) -> np.ndarray:
@@ -109,10 +124,11 @@ class Dataset:
         if d.sum() == 0 or d.sum() == n:
             raise ValidationError("dataset needs at least one treated and one control unit")
         sizes = np.bincount(codes, minlength=len(labels))
-        thin = [labels[g] for g in np.flatnonzero(sizes < 2).tolist()]
+        thin = np.flatnonzero(sizes < 2).tolist()
         if thin:
             raise ValidationError(
-                f"every block needs at least 2 units; too small: {', '.join(thin)}"
+                "every block needs at least 2 units; too small: "
+                + _name_blocks(labels, thin)
             )
 
         for col in (y, s, d, codes, x):
@@ -178,6 +194,10 @@ class BlockDesign:
     x_mean: np.ndarray | None
     codes: np.ndarray = field(repr=False)
     p_hat: float
+    # what later stages derive from the design alone (the design meat's arm
+    # layout and singleton pairings), built once however many estimators and
+    # variance methods share the design
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("n_g", "t_g", "eta_g", "m_g", "n1s_g", "n0s_g", "x_mean", "codes"):
@@ -211,7 +231,7 @@ def block_design(data: Dataset) -> BlockDesign:
     if bad:
         raise DesignError(
             "every block needs at least one treated and one control unit; "
-            f"violated by: {', '.join(labels[g] for g in bad)}"
+            f"violated by: {_name_blocks(labels, bad)}"
         )
 
     x_mean = None

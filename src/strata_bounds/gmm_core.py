@@ -6,14 +6,18 @@ and the control selection rate (pooled system) or the weighted analogues
 (weighted system, where the rescaled treated outcome depends on the
 always-observed treated share parameter). Point estimates come from closed
 forms; the moment matrix evaluated at the fit certifies them via column-mean
-residuals. Standard errors use a smoothed analytic Jacobian: indicator terms
-are replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
-exactly in the parameters. Point estimates are never smoothed.
+residuals. Both bounds of one estimate are fitted in one pass: moment_matrix
+fills one moment-major buffer, five rows per bound, from columns it computes
+once, and each bound's fit holds its five-column block. Standard errors use a
+smoothed analytic Jacobian: indicator terms are replaced by normal-kernel
+CDFs with a Silverman bandwidth, differentiated exactly in the parameters.
+Point estimates are never smoothed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,7 @@ from scipy.special import ndtr
 from .data_model import BlockDesign, Dataset
 from .errors import (
     DegenerateTrimError,
+    EstimationError,
     InternalConsistencyError,
     SingularJacobianError,
 )
@@ -84,24 +89,48 @@ class LeeIpwTheta:
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
-    """Per-unit moment values at a parameter vector, with residual checks.
+    """Per-unit moment values of one or more bounds, with residual checks.
 
-    residuals are the column means. Rows flagged in `checked` must satisfy
+    values is (n, 5k), five columns per bound: the Fortran-ordered view of
+    one (5k, n) moment-major buffer, so each column is contiguous. residuals
+    are the column means. Entries flagged in `checked` must satisfy
     |residual| <= bound: rows solved exactly get 1e-8; the trimmed-mean and
     tail-share rows get boundary-tie bounds; a clamped trimming share exempts
     the selection-rate relation row (its mean is the monotonicity violation).
+    bandwidths holds per bound the Silverman bandwidth of its
+    observed-treated trimming sample, or None where that sample is too small
+    for one.
     """
 
     values: np.ndarray
     residuals: np.ndarray
     bounds: np.ndarray
     checked: np.ndarray
-    notes: tuple[str, ...] = ()
+    bandwidths: tuple[float | None, ...]
 
     @property
     def ok(self) -> bool:
         viol = self.checked & (np.abs(self.residuals) > self.bounds)
         return not bool(viol.any())
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return tuple(
+            "clamped trimming share: selection-rate relation row carries the "
+            f"monotonicity violation (mean {self.residuals[i]:.3e})"
+            for i in np.flatnonzero(~self.checked).tolist()
+        )
+
+    def bound(self, k: int) -> MomentMatrix:
+        """The k-th bound's five columns, as views."""
+        rows = slice(5 * k, 5 * k + 5)
+        return MomentMatrix(
+            values=self.values[:, rows],
+            residuals=self.residuals[rows],
+            bounds=self.bounds[rows],
+            checked=self.checked[rows],
+            bandwidths=self.bandwidths[k : k + 1],
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,80 +164,104 @@ def _filled_outcome(data: Dataset) -> np.ndarray:
 def moment_matrix(
     data: Dataset,
     design: BlockDesign,
-    theta: LeeTheta | LeeIpwTheta,
-    system: str,
+    thetas: Sequence[LeeTheta | LeeIpwTheta],
+    systems: Sequence[str],
     clamped: bool = False,
 ) -> MomentMatrix:
-    """Evaluate all unit moments at theta and check the column means."""
-    kind, side = _split_system(system)
+    """Evaluate the unit moments of one or more bounds and check their means.
+
+    thetas and systems hold one entry per bound, all of one kind (pooled or
+    weighted); bound k fills rows 5k..5k+4 of one (5k, n) moment-major
+    buffer. The columns every bound uses (filled outcome, s, d, their
+    products, the weighted system's per-unit block arrays and the
+    observed-treated trimming sample with its bandwidth) are computed once.
+    """
+    if len(thetas) != len(systems) or not systems:
+        raise ValueError("moment_matrix needs one theta per system")
+    kinds, sides = zip(*map(_split_system, systems))
+    if len(set(kinds)) != 1:
+        raise ValueError(f"systems must share one kind, got {systems}")
+    kind = kinds[0]
     n = data.n
     y0 = _filled_outcome(data)
     s = data.s.astype(float)
     d = data.d.astype(float)
+    d0 = 1.0 - d
     sd = s * d
-    s0d = s * (1.0 - d)
-
-    values = np.empty((n, 5))
-    if kind == "lee":
-        assert isinstance(theta, LeeTheta)
-        if side == "lb":
-            kept = (y0 <= theta.cutoff).astype(float)
-        else:
-            kept = (y0 >= theta.cutoff).astype(float)
-        tail = 1.0 - kept
-        values[:, 0] = (y0 - theta.mu1) * sd * kept
-        values[:, 1] = (y0 - theta.mu0) * s0d
-        values[:, 2] = (tail - theta.p) * sd
-        values[:, 3] = (s - theta.alpha / (1.0 - theta.p)) * d
-        values[:, 4] = (s - theta.alpha) * (1.0 - d)
-        trim_values = y0
-        rate_row = 3
-    else:
-        assert isinstance(theta, LeeIpwTheta)
+    s0d = s * d0
+    treated = sd > 0
+    if kind == "ipw":
         eta_i, m_i, w_c, w_q = _per_unit_block_arrays(data, design)
         p_hat = design.p_hat
-        y_til = (theta.delta / eta_i) * y0
+        control_rate = (1.0 / (1.0 - p_hat)) * s0d * w_q
+
+    # each row is written in place, so a bound adds no n-sized temporaries
+    # beyond its kept indicator
+    buf = np.empty((5 * len(systems), n))
+    bounds = np.full(buf.shape[0], EXACT_ROW_TOL)
+    checked = np.ones(buf.shape[0], dtype=bool)
+    bandwidths = []
+    # per rescaling of the treated outcome (delta; None for the pooled
+    # system): the trimmed values, their observed-treated sample, its largest
+    # magnitude and its bandwidth, which the bounds of one fit share
+    samples = {}
+    for k, (theta, side) in enumerate(zip(thetas, sides)):
+        rows = buf[5 * k : 5 * k + 5]
+        rescale = theta.delta if kind == "ipw" else None
+        if rescale not in samples:
+            trim_values = y0 if kind == "lee" else (theta.delta / eta_i) * y0
+            sample = trim_values[treated]
+            samples[rescale] = (
+                trim_values,
+                sample,
+                float(np.max(np.abs(sample))) if sample.size else 0.0,
+                silverman_bandwidth(sample) if sample.size >= 2 else None,
+            )
+        trim_values, sample, max_abs, bandwidth = samples[rescale]
         if side == "lb":
-            kept = (y_til <= theta.cutoff).astype(float)
+            kept = trim_values <= theta.cutoff
         else:
-            kept = (y_til >= theta.cutoff).astype(float)
-        tail = 1.0 - kept
-        values[:, 0] = (y_til - theta.mu1) * sd * kept
-        values[:, 1] = (y0 - theta.mu0) * s0d * w_c
-        values[:, 2] = (tail - theta.q) * sd
-        values[:, 3] = m_i * (d - theta.delta)
-        values[:, 4] = ((1.0 - theta.q) / p_hat) * sd - (
-            1.0 / (1.0 - p_hat)
-        ) * s0d * w_q
-        trim_values = y_til
-        rate_row = 4
+            kept = trim_values >= theta.cutoff
+        np.subtract(trim_values, theta.mu1, out=rows[0])
+        rows[0] *= sd
+        rows[0] *= kept
+        np.subtract(y0, theta.mu0, out=rows[1])
+        rows[1] *= s0d
+        np.subtract(1.0, kept, out=rows[2])  # the trimmed tail
+        if kind == "lee":
+            assert isinstance(theta, LeeTheta)
+            rows[2] -= theta.p
+            rows[2] *= sd
+            np.subtract(s, theta.alpha / (1.0 - theta.p), out=rows[3])
+            rows[3] *= d
+            np.subtract(s, theta.alpha, out=rows[4])
+            rows[4] *= d0
+            rate_row = 3
+        else:
+            assert isinstance(theta, LeeIpwTheta)
+            rows[1] *= w_c
+            rows[2] -= theta.q
+            rows[2] *= sd
+            np.subtract(d, theta.delta, out=rows[3])
+            rows[3] *= m_i
+            np.multiply(sd, (1.0 - theta.q) / p_hat, out=rows[4])
+            rows[4] -= control_rate
+            rate_row = 4
 
-    residuals = values.mean(axis=0)
+        bandwidths.append(bandwidth)
+        ties = int(np.count_nonzero(sample == theta.cutoff))
+        slack = 1e-9 * (1.0 + max_abs)
+        bounds[5 * k] = (2.0 * ties * max_abs + slack) / n
+        bounds[5 * k + 2] = (ties + 1e-9) / n
+        if clamped:
+            checked[5 * k + rate_row] = False
 
-    mask1 = sd > 0
-    sample = trim_values[mask1]
-    ties = int(np.count_nonzero(sample == theta.cutoff))
-    max_abs = float(np.max(np.abs(sample))) if sample.size else 0.0
-    slack = 1e-9 * (1.0 + max_abs)
-
-    bounds = np.full(5, EXACT_ROW_TOL)
-    bounds[0] = (2.0 * ties * max_abs + slack) / n
-    bounds[2] = (ties + 1e-9) / n
-
-    checked = np.ones(5, dtype=bool)
-    notes = []
-    if clamped:
-        checked[rate_row] = False
-        notes.append(
-            "clamped trimming share: selection-rate relation row carries the "
-            f"monotonicity violation (mean {residuals[rate_row]:.3e})"
-        )
     return MomentMatrix(
-        values=values,
-        residuals=residuals,
+        values=buf.T,
+        residuals=buf.mean(axis=1),
         bounds=bounds,
         checked=checked,
-        notes=tuple(notes),
+        bandwidths=tuple(bandwidths),
     )
 
 
@@ -216,59 +269,91 @@ def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
     """Closed-form fit of one system, certified by its moment residuals."""
     kind, _ = _split_system(system)
     if kind == "lee":
-        return fit_from_estimate(data, design, system, lee_bounds(data, design))
-    estimate, components = lee_ipw_bounds(data, design)
-    return fit_from_estimate(data, design, system, estimate, components)
+        estimate, components = lee_bounds(data, design), None
+    else:
+        estimate, components = lee_ipw_bounds(data, design)
+    _, (fit,) = fit_from_estimate(data, design, (system,), estimate, components)
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit
 
 
 def fit_from_estimate(
     data: Dataset,
     design: BlockDesign,
-    system: str,
+    systems: Sequence[str],
     estimate: BoundsEstimate,
     components: IpwComponents | None = None,
-) -> FitResult:
-    """fit_theta from a point estimate already in hand: lee_bounds' for the
-    pooled systems, lee_ipw_bounds' with its components for the weighted."""
-    kind, side = _split_system(system)
-    if kind == "lee":
+) -> tuple[MomentMatrix | None, tuple[FitResult | EstimationError, ...]]:
+    """fit_theta for several systems of one kind from a point estimate
+    already in hand: lee_bounds' for the pooled systems, lee_ipw_bounds'
+    with its components for the weighted.
+
+    The systems whose parameters could be formed share one moment_matrix
+    call; the stacked matrix is returned (None if there is none) with, per
+    system, its FitResult or the EstimationError that stopped it alone. A
+    FitResult's matrix is its bound's block of the stacked one.
+    """
+    kinds, sides = zip(*map(_split_system, systems))
+    if len(set(kinds)) != 1:
+        raise ValueError(f"systems must share one kind, got {systems}")
+    if kinds[0] == "lee":
         share = trimming_share_pooled(data)
-        theta = LeeTheta(
-            mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
-            mu0=estimate.mu0,
-            cutoff=estimate.cutoff_lb if side == "lb" else estimate.cutoff_ub,
-            p=estimate.q,
-            alpha=share.rate_control,
-        )
         clamped = share.clamped
     else:
-        theta = LeeIpwTheta(
-            mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
-            mu0=estimate.mu0,
-            cutoff=components.cutoff_lo if side == "lb" else components.cutoff_hi,
-            delta=components.delta_hat,
-            q=components.q_hat,
-        )
         clamped = components.clamped
 
-    matrix = moment_matrix(data, design, theta, system, clamped=clamped)
-    if not matrix.ok:
-        bad = [
-            f"row {i + 1}: |{matrix.residuals[i]:.3e}| > {matrix.bounds[i]:.3e}"
-            for i in range(5)
-            if matrix.checked[i] and abs(matrix.residuals[i]) > matrix.bounds[i]
-        ]
-        raise InternalConsistencyError(
-            f"moment residuals violated for {system}: " + "; ".join(bad)
+    results = {}  # per system index: its FitResult or EstimationError
+    thetas = {}  # per system index whose parameters could be formed
+    for i, side in enumerate(sides):
+        lower = side == "lb"
+        try:
+            if kinds[0] == "lee":
+                thetas[i] = LeeTheta(
+                    mu1=estimate.mu1_lb if lower else estimate.mu1_ub,
+                    mu0=estimate.mu0,
+                    cutoff=estimate.cutoff_lb if lower else estimate.cutoff_ub,
+                    p=estimate.q,
+                    alpha=share.rate_control,
+                )
+            else:
+                thetas[i] = LeeIpwTheta(
+                    mu1=estimate.mu1_lb if lower else estimate.mu1_ub,
+                    mu0=estimate.mu0,
+                    cutoff=components.cutoff_lo if lower else components.cutoff_hi,
+                    delta=components.delta_hat,
+                    q=components.q_hat,
+                )
+        except EstimationError as exc:
+            results[i] = exc
+
+    stack = None
+    if thetas:
+        stack = moment_matrix(
+            data, design, list(thetas.values()), [systems[i] for i in thetas],
+            clamped=clamped,
         )
-    return FitResult(
-        system=system,
-        theta=theta,
-        matrix=matrix,
-        estimate=estimate,
-        components=components,
-        flags=tuple(estimate.flags),
-    )
+    for k, (i, theta) in enumerate(thetas.items()):
+        matrix = stack.bound(k)
+        if matrix.ok:
+            results[i] = FitResult(
+                system=systems[i],
+                theta=theta,
+                matrix=matrix,
+                estimate=estimate,
+                components=components,
+                flags=tuple(estimate.flags),
+            )
+            continue
+        bad = [
+            f"row {r + 1}: |{matrix.residuals[r]:.3e}| > {matrix.bounds[r]:.3e}"
+            for r in range(5)
+            if matrix.checked[r] and abs(matrix.residuals[r]) > matrix.bounds[r]
+        ]
+        results[i] = InternalConsistencyError(
+            f"moment residuals violated for {systems[i]}: " + "; ".join(bad)
+        )
+    return stack, tuple(results[i] for i in range(len(systems)))
 
 
 # ---------------------------------------------------------------------------

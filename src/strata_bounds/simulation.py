@@ -25,6 +25,7 @@ unselected unit per arm. The true always-observed effect is exactly 1.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -116,12 +117,18 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
     y_base = 2.0 * x + 2.0 + eps
     y = np.where(d == 1, y_base + bonus, y_base)
 
-    # zero-padded, so label order is pair order
-    labels = tuple(map(f"%0{len(str(n // 2 - 1))}d".__mod__, range(n // 2)))
     return Dataset(
         y=np.where(s == 1, y, np.nan), s=s, d=d,
-        codes=np.repeat(np.arange(n // 2), 2), labels=labels, x=x[:, None],
+        codes=np.repeat(np.arange(n // 2), 2), labels=_pair_labels(n // 2),
+        x=x[:, None],
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_labels(n_pairs: int) -> tuple[str, ...]:
+    """Pair labels zero-padded to one width, so label order is pair order;
+    built once per size, since every replication of a run uses the same."""
+    return tuple(map(f"%0{len(str(n_pairs - 1))}d".__mod__, range(n_pairs)))
 
 
 def dgp1_truth() -> tuple[float, float]:

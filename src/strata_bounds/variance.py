@@ -10,18 +10,21 @@ label-based estimator of the squared between-arm mean gap is also provided.
 Standard errors, per-bound confidence intervals, and the width-adjusted
 identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
-Monte Carlo driver both go through it.
+Monte Carlo driver both go through it. It fits both bounds in one pass and
+forms each method's meat once, on both bounds' moments stacked side by side;
+each bound's meat is a diagonal block of it. The meat's design-only part,
+from each arm's units to the singleton pairings, is built once per design.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data_model import BlockDesign, Dataset
+from .data_model import BlockDesign, Dataset, _name_blocks
 from .errors import EstimationError, FeasibilityError, PairingError
 from .gmm_core import FitResult, fit_from_estimate, jacobian, solve_sandwich
 from .ipw_estimator import lee_ipw_bounds
@@ -102,7 +105,8 @@ class MeatReport:
     omega = a1 + a0 + b_n - a3 and b_n = -(zeta_11 + zeta_00 - 2 zeta_10)
     hold exactly by construction. singleton_treated / singleton_control hold
     the indices of blocks whose arm had one unit (paired mode only); their
-    labels are design.labels[g].
+    labels are design.labels[g]. For moments of several stacked bounds, each
+    matrix is over all their columns and bound(k) gives one bound's block.
     """
 
     a1: np.ndarray
@@ -119,44 +123,107 @@ class MeatReport:
     involution_control: Involution | None
     mode: str
 
-
-def _block_arm_stats(moments, codes, mask, n_blocks):
-    """One arm's rows, their block codes, and per-block counts and sums."""
-    codes_arm = codes[mask]
-    rows = moments[mask]
-    counts = np.bincount(codes_arm, minlength=n_blocks)
-    sums = np.column_stack([
-        np.bincount(codes_arm, weights=col, minlength=n_blocks) for col in rows.T
-    ])
-    return rows, codes_arm, counts, sums
+    def bound(self, k: int) -> MeatReport:
+        """The report of the k-th bound: the diagonal 5x5 block of each matrix."""
+        block = slice(5 * k, 5 * k + 5)
+        return replace(self, **{
+            name: getattr(self, name)[block, block]
+            for name in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega")
+        })
 
 
-def _zeta_within(coef, rows, codes_arm, counts, sums):
-    """Within-arm pair term over blocks with at least two units in the arm.
+@dataclass(frozen=True, eq=False)
+class _Arm:
+    """One arm's units and the meat's design-only weights for them.
 
-    With w_g = coef_g / (c_g (c_g - 1)), it is sum_g w_g (S_g S_g' - sum_i
-    r_i r_i'): a weighted Gram matrix of the block sums S_g minus one of the
-    rows r_i, so no per-block outer products are formed.
+    units lists the arm's unit indices in dataset order and codes their
+    blocks; counts[g] >= 1 is block g's size in the arm. within[g] =
+    coef_g / (c_g (c_g - 1)) weights the within-arm pair term, zero where
+    c_g < 2; it is None when no block has two units in the arm. single lists
+    the blocks with one.
     """
+
+    units: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+    within: np.ndarray | None
+    single: np.ndarray
+
+
+@dataclass(eq=False)
+class _MeatLayout:
+    """What meat_design needs of the design and the treatment column.
+
+    It depends on no moment, so it is built once per design (and kept in
+    the design's cache); pairing is filled on the first paired-mode meat
+    with, per arm, (involution, partner block of each singleton block) or
+    None, or the PairingError that pairing raised.
+    """
+
+    d: np.ndarray  # the treatment column the layout was built from
+    coef: np.ndarray  # (n_g / n) eta_g (1 - eta_g)
+    arms: tuple[_Arm, _Arm]  # treated, control
+    pairing: tuple | PairingError | None = None
+
+
+def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
+    units = np.flatnonzero(in_arm)
+    codes = design.codes[units]
+    counts = np.bincount(codes, minlength=design.n_blocks)
     multi = counts >= 2
-    c = counts[multi].astype(float)
-    w = np.zeros(counts.size)
-    w[multi] = coef[multi] / (c * (c - 1.0))
-    zeta = sums.T @ (w[:, None] * sums) - rows.T @ (w[codes_arm][:, None] * rows)
-    return 0.5 * (zeta + zeta.T)
+    within = None
+    if multi.any():
+        c = counts[multi].astype(float)
+        within = np.zeros(counts.size)
+        within[multi] = coef[multi] / (c * (c - 1.0))
+    arm = _Arm(
+        units=units, codes=codes, counts=counts, within=within,
+        single=np.flatnonzero(counts == 1),
+    )
+    for col in (units, codes, counts, within, arm.single):
+        if col is not None:
+            col.setflags(write=False)
+    return arm
 
 
-def _singleton_cross(inv, single, coef, sums, means):
-    """Symmetrized sum over singleton-arm blocks g of coef_g own_g partner_g'.
+def _meat_layout(data: Dataset, design: BlockDesign) -> _MeatLayout:
+    layout = design._cache.get("meat")
+    if layout is None or layout.d is not data.d:
+        etas = design.eta_g
+        coef = (design.n_g / data.n) * etas * (1.0 - etas)
+        layout = _MeatLayout(
+            d=data.d,
+            coef=coef,
+            arms=(_arm(design, data.d == 1, coef), _arm(design, data.d == 0, coef)),
+        )
+        design._cache["meat"] = layout
+    return layout
 
-    A singleton arm's sum is its single row (own_g); partner_g is the arm
-    mean of the block it is paired with.
+
+def _pairing(design: BlockDesign, layout: _MeatLayout):
+    """Per arm, its singleton blocks' involution and partner blocks, or None.
+
+    pair_blocks runs once per arm and design; a PairingError is kept and
+    raised again on each later call.
     """
-    partner = np.empty(means.shape[0], dtype=np.int64)
-    partner[inv.pairs[:, 1]] = inv.pairs[:, 0]
-    partner[inv.pairs[:, 0]] = inv.pairs[:, 1]  # in-set blocks win
-    cross = sums[single].T @ (coef[single, None] * means[partner[single]])
-    return 0.5 * (cross + cross.T)
+    if layout.pairing is None:
+        try:
+            pairing = []
+            for arm in layout.arms:
+                if not arm.single.size:
+                    pairing.append(None)
+                    continue
+                inv = pair_blocks(design, arm.single)
+                partner = np.empty(design.n_blocks, dtype=np.int64)
+                partner[inv.pairs[:, 1]] = inv.pairs[:, 0]
+                partner[inv.pairs[:, 0]] = inv.pairs[:, 1]  # in-set blocks win
+                pairing.append((inv, partner[arm.single]))
+            layout.pairing = tuple(pairing)
+        except PairingError as exc:
+            layout.pairing = exc
+    if isinstance(layout.pairing, PairingError):
+        raise layout.pairing
+    return layout.pairing
 
 
 def meat_design(
@@ -169,50 +236,66 @@ def meat_design(
 
     mode="paired" resolves singleton arms by pairing blocks; mode="label"
     requires at least two units per arm in every block and fails otherwise.
+    moments is (n, m): one bound's five columns or several bounds' stacked
+    side by side, best Fortran-ordered, since the meat works on columns.
+    The design-only part (each arm's units and their blocks, its weights,
+    singleton sets and pairings) is built once per design and reused.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
-    n = moments.shape[0]
-    codes = design.codes
-    d = data.d
-    n_blocks = design.n_blocks
-
-    rows1, codes1, cnt1, sum1 = _block_arm_stats(moments, codes, d == 1, n_blocks)
-    rows0, codes0, cnt0, sum0 = _block_arm_stats(moments, codes, d == 0, n_blocks)
-    a1 = rows1.T @ rows1 / n
-    a0 = rows0.T @ rows0 / n
-    mbar = moments.mean(axis=0)
-    a3 = np.outer(mbar, mbar)
-
-    etas = design.eta_g
-    coef = (design.n_g / n) * etas * (1.0 - etas)
-
-    mean1 = sum1 / cnt1[:, None]
-    mean0 = sum0 / cnt0[:, None]
-    cross = mean1.T @ (coef[:, None] * mean0)
-    zeta_10 = 0.5 * (cross + cross.T)
-
-    zeta_11 = _zeta_within(coef, rows1, codes1, cnt1, sum1)
-    zeta_00 = _zeta_within(coef, rows0, codes0, cnt0, sum0)
-    single1 = np.flatnonzero(cnt1 == 1)
-    single0 = np.flatnonzero(cnt0 == 1)
-
-    inv1 = inv0 = None
+    layout = _meat_layout(data, design)
+    treated, control = layout.arms
+    pairing = (None, None)
     if mode == "label":
-        if single1.size or single0.size:
-            bad = np.union1d(single1, single0).tolist()
+        if treated.single.size or control.single.size:
+            bad = np.union1d(treated.single, control.single).tolist()
             raise FeasibilityError(
                 "label-mode variance needs at least 2 units per arm per "
-                f"block; singleton arms in: {', '.join(design.labels[g] for g in bad)}"
+                f"block; singleton arms in: {_name_blocks(design.labels, bad)}"
             )
     else:
-        if single1.size:
-            inv1 = pair_blocks(design, single1)
-            zeta_11 = zeta_11 + _singleton_cross(inv1, single1, coef, sum1, mean1)
-        if single0.size:
-            inv0 = pair_blocks(design, single0)
-            zeta_00 = zeta_00 + _singleton_cross(inv0, single0, coef, sum0, mean0)
+        pairing = _pairing(design, layout)
 
+    cols = np.asarray(moments).T  # (m, n), C-contiguous for Fortran moments
+    n = cols.shape[1]
+    coef = layout.coef
+    mbar = cols.mean(axis=1)
+    a3 = np.outer(mbar, mbar)
+    per_arm = []  # (a, zeta, means) of the treated, then the control arm
+    for arm, paired in zip(layout.arms, pairing):
+        # one arm's gather alive at a time; every other temporary is one row
+        rows = cols.take(arm.units, axis=1)
+        sums = np.empty((rows.shape[0], arm.counts.size))
+        for row, total in zip(rows, sums):
+            total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
+        zeta = np.zeros((cols.shape[0],) * 2)
+        if arm.within is not None:
+            # sum_g w_g (S_g S_g' - sum_i r_i r_i') over blocks with two or
+            # more units in the arm, one column at a time: Gram products of
+            # the block sums S_g and of the rows r_i, so no per-block outer
+            # products and no weighted copy of the rows are formed
+            w_unit = arm.within[arm.codes]
+            for k, (total, row) in enumerate(zip(sums, rows)):
+                zeta[:, k] = sums @ (arm.within * total) - rows @ (w_unit * row)
+            zeta = 0.5 * (zeta + zeta.T)
+        a = rows @ rows.T / n
+        del rows
+        means = sums  # in place: the sums are not needed any more
+        means /= arm.counts
+        if paired is not None:
+            # a singleton arm's sum is its single row, which is also its
+            # mean; its partner term is the arm mean of the block it is
+            # paired with
+            _, partner = paired
+            weighted = means.take(partner, axis=1)
+            weighted *= coef[arm.single]
+            cross = means.take(arm.single, axis=1) @ weighted.T
+            zeta = zeta + 0.5 * (cross + cross.T)
+        per_arm.append((a, zeta, means))
+    (a1, zeta_11, mean1), (a0, zeta_00, mean0) = per_arm
+
+    cross = mean1 @ (coef * mean0).T
+    zeta_10 = 0.5 * (cross + cross.T)
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
     omega = a1 + a0 + b_n - a3
     return MeatReport(
@@ -224,16 +307,20 @@ def meat_design(
         zeta_00=zeta_00,
         b_n=b_n,
         omega=omega,
-        singleton_treated=single1,
-        singleton_control=single0,
-        involution_treated=inv1,
-        involution_control=inv0,
+        singleton_treated=treated.single,
+        singleton_control=control.single,
+        involution_treated=None if pairing[0] is None else pairing[0][0],
+        involution_control=None if pairing[1] is None else pairing[1][0],
         mode=mode,
     )
 
 
 def meat_iid(moments: np.ndarray) -> np.ndarray:
-    """Centered second-moment meat that ignores the block structure."""
+    """Centered second-moment meat that ignores the block structure.
+
+    moments is (n, m); for several bounds stacked side by side, each bound's
+    meat is a diagonal block of the result.
+    """
     n = moments.shape[0]
     mbar = moments.mean(axis=0)
     return moments.T @ moments / n - np.outer(mbar, mbar)
@@ -255,7 +342,7 @@ def label_variance(data: Dataset, design: BlockDesign) -> float:
     if bad:
         raise FeasibilityError(
             "label-based variance needs at least 2 treated and 2 control "
-            f"units per block; violated by: {', '.join(design.labels[g] for g in bad)}"
+            f"units per block; violated by: {_name_blocks(design.labels, bad)}"
         )
     codes = design.codes
     d = data.d
@@ -412,9 +499,11 @@ def estimate_bounds(
     """One estimator (of ESTIMATORS) and its variance under each method.
 
     The point estimator runs once; an error it raises propagates. With
-    methods, each bound's system is fitted and differentiated once, and each
-    method forms its own meat and sandwich. The dict maps each method to its
-    report, or to the EstimationError that stopped it alone.
+    methods, both bounds' systems are fitted in one moment_matrix pass and
+    each is differentiated once; each method forms one meat on both bounds'
+    stacked moments, leaving out a bound whose fit failed, and one sandwich
+    per bound. The dict maps each method to its report, or to the
+    EstimationError that stopped it alone.
     """
     for method in methods:
         if method not in VARIANCE_METHODS:
@@ -436,46 +525,69 @@ def estimate_bounds(
         return estimate, {}
 
     kind = "lee" if name == "lee" else "ipw"
+    stack, fits = fit_from_estimate(
+        data, design, (f"{kind}_lb", f"{kind}_ub"), estimate, components
+    )
     sides = []  # per bound: (fit, jacobian), or the error that stopped it
-    for side in ("lb", "ub"):
+    for fit in fits:
+        if isinstance(fit, EstimationError):
+            sides.append(fit)
+            continue
         try:
-            fit = fit_from_estimate(
-                data, design, f"{kind}_{side}", estimate, components
+            jac = jacobian(
+                data, design, fit.theta, fit.system,
+                bandwidth=fit.matrix.bandwidths[0],
             )
-            sides.append((fit, jacobian(data, design, fit.theta, fit.system)))
+            sides.append((fit, jac))
         except EstimationError as exc:
             sides.append(exc)
+    # the moments the meats see: the lower bound's columns, then the upper
+    # bound's unless its fit failed (a method whose lower bound failed
+    # forms no meat)
+    moments = None
+    if not isinstance(sides[0], EstimationError):
+        fitted_ub = not isinstance(sides[1], EstimationError)
+        moments = stack.values if fitted_ub else stack.bound(0).values
     reports = {}
     for method in methods:
         try:
             reports[method] = _variance_report(
-                data, design, sides, method, alpha
+                data, design, sides, moments, method, alpha
             )
         except EstimationError as exc:
             reports[method] = exc
     return estimate, reports
 
 
-def _variance_report(data, design, sides, method, alpha) -> VarianceReport:
-    """One method's meat and sandwich, lower bound first, then the intervals."""
+def _variance_report(data, design, sides, moments, method, alpha) -> VarianceReport:
+    """One method's meat on the stacked moments, then each bound's sandwich,
+    lower bound first, then the intervals.
+
+    The errors come in the order a bound-by-bound pass would meet them: the
+    lower bound's fit, the meat's design-only error, the lower bound's
+    sandwich, the upper bound's fit, its sandwich.
+    """
+    if isinstance(sides[0], EstimationError):
+        raise sides[0]
+    meat = None
+    if method == "iid":
+        omega = meat_iid(moments)
+    else:
+        mode = "paired" if method == "design" else "label"
+        meat = meat_design(data, design, moments, mode=mode)
+        omega = meat.omega
     fields, clipped = {}, []
-    for side, fitted in zip(("lb", "ub"), sides):
+    for k, (side, fitted) in enumerate(zip(("lb", "ub"), sides)):
         if isinstance(fitted, EstimationError):
             raise fitted
         fit, jac = fitted
-        meat = None
-        if method == "iid":
-            omega = meat_iid(fit.matrix.values)
-        else:
-            mode = "paired" if method == "design" else "label"
-            meat = meat_design(data, design, fit.matrix.values, mode=mode)
-            omega = meat.omega
-        v_hat = solve_sandwich(jac, omega)
+        block = slice(5 * k, 5 * k + 5)
+        v_hat = solve_sandwich(jac, omega[block, block])
         se, clip = bound_standard_error(v_hat, data.n)
         if clip:
             clipped.append(f"variance_clipped_{side}")
         fields.update({
-            f"fit_{side}": fit, f"meat_{side}": meat,
+            f"fit_{side}": fit, f"meat_{side}": None if meat is None else meat.bound(k),
             f"v_hat_{side}": v_hat, f"se_{side}": se,
         })
 

@@ -1,9 +1,32 @@
 """Shared dataset builders for the test suite."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import strata_bounds
 from strata_bounds import dataset_from_arrays
+
+
+def count_calls(monkeypatch, functions):
+    """Count calls of each function through every package module binding it."""
+    modules = [strata_bounds] + [
+        importlib.import_module(f"strata_bounds.{info.name}")
+        for info in pkgutil.iter_modules(strata_bounds.__path__)
+    ]
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
 
 
 def build_dataset(y, s, d, blocks, x=None):

@@ -512,3 +512,82 @@ def lee_ipw_moments(y, s, d, block, theta, design, side):
             - (1.0 / (1.0 - p_hat)) * s * (1 - d) * w_q,
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# design meat, one bound and one block at a time
+# ---------------------------------------------------------------------------
+
+def meat_design_oracle(data, design, moments, mode="paired"):
+    """The design meat of one bound's (n, 5) moments, block by block.
+
+    Per arm and block it forms the rows' sum, mean and every within-arm
+    cross product explicitly; singleton arms borrow the arm mean of the
+    block pair_blocks_oracle pairs them with. Returns a dict of the
+    MeatReport matrices plus the singleton blocks and pairs per arm; raises
+    FeasibilityError in label mode where an arm has one unit, and
+    PairingError where pairing fails.
+    """
+    from strata_bounds import FeasibilityError
+
+    moments = np.asarray(moments, dtype=float)
+    n, m = moments.shape
+    codes = design.codes.tolist()
+    d = data.d.tolist()
+    arms = {1: [[] for _ in range(design.n_blocks)], 0: [[] for _ in range(design.n_blocks)]}
+    for i in range(n):
+        arms[d[i]][codes[i]].append(moments[i])
+    single = {
+        arm: [g for g in range(design.n_blocks) if len(members[g]) == 1]
+        for arm, members in arms.items()
+    }
+    if mode == "label" and (single[1] or single[0]):
+        raise FeasibilityError("an arm has one unit in some block")
+    pairs = {1: (), 0: ()}
+    if mode == "paired":
+        for arm in (1, 0):
+            if single[arm]:
+                pairs[arm] = pair_blocks_oracle(design, single[arm])
+
+    def sym(a):
+        return 0.5 * (a + a.T)
+
+    out = {"a3": np.outer(moments.mean(axis=0), moments.mean(axis=0))}
+    means = {arm: [np.mean(rows, axis=0) for rows in members] for arm, members in arms.items()}
+    for arm, name in ((1, "11"), (0, "00")):
+        a = np.zeros((m, m))
+        zeta = np.zeros((m, m))
+        partner = {}
+        for g, h in pairs[arm]:
+            partner.setdefault(g, h)
+            partner.setdefault(h, g)
+        for g, rows in enumerate(arms[arm]):
+            eta = design.t_g[g] / design.n_g[g]
+            coef = design.n_g[g] / n * eta * (1.0 - eta)
+            c = len(rows)
+            for r in rows:
+                a += np.outer(r, r)
+            if c >= 2:
+                pair_sum = np.zeros((m, m))
+                for i, j in itertools.permutations(range(c), 2):
+                    pair_sum += np.outer(rows[i], rows[j])
+                zeta += sym(coef / (c * (c - 1)) * pair_sum)
+            elif g in partner:
+                zeta += sym(coef * np.outer(rows[0], means[arm][partner[g]]))
+        out["a1" if arm == 1 else "a0"] = a / n
+        out[f"zeta_{name}"] = zeta
+    zeta_10 = np.zeros((m, m))
+    for g in range(design.n_blocks):
+        eta = design.t_g[g] / design.n_g[g]
+        coef = design.n_g[g] / n * eta * (1.0 - eta)
+        zeta_10 += sym(coef * np.outer(means[1][g], means[0][g]))
+    out["zeta_10"] = zeta_10
+    out["b_n"] = -(out["zeta_11"] + out["zeta_00"] - 2.0 * zeta_10)
+    out["omega"] = out["a1"] + out["a0"] + out["b_n"] - out["a3"]
+    out.update(
+        singleton_treated=single[1] if mode == "paired" else [],
+        singleton_control=single[0] if mode == "paired" else [],
+        pairs_treated=pairs[1],
+        pairs_control=pairs[0],
+    )
+    return out

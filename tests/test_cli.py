@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from strata_bounds import dataset_to_csv_text, parse_csv, write_csv
+from strata_bounds import (
+    dataset_to_csv_text,
+    meat_design,
+    pair_blocks,
+    parse_csv,
+    write_csv,
+)
 from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, cli, main
 
-from conftest import build_dataset
+from conftest import build_dataset, count_calls
 from oracles import oracle_ipw, oracle_lee
 
 from frozen_values import (
@@ -344,6 +350,48 @@ def test_label_variance_with_single_control_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "singleton arms in: a" in err
+
+
+def test_label_variance_error_names_few_of_many_blocks(capsys, tmp_path):
+    # 3 000 matched pairs: every block has a singleton arm
+    n_pairs = 3000
+    rows = [
+        f"{i + d},1,{d},p{i:04d}\n" for i in range(n_pairs) for d in (1, 0)
+    ]
+    path = tmp_path / "pairs.csv"
+    path.write_text("y,s,d,block\n" + "".join(rows))
+    code, _, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", "all",
+        "--variance", "label",
+    )
+    assert code == 2
+    assert err == (
+        "error: label-mode variance needs at least 2 units per arm per block; "
+        "singleton arms in: 3000 blocks: p0000, p0001, p0002, p0003, p0004, "
+        "...\n"
+    )
+
+
+def test_estimate_all_pairs_each_arm_once(capsys, monkeypatch, tmp_path):
+    # blocks a-c have a singleton treated arm, d-f a singleton control arm
+    rows = []
+    for g, label in enumerate("abcdef"):
+        for i, d in enumerate((1, 0, 0) if g < 3 else (1, 1, 0)):
+            rows.append(f"{g + 0.5 * i + 0.25 * d},1,{d},{label}\n")
+    path = tmp_path / "singletons.csv"
+    path.write_text("y,s,d,block\n" + "".join(rows))
+    counts = count_calls(monkeypatch, [meat_design, pair_blocks])
+    code, out, _ = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", "all",
+        "--variance", "design",
+    )
+    assert code == 0
+    assert [r["se_lb"] is not None for r in json.loads(out)["results"]] == [
+        True, False, True
+    ]
+    # lee and lee-ipw form one meat each on both bounds; the pairings belong
+    # to the design, so they are built once, one per arm
+    assert counts == {"meat_design": 2, "pair_blocks": 2}
 
 
 def test_no_observed_control_outcomes_exits_two(capsys, tmp_path):

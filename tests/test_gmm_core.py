@@ -140,7 +140,7 @@ def test_moment_matrix_flags_wrong_parameters(hand_dataset):
     design = block_design(hand_dataset)
     fit = fit_theta(hand_dataset, design, "lee_lb")
     off = replace(fit.theta, mu0=fit.theta.mu0 + 0.5)
-    matrix = moment_matrix(hand_dataset, design, off, "lee_lb")
+    matrix = moment_matrix(hand_dataset, design, (off,), ("lee_lb",))
     assert not matrix.ok
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from strata_bounds import (
     EstimationError,
+    FeasibilityError,
     Involution,
     PairingError,
     TrimSpec,
@@ -17,6 +18,7 @@ from strata_bounds import (
     conditional_lee_bounds,
     dataset_from_arrays,
     dataset_to_csv_text,
+    estimate_bounds,
     lee_bounds,
     lee_ipw_bounds,
     meat_iid,
@@ -33,6 +35,7 @@ from strata_bounds.cli import flip_treatment
 from conftest import assert_same_columns
 from oracles import (
     always_observed_treat_prob_oracle,
+    meat_design_oracle,
     oracle_conditional_lee,
     pair_blocks_oracle,
 )
@@ -265,6 +268,87 @@ def test_pair_blocks_matches_oracle(case):
     pairs = pair_blocks(design, needs).pairs
     assert pairs.dtype == np.int64
     assert tuple(map(tuple, pairs.tolist())) == expected
+
+
+@st.composite
+def singleton_arms_strategy(draw):
+    """Blocks of 2-6 units, many with a single treated or control unit.
+
+    The singleton counts of either arm may be odd, so the leftover block is
+    paired outside the set; covariates are optional and take a few values,
+    so their means tie; labels are shuffled against dataset order; outcomes
+    often tie too. A quarter of the designs have two units or more in each
+    arm of every block, which the label-mode meat needs.
+    """
+    two_per_arm = draw(st.integers(0, 3)) == 0
+    n_blocks = draw(st.integers(2, 9))
+    arity = draw(st.integers(0, 2))
+    labels = draw(st.permutations([f"b{g}" for g in range(n_blocks)]))
+    outcome = st.one_of(
+        st.sampled_from([-2.0, 0.0, 1.0, 1.5]),
+        st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+    )
+    y, s, d, blocks, x = [], [], [], [], []
+    for g in range(n_blocks):
+        if two_per_arm:
+            n_g = draw(st.integers(4, 6))
+            t_g = draw(st.integers(2, n_g - 2))
+        else:
+            n_g = draw(st.integers(2, 6))
+            t_g = draw(st.integers(1, n_g - 1))
+        x_g = [draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0])) for _ in range(arity)]
+        for i in range(n_g):
+            treated = i < t_g
+            y.append(draw(outcome))
+            s.append(1 if treated else draw(st.sampled_from([0, 1, 1])))
+            d.append(int(treated))
+            blocks.append(labels[g])
+            x.append(x_g)
+    data = dataset_from_arrays(
+        np.array(y), np.array(s), np.array(d), blocks,
+        x=np.array(x) if arity else None,
+    )
+    return data, block_design(data)
+
+
+def _assert_close_matrix(actual, expected, what):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= 1e-12 * scale, what
+
+
+@given(
+    case=singleton_arms_strategy(),
+    name=st.sampled_from(["lee", "lee-ipw"]),
+    method=st.sampled_from(["design", "label"]),
+)
+@settings(**COMMON)
+def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
+    data, design = case
+    try:
+        _, reports = estimate_bounds(data, design, name, (method,))
+    except EstimationError:
+        return  # the point estimate itself is undefined on this draw
+    report = reports[method]
+    mode = "paired" if method == "design" else "label"
+    if isinstance(report, FeasibilityError):
+        with pytest.raises(FeasibilityError):
+            meat_design_oracle(data, design, np.zeros((data.n, 5)), mode)
+        return
+    if isinstance(report, EstimationError):
+        return  # a bound's fit failed; the error-order tests cover that
+    for side in ("lb", "ub"):
+        meat = getattr(report, f"meat_{side}")
+        fit = getattr(report, f"fit_{side}")
+        expected = meat_design_oracle(data, design, fit.matrix.values, mode)
+        for field in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
+            _assert_close_matrix(getattr(meat, field), expected[field], f"{side} {field}")
+        assert meat.mode == mode
+        assert meat.singleton_treated.tolist() == expected["singleton_treated"]
+        assert meat.singleton_control.tolist() == expected["singleton_control"]
+        for arm in ("treated", "control"):
+            inv = getattr(meat, f"involution_{arm}")
+            pairs = () if inv is None else tuple(map(tuple, inv.pairs.tolist()))
+            assert pairs == expected[f"pairs_{arm}"]
 
 
 @st.composite

@@ -1,8 +1,6 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
-import importlib
 import math
-import pkgutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,13 +18,13 @@ from strata_bounds import (
     simulate_dgp1,
     simulate_dgp2,
 )
-import strata_bounds
 from strata_bounds import (
     jacobian,
     lee_bounds,
     meat_design,
     meat_iid,
     moment_matrix,
+    pair_blocks,
     simulation,
 )
 from strata_bounds.simulation import (
@@ -36,7 +34,7 @@ from strata_bounds.simulation import (
     format_number,
 )
 
-from conftest import assert_same_columns
+from conftest import assert_same_columns, count_calls
 from oracles import oracle_dgp1_truth
 
 
@@ -359,42 +357,26 @@ def test_monte_carlo_panel_composition_changes_no_row(tmp_path, token):
         assert rows == _replication_rows(tmp_path / "alone", (token,))
 
 
-def _count_calls(monkeypatch, functions):
-    """Count calls of each function through every package module binding it."""
-    modules = [strata_bounds] + [
-        importlib.import_module(f"strata_bounds.{info.name}")
-        for info in pkgutil.iter_modules(strata_bounds.__path__)
-    ]
-    counts = {fn.__name__: 0 for fn in functions}
-    for fn in functions:
-        def counted(*args, _fn=fn, **kwargs):
-            counts[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return counts
-
-
 def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
-    counts = _count_calls(
-        monkeypatch, [lee_bounds, moment_matrix, jacobian, meat_iid, meat_design]
+    counts = count_calls(
+        monkeypatch,
+        [lee_bounds, moment_matrix, jacobian, meat_iid, meat_design, pair_blocks],
     )
     config = McConfig(
         dgp="matched_pairs", reps=1, seed=3, n=200,
         estimators=("lee:iid", "lee:design"),
     )
     monte_carlo(config)
-    # one point estimate; one moment matrix and Jacobian per bound; one meat
-    # per bound and method
+    # one point estimate; one moment matrix for both bounds; one Jacobian per
+    # bound; one meat per method on both bounds' stacked moments; one
+    # pairing per arm, since every pair has a singleton treated and control arm
     assert counts == {
         "lee_bounds": 1,
-        "moment_matrix": 2,
+        "moment_matrix": 1,
         "jacobian": 2,
-        "meat_iid": 2,
-        "meat_design": 2,
+        "meat_iid": 1,
+        "meat_design": 1,
+        "pair_blocks": 2,
     }
 
 

@@ -11,6 +11,7 @@ from strata_bounds import (
     FeasibilityError,
     Involution,
     PairingError,
+    SingularJacobianError,
     block_design,
     confidence_intervals,
     dataset_from_arrays,
@@ -24,6 +25,7 @@ from strata_bounds import (
     sandwich_report,
     set_critical_value,
 )
+from strata_bounds import variance
 from strata_bounds.variance import bound_standard_error
 
 from conftest import build_dataset, random_dataset
@@ -459,3 +461,58 @@ def test_estimate_bounds_fails_one_method_alone():
         sandwich_report(data, design, "lee", "label")
     with pytest.raises(ValueError, match="conditional-lee"):
         estimate_bounds(data, design, "conditional-lee", ("iid",))
+
+
+@pytest.mark.parametrize(
+    "failing,expected",
+    [
+        # the lower bound's fit error comes first, even ahead of the label
+        # meat's infeasibility, and no meat is formed
+        ("lb", {"iid": "lb", "design": "lb", "label": "lb"}),
+        # the label meat's infeasibility comes ahead of the upper bound's fit
+        # error; the other meats see the lower bound's moments alone
+        ("ub", {"iid": "ub", "design": "ub", "label": FeasibilityError}),
+        # both bounds fitted: only the label meat fails
+        (None, {"iid": None, "design": None, "label": FeasibilityError}),
+    ],
+)
+@pytest.mark.parametrize("name", ["lee", "lee-ipw"])
+def test_estimate_bounds_keeps_each_methods_error_order(
+    monkeypatch, name, failing, expected
+):
+    data = _matched_pair_data()  # one unit per arm per block
+    design = block_design(data)
+    jacobian = variance.jacobian
+
+    def failing_jacobian(data, design, theta, system, bandwidth=None):
+        if failing is not None and system.endswith(failing):
+            raise SingularJacobianError(system)
+        return jacobian(data, design, theta, system, bandwidth=bandwidth)
+
+    monkeypatch.setattr(variance, "jacobian", failing_jacobian)
+    widths = []  # moment columns each meat was formed on
+
+    def recording(meat, at):
+        def recorded(*args, **kwargs):
+            widths.append(args[at].shape[1])
+            return meat(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(variance, "meat_iid", recording(variance.meat_iid, 0))
+    monkeypatch.setattr(
+        variance, "meat_design", recording(variance.meat_design, 2)
+    )
+    _, reports = estimate_bounds(data, design, name, ("iid", "design", "label"))
+    for method, error in expected.items():
+        report = reports[method]
+        if error is None:
+            assert report.se_lb > 0.0 and report.se_ub > 0.0, method
+        elif isinstance(error, str):
+            assert isinstance(report, SingularJacobianError), method
+            assert str(report).endswith(error), method
+        else:
+            assert isinstance(report, error), method
+    # one meat per method that got past the lower bound, over the bounds
+    # whose fit succeeded
+    assert widths == {"lb": [], "ub": [5, 5, 5], None: [10, 10, 10]}[failing]
