@@ -78,6 +78,25 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=stream, nl=nl)
 
 
+def _read_stdin() -> Dataset:
+    """parse_csv on standard input's bytes, decoded as a path is.
+
+    A stdin that is already a text stream with no byte buffer under it is
+    read as it is.
+    """
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        return parse_csv(sys.stdin)
+    text = io.TextIOWrapper(
+        buffer, encoding="utf-8", errors="surrogateescape", newline=""
+    )
+    try:
+        return parse_csv(text)
+    finally:
+        # leave stdin's buffer open for whoever reads or closes it next
+        text.detach()
+
+
 def flip_treatment(data: Dataset) -> Dataset:
     """Relabel arms (d := 1 - d), keeping outcomes, selection, and blocks."""
     return replace(data, d=1 - data.d)
@@ -249,7 +268,7 @@ def estimate(input_path, estimator, variance, alpha, reverse_monotonicity, fmt):
     """Estimate bounds (and variance) from a unit-level CSV file."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    data = parse_csv(sys.stdin if input_path == "-" else input_path)
+    data = _read_stdin() if input_path == "-" else parse_csv(input_path)
     if reverse_monotonicity:
         data = flip_treatment(data)
     design = block_design(data)

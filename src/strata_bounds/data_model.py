@@ -13,9 +13,9 @@ import csv
 import io
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class Dataset:
             raise ValidationError("unselected unit (s=0) must not carry an outcome")
         if not all(labels):
             raise ValidationError("block label must be a non-empty string")
-        if list(labels) != sorted(labels) or len(set(labels)) != len(labels):
+        # strictly increasing: sorted and distinct in one pass
+        if not all(map(operator.lt, labels, labels[1:])):
             raise ValidationError("block labels must be sorted and distinct")
         if n and (
             codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(labels)
@@ -276,14 +277,22 @@ def _x_columns(header: list[str]) -> list[str]:
 def parse_csv(source) -> Dataset:
     """Parse a CSV with columns y, s, d, block and optional x1..xk.
 
-    The outcome cell must be empty or "NA" exactly when s = 0. Errors name
-    the 1-based data row. Block labels are trimmed strings and are never
-    coerced to numbers.
+    The outcome cell must be empty or "NA" exactly when s = 0. Cells may be
+    quoted, lines may end in CRLF, blank rows are skipped, and a leading
+    byte-order mark is ignored. Errors name the 1-based data row, or the
+    1-based line for a malformed CSV line, a cell longer than
+    csv.field_size_limit() or bytes that are not UTF-8. Block labels are
+    trimmed strings and are never coerced to numbers.
+
+    source is a path, read as UTF-8, or a text stream. Bytes a stream
+    decoded with errors="surrogateescape" are reported like the path's.
     """
     if hasattr(source, "read"):
         return _parse_csv_stream(source)
     try:
-        fh = open(source, "r", newline="", encoding="utf-8")
+        fh = open(
+            source, "r", newline="", encoding="utf-8", errors="surrogateescape"
+        )
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     with fh:
@@ -291,16 +300,26 @@ def parse_csv(source) -> Dataset:
 
 
 def _parse_csv_stream(fh) -> Dataset:
+    """Parse a text stream CSV_CHUNK_ROWS lines at a time.
+
+    A chunk with no '"' and no '\\r' holds one record a line, so it is
+    tokenized with one str.split of its joined text (_split_columns). The
+    first chunk that holds either character hands itself and the rest of
+    the stream to csv.reader, which joins quoted lines into one record.
+    Rows are counted by record and lines by line of text, both from the
+    start of the stream, whichever path reads them.
+    """
     lines = iter(fh)
     # drop the byte-order mark spreadsheet programs write
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,), lines) if first else ())
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty file: no header row") from None
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    header = _read_rows(reader, 0, 1)
+    if not header:
+        raise ParseError("empty file: no header row")
+    header = [h.strip() for h in header[0]]
+    # the header's cells as one line, the last the reader took
+    joined = ",".join(header)
+    _check_utf8(joined, [joined], reader.line_num - 1)
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ParseError(f"missing required columns: {', '.join(missing)}")
@@ -309,18 +328,32 @@ def _parse_csv_stream(fh) -> Dataset:
     width = len(header)
     at = tuple(header.index(name) for name in REQUIRED_COLUMNS)
     x_at = tuple((name, header.index(name)) for name in _x_columns(header))
+    layout = (width, at, x_at)
 
     chunks = []
-    offset = 0
-    try:
-        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-            chunks.append(
-                _canonical_columns(rows, width, at, x_at)
-                or _check_rows(rows, offset, width, at, x_at)
+    offset = 0  # data rows read, by record
+    line_num = reader.line_num  # lines read
+    texts = _line_chunks(lines, line_num)
+    for chunk, text in texts:
+        if '"' in text or "\r" in text:
+            # csv.reader reads this chunk and the rest of the stream
+            rest = itertools.chain.from_iterable(later for later, _ in texts)
+            reader = csv.reader(itertools.chain(chunk, rest))
+            while rows := _read_rows(reader, line_num, CSV_CHUNK_ROWS):
+                chunks.append(
+                    _row_columns(rows, *layout)
+                    or _check_rows(rows, offset, *layout)
+                )
+                offset += len(rows)
+            break
+        chunks.append(
+            _split_columns(chunk, text, *layout)
+            or _check_rows(
+                _read_rows(csv.reader(chunk), line_num), offset, *layout
             )
-            offset += len(rows)
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+        )
+        offset += len(chunk)
+        line_num += len(chunk)
 
     ys, ss, ds, blocks, xs = zip(*chunks) if chunks else ((),) * 5
     if not sum(map(len, ys)):
@@ -333,22 +366,93 @@ def _parse_csv_stream(fh) -> Dataset:
     )
 
 
-def _canonical_columns(rows: list[list[str]], width: int, at, x_at):
-    """The columns of a chunk of rows, validated by column, or None.
+def _read_rows(reader, line_num: int, count: int | None = None) -> list:
+    """Up to count records of a csv.reader (all with None); a csv.Error
+    names its line, counting line_num lines read before the reader's."""
+    try:
+        return list(itertools.islice(reader, count))
+    except csv.Error as exc:
+        raise ParseError(f"line {line_num + reader.line_num}: {exc}") from None
 
-    width is the header's; at holds the positions of y, s, d and block, and
-    x_at the name and position of each covariate.
 
-    This is the fast path for canonical rows: every row full width, s and d
-    exactly "0" or "1", y empty exactly where s = 0 and a finite number
-    elsewhere, non-empty block labels and finite covariates. Anything else,
-    including valid blank rows, spaces and "NA", returns None and is left to
-    _check_rows, which gives the same columns or the row's error.
+def _check_utf8(text: str, chunk: list[str], line_num: int) -> None:
+    """Refuse text holding bytes that were not UTF-8.
+
+    A stream decoded with errors="surrogateescape" keeps such bytes as lone
+    surrogates, which valid UTF-8 never decodes to and str.encode refuses.
+    text is the lines of chunk joined; the error names the line of the
+    first such byte, counting line_num lines before the chunk.
     """
-    m = len(rows)
+    if text.isascii():
+        return
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        ends = itertools.accumulate(map(len, chunk))
+        before = sum(1 for end in ends if end <= exc.start)
+        raise ParseError(
+            f"line {line_num + before + 1}: input is not valid UTF-8"
+        ) from None
+
+
+def _line_chunks(lines, line_num: int):
+    """Chunks of CSV_CHUNK_ROWS lines with their joined text, each checked
+    to be UTF-8; line_num counts the lines read before."""
+    while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
+        text = "".join(chunk)
+        _check_utf8(text, chunk, line_num)
+        yield chunk, text
+        line_num += len(chunk)
+
+
+def _split_columns(chunk: list[str], text: str, width: int, at, x_at):
+    """The columns of a chunk of quote-free lines, tokenized by one split,
+    or None.
+
+    text is the chunk joined and holds no '"' and no '\\r', so each line
+    is one record whose cells are its comma-separated pieces, as csv.reader
+    gives them, if no cell passes csv.field_size_limit(). That holds when
+    every line, the last possibly without its newline, has exactly
+    width - 1 commas and no line is longer than the limit. Otherwise, or if
+    _columns refuses the cells, None.
+    """
+    m = len(chunk)
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    # in each line, width - 1 commas and then the newline
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if (
+        seps.size != m * width - (not text.endswith("\n"))
+        or (raw[seps[width - 1::width]] != ord("\n")).any()
+        or max(map(len, chunk)) > csv.field_size_limit()
+    ):
+        return None
+    return _columns(text.replace("\n", ",").split(","), m, width, at, x_at)
+
+
+def _row_columns(rows: list[list[str]], width: int, at, x_at):
+    """The columns of a chunk of csv.reader rows, or None: see _columns."""
     if set(map(len, rows)) != {width}:
         return None
-    y_col, s_col, d_col, block_col = (list(map(itemgetter(i), rows)) for i in at)
+    return _columns(
+        list(itertools.chain.from_iterable(rows)), len(rows), width, at, x_at
+    )
+
+
+def _columns(cells: list[str], m: int, width: int, at, x_at):
+    """The columns of m full-width rows, validated by column, or None.
+
+    cells holds the rows' cells in order, row after row, and may run on
+    past them; width is the header's; at holds the positions of y, s, d and
+    block, and x_at the name and position of each covariate.
+
+    This is the fast path for canonical rows: s and d exactly "0" or "1",
+    y empty exactly where s = 0 and a finite number elsewhere, non-empty
+    block labels and finite covariates. Anything else, including valid
+    spaces and "NA", returns None and is left to _check_rows, which gives
+    the same columns or the row's error.
+    """
+    end = m * width
+    y_col, s_col, d_col, block_col = (cells[i:end:width] for i in at)
     if not {*s_col, *d_col} <= {"0", "1"}:
         return None
     # each s and d cell is one character, so its column joins to one byte a row
@@ -361,9 +465,9 @@ def _canonical_columns(rows: list[list[str]], width: int, at, x_at):
     try:
         # numpy converts each string with float(), as _check_rows does; an
         # empty y where s = 1 fails here
-        y_obs = np.array(list(itertools.compress(y_col, (s == 1).tolist())), dtype=float)
+        y_obs = np.array(list(itertools.compress(y_col, s.tolist())), dtype=float)
         x = np.array(
-            [list(map(itemgetter(i), rows)) for _, i in x_at], dtype=float
+            [cells[i:end:width] for _, i in x_at], dtype=float
         ).reshape(-1, m).T
     except ValueError:
         return None

@@ -1,13 +1,16 @@
 """Shared dataset builders for the test suite."""
 
 import importlib
+import io
 import pkgutil
 
 import numpy as np
 import pytest
 
 import strata_bounds
-from strata_bounds import dataset_from_arrays
+from strata_bounds import ParseError, dataset_from_arrays, parse_csv
+
+from oracles import OracleParseError, oracle_parse_csv
 
 
 def count_calls(monkeypatch, functions):
@@ -44,6 +47,30 @@ def assert_same_columns(a, b):
     assert (a.x is None) == (b.x is None)
     if a.x is not None:
         np.testing.assert_array_equal(a.x, b.x, strict=True)
+
+
+def assert_parses_like_oracle(text):
+    """parse_csv reads text, as a file opened with newline="" gives it, to
+    the columns of oracles.oracle_parse_csv, or fails with its message."""
+    stream = io.StringIO(text, newline="")
+    try:
+        y, s, d, blocks, x = oracle_parse_csv(text)
+    except OracleParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_csv(stream)
+        assert str(info.value) == str(exc)
+        return
+    data = parse_csv(stream)
+    np.testing.assert_array_equal(data.y, np.array(y, dtype=float), strict=True)
+    np.testing.assert_array_equal(data.s, np.array(s, dtype=np.int64), strict=True)
+    np.testing.assert_array_equal(data.d, np.array(d, dtype=np.int64), strict=True)
+    labels = sorted(set(blocks))
+    assert data.labels == tuple(labels)
+    assert data.codes.tolist() == [labels.index(b) for b in blocks]
+    if x[0]:
+        np.testing.assert_array_equal(data.x, np.array(x), strict=True)
+    else:
+        assert data.x is None
 
 
 def hand_arrays():

@@ -9,6 +9,8 @@ population Jacobians. Tests compare library output against these.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -16,6 +18,92 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import brentq
+
+
+# ---------------------------------------------------------------------------
+# CSV input, read whole
+# ---------------------------------------------------------------------------
+
+class OracleParseError(Exception):
+    """The message parse_csv's ParseError should carry for the same text."""
+
+
+def oracle_parse_csv(text):
+    """Read CSV text the plain way: csv.reader over all of it, then each row
+    in turn, with no chunks and no fast path.
+
+    Returns (y, s, d, blocks, x) as lists, one entry per data row kept, with
+    y nan where s = 0 and x a list of covariate rows; raises
+    OracleParseError with the message parse_csv gives. Rows count records
+    and lines count lines, from 1; a csv.Error or a lone surrogate (a byte
+    that was not UTF-8, kept by errors="surrogateescape") names its line.
+    Meant for text with at most one fault: parse_csv reads in chunks, so
+    which of two faults it reports first can depend on the chunk size.
+    """
+    text = text.removeprefix("\ufeff")
+    lines = io.StringIO(text, newline="").readlines()
+    for number, line in enumerate(lines, start=1):
+        if any(0xD800 <= ord(ch) <= 0xDFFF for ch in line):
+            raise OracleParseError(f"line {number}: input is not valid UTF-8")
+    reader = csv.reader(lines)
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise OracleParseError(f"line {reader.line_num}: {exc}") from None
+    if not records:
+        raise OracleParseError("empty file: no header row")
+    header = [name.strip() for name in records[0]]
+    missing = [c for c in ("y", "s", "d", "block") if c not in header]
+    if missing:
+        raise OracleParseError(f"missing required columns: {', '.join(missing)}")
+    if len(set(header)) != len(header):
+        raise OracleParseError("duplicate column names in header")
+    extras = sorted(c for c in header if c not in ("y", "s", "d", "block"))
+    k = len(extras)
+    if extras != sorted(f"x{j}" for j in range(1, k + 1)):
+        raise OracleParseError(
+            "covariate columns must be named x1..xk with no gaps; "
+            f"got {', '.join(extras)}"
+        )
+
+    def fail(row, what):
+        raise OracleParseError(f"row {row}: {what}")
+
+    def number(raw, row, name, show):
+        try:
+            value = float(raw)
+        except ValueError:
+            fail(row, f"{name} must be numeric, got {raw!r}")
+        if not math.isfinite(value):
+            fail(row, f"{name} must be finite" + (f", got {raw!r}" if show else ""))
+        return value
+
+    ys, ss, ds, blocks, xs = [], [], [], [], []
+    for row, record in enumerate(records[1:], start=1):
+        if not any(raw.strip() for raw in record):
+            continue
+        cell = {name: raw.strip() for name, raw in zip(header, record)}
+        if len(record) != len(header):
+            fail(row, f"expected {len(header)} cells, got {len(record)}")
+        for name in ("s", "d"):
+            if cell[name] not in ("0", "1"):
+                fail(row, f"{name} must be 0 or 1, got {cell[name]!r}")
+        missing_y = cell["y"].upper() in ("", "NA")
+        if cell["s"] == "1" and missing_y:
+            fail(row, "y is missing but s = 1")
+        if cell["s"] == "0" and not missing_y:
+            fail(row, "y is present but s = 0")
+        y = math.nan if missing_y else number(cell["y"], row, "y", True)
+        if not cell["block"]:
+            fail(row, "block label is empty")
+        xs.append([number(cell[f"x{j}"], row, f"x{j}", False) for j in range(1, k + 1)])
+        ys.append(y)
+        ss.append(int(cell["s"]))
+        ds.append(int(cell["d"]))
+        blocks.append(cell["block"])
+    if not ys:
+        raise OracleParseError("no data rows")
+    return ys, ss, ds, blocks, xs
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,28 @@ def test_estimate_reads_byte_order_mark_on_stdin():
     assert json.loads(result.output)["results"][0]["n"] == 4
 
 
+NOT_UTF8 = b"y,s,d,block\n1,1,1,a\xff\n2,1,0,a\n"
+
+
+def test_estimate_refuses_a_path_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: line 2: input is not valid UTF-8\n")
+
+
+def test_estimate_refuses_stdin_that_is_not_utf8(capsys, monkeypatch):
+    # as the interpreter opens it: bytes under a text layer that keeps
+    # undecodable bytes as surrogates
+    stdin = io.TextIOWrapper(
+        io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "estimate", "--input", "-")
+    assert (code, out, err) == (1, "", "error: line 2: input is not valid UTF-8\n")
+    assert not stdin.buffer.closed
+
+
 # three observed treated, one of three controls observed: the kept treated
 # mass is exactly one unit, though (1 - q) * 3 rounds to just below one
 ONE_UNIT_KEPT = (

@@ -21,7 +21,12 @@ from strata_bounds import (
     write_csv,
 )
 
-from conftest import assert_same_columns, build_dataset, hand_arrays
+from conftest import (
+    assert_parses_like_oracle,
+    assert_same_columns,
+    build_dataset,
+    hand_arrays,
+)
 
 from frozen_values import DESIGN_ETAS, DESIGN_P_HAT
 
@@ -370,6 +375,100 @@ def test_parse_csv_reads_non_canonical_rows_like_canonical_ones(
     stdin = io.TextIOWrapper(io.BytesIO(mixed.encode("utf-8")), encoding="utf-8")
     assert_same_columns(parse_csv(stdin), want)
     np.testing.assert_array_equal(parse_csv(str(path)).codes, want.codes, strict=True)
+
+
+def _data_lines(n_rows, label=lambda g: f"g{g}"):
+    """n_rows valid canonical data lines, two units (one per arm) a block."""
+    return [
+        ",".join(["" if i % 3 == 2 else f"{i}.5", "0" if i % 3 == 2 else "1",
+                  str(i % 2), label(i // 2)])
+        for i in range(n_rows)
+    ]
+
+
+def _csv(lines, end="\n"):
+    return "y,s,d,block\n" + "\n".join(lines) + end
+
+
+def _quoted_label_at(k):
+    """Data lines k and k + 1 with a label holding a newline inside quotes:
+    each record spans two lines, so 20 records take 22 lines."""
+    lines = _data_lines(20)
+    lines[k - 1] = lines[k - 1].rsplit(",", 1)[0] + ',"g9\nbis"'
+    lines[k] = lines[k].rsplit(",", 1)[0] + ',"g9\nbis"'
+    return lines
+
+
+# texts the one-split tokenizer must read as csv.reader does, each placed so
+# that some chunk size puts a chunk boundary at or next to the edge
+TOKENIZER_EDGES = {
+    # a line with an extra cell, then one with a cell fewer: the commas of
+    # the chunk add up, and its cells split at every comma would still make
+    # two valid rows
+    "widths_cancel": _csv(
+        _data_lines(6) + ["2.5,1,1,g3,1", "1,0,g3"] + _data_lines(12)[8:]
+    ),
+    "quote_in_later_chunk": _csv(
+        _data_lines(12) + ['"4.5",1,1,"g6"', '" 5.5 ",1,0,g6']
+    ),
+    "cr_in_later_chunk": _csv(_data_lines(12))
+    + "\r\n".join(["6.5,1,1,g6", "7.5,1,0,g6"]) + "\r\n",
+    "quoted_newline_opens_line_5": _csv(_quoted_label_at(5)),
+    "quoted_newline_opens_line_7": _csv(_quoted_label_at(7)),
+    "row_error_after_a_quoted_newline": _csv(_quoted_label_at(5) + ["1,2,1,g0"]),
+    "line_error_after_a_quoted_newline": _csv(
+        _quoted_label_at(5) + ["1,1,1," + "b" * 200_000]
+    ),
+    "multi_byte_labels": _csv(_data_lines(14, label=lambda g: "é日" * (g % 3 + 1) + "😀" * g)),
+    "no_final_newline": _csv(_data_lines(14), end=""),
+    "blank_lines": _csv(
+        _data_lines(3) + ["", "   ", "\t"] + _data_lines(10)[3:] + ["", " , , , "]
+    ),
+    "oversized_cell_past_the_first_chunk": _csv(
+        _data_lines(12) + ["1,1,1," + "b" * 200_000] + _data_lines(2)
+    ),
+    # a byte that was not UTF-8, as errors="surrogateescape" keeps it, after
+    # lines whose characters take more than one byte
+    "byte_not_utf8_past_the_first_chunk": _csv(
+        _data_lines(12, label=lambda g: f"é{g}") + ["1,1,1,é\udcff"] + _data_lines(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 5, 7])
+@pytest.mark.parametrize("case", sorted(TOKENIZER_EDGES))
+def test_parse_csv_tokenizer_edges_read_like_csv_reader(monkeypatch, chunk_rows, case):
+    if chunk_rows is not None:
+        monkeypatch.setattr(data_model, "CSV_CHUNK_ROWS", chunk_rows)
+    assert_parses_like_oracle(TOKENIZER_EDGES[case])
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("widths_cancel", "row 7: expected 4 cells, got 5"),
+        ("row_error_after_a_quoted_newline", "row 21: s must be 0 or 1, got '2'"),
+        ("line_error_after_a_quoted_newline", "line 24: field larger than field limit"),
+        ("oversized_cell_past_the_first_chunk", "line 14: field larger than field limit"),
+        ("byte_not_utf8_past_the_first_chunk", "line 14: input is not valid UTF-8"),
+    ],
+)
+def test_parse_csv_tokenizer_edges_name_rows_and_lines(case, message):
+    # rows count records and lines count lines: a quoted newline makes two
+    # lines of one record
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_csv(io.StringIO(TOKENIZER_EDGES[case], newline=""))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 5, 7])
+def test_parse_csv_refuses_a_carriage_return_inside_a_line(monkeypatch, chunk_rows):
+    # a stream that splits lines only at "\n" can hold a "\r" inside one;
+    # csv.reader refuses it even where float() would not
+    if chunk_rows is not None:
+        monkeypatch.setattr(data_model, "CSV_CHUNK_ROWS", chunk_rows)
+    text = _csv(_data_lines(12) + ["1.5\r,1,1,g6", "2.5,1,0,g6"])
+    with pytest.raises(ParseError, match="^line 14: new-line character seen"):
+        parse_csv(io.StringIO(text))
 
 
 @pytest.mark.parametrize("line", [1, 3])

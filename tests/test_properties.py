@@ -2,11 +2,13 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strata_bounds import data_model
 from strata_bounds import (
     EstimationError,
     FeasibilityError,
@@ -32,7 +34,7 @@ from scipy.stats import norm
 
 from strata_bounds.cli import flip_treatment
 
-from conftest import assert_same_columns
+from conftest import assert_parses_like_oracle, assert_same_columns
 from oracles import (
     always_observed_treat_prob_oracle,
     meat_design_oracle,
@@ -126,6 +128,80 @@ def test_csv_round_trip_is_lossless(parts):
     data = dataset_from_arrays(np.where(s == 1, y, np.nan), s, d, blocks)
     back = parse_csv(io.StringIO(dataset_to_csv_text(data)))
     assert_same_columns(back, data)
+
+
+# one bad row at most: name -> how it changes a valid row's cells, or None
+BAD_ROWS = {
+    "wide": lambda cells: [*cells.values(), "9"],
+    "narrow": lambda cells: list(cells.values())[:-1],
+    "s": lambda cells: {**cells, "s": "2"},
+    "d": lambda cells: {**cells, "d": " yes "},
+    "y_where_s_is_0": lambda cells: {**cells, "y": "3", "s": "0"},
+    "y_missing": lambda cells: {**cells, "y": "NA", "s": "1"},
+    "y_text": lambda cells: {**cells, "y": "abc", "s": "1"},
+    "y_inf": lambda cells: {**cells, "y": "-inf", "s": "1"},
+    "block": lambda cells: {**cells, "block": "  "},
+    "x": lambda cells: {**cells, "x1": "nan"} if "x1" in cells else None,
+}
+
+
+@st.composite
+def csv_text_strategy(draw):
+    """CSV text mixing canonical rows with spaces, NA and na, blank rows,
+    quoted cells (some holding a comma or a newline), CRLF line ends from
+    some line on, 0-2 covariates, columns in any order and at most one bad
+    row; and a chunk size. Its valid rows always make a valid dataset."""
+    k = draw(st.integers(0, 2))
+    names = draw(st.permutations(["y", "s", "d", "block"] + [f"x{j}" for j in range(1, k + 1)]))
+    number = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    rows = []
+    for g in range(draw(st.integers(1, 5))):
+        label = draw(st.sampled_from(["g{}"] * 4 + [" g{} ", "é{}日", "g{},c", "g\n{}"])).format(g)
+        for d in [1, 0] + draw(st.lists(st.integers(0, 1), max_size=3)):
+            s = draw(st.integers(0, 1))
+            cells = {
+                "y": draw(number) if s else draw(st.sampled_from(["", "NA", "na", " "])),
+                "s": str(s), "d": str(d), "block": label,
+                **{f"x{j}": draw(number) for j in range(1, k + 1)},
+            }
+            rows.append({name: cells[name] for name in names})
+    rows = draw(st.permutations(rows))
+    bad = draw(st.sampled_from([None] * 4 + sorted(BAD_ROWS)))
+    if bad is not None and (cells := BAD_ROWS[bad](rows[0])) is not None:
+        rows.insert(draw(st.integers(0, len(rows))), cells)
+
+    lines = []
+    for cells in rows:
+        cells = list(cells.values()) if isinstance(cells, dict) else cells
+        style = draw(st.sampled_from(["plain"] * 8 + ["spaces", "quoted"]))
+        if style == "spaces":
+            cells = [f" {c}  " if "," not in c and "\n" not in c else c for c in cells]
+        lines.append(",".join(
+            f'"{c}"' if style == "quoted" or "," in c or "\n" in c else c
+            for c in cells
+        ))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", " ," * len(names)])))
+    crlf_from = draw(st.one_of(st.none(), st.integers(0, len(lines))))
+    ends = [
+        "\r\n" if crlf_from is not None and i >= crlf_from else "\n"
+        for i in range(len(lines) + 1)
+    ]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    head = draw(st.sampled_from(["", "\ufeff"])) + ",".join(names)
+    text = "".join(line + end for line, end in zip([head] + lines, ends))
+    return text, draw(st.sampled_from([1, 2, 3, 5, 7, 4096]))
+
+
+@given(case=csv_text_strategy())
+@settings(**COMMON)
+def test_parse_csv_matches_the_reference_parser(case):
+    # the columns, codes and labels of oracle_parse_csv, or its message,
+    # whatever the chunk size
+    text, chunk_rows = case
+    with mock.patch.object(data_model, "CSV_CHUNK_ROWS", chunk_rows):
+        assert_parses_like_oracle(text)
 
 
 def _pooled_bounds(data):
