@@ -27,6 +27,10 @@ REQUIRED_COLUMNS = ("y", "s", "d", "block")
 CSV_CHUNK_ROWS = 4096
 # block labels an error message names before it gives only their count
 LABELS_IN_MESSAGE = 5
+# the table _reusable_labels was given last and its checked copy, which
+# Dataset takes unchecked (() passes the checks, so it stands for none). By
+# identity: (1,) and (1.0,) compare alike, but read "1" and "1.0".
+_reused_labels = ((), ())
 
 
 def _name_blocks(labels, indices) -> str:
@@ -101,7 +105,6 @@ class Dataset:
         d = _indicator(self.d, "d")
         y = np.array(self.y, dtype=float)
         codes = np.array(self.codes)
-        labels = tuple(map(str.strip, map(str, self.labels)))
         n = s.size
         if s.shape != (n,) or y.shape != (n,) or d.shape != (n,) or codes.shape != (n,):
             raise ValidationError("y, s, d and block need one entry per unit")
@@ -109,11 +112,8 @@ class Dataset:
             raise ValidationError("selected unit (s=1) must carry a finite outcome")
         if not np.isnan(y[s == 0]).all():
             raise ValidationError("unselected unit (s=0) must not carry an outcome")
-        if not all(labels):
-            raise ValidationError("block label must be a non-empty string")
-        # strictly increasing: sorted and distinct in one pass
-        if not all(map(operator.lt, labels, labels[1:])):
-            raise ValidationError("block labels must be sorted and distinct")
+        labels = self.labels
+        labels = labels if labels is _reused_labels[1] else _label_table(labels)
         if n and (
             codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(labels)
         ):
@@ -150,6 +150,29 @@ class Dataset:
     def blocks(self) -> tuple[str, ...]:
         """One block label per unit, in dataset order."""
         return tuple(map(self.labels.__getitem__, self.codes.tolist()))
+
+
+def _label_table(table) -> tuple[str, ...]:
+    """The block labels as trimmed strings, checked non-empty and strictly
+    increasing."""
+    labels = tuple(map(str.strip, map(str, table)))
+    if not all(labels):
+        raise ValidationError("block label must be a non-empty string")
+    # strictly increasing: sorted and distinct in one pass
+    if not all(map(operator.lt, labels, labels[1:])):
+        raise ValidationError("block labels must be sorted and distinct")
+    return labels
+
+
+def _reusable_labels(table: tuple[str, ...]) -> tuple[str, ...]:
+    """_label_table(table) for a table of str that many Datasets share: they
+    take the returned tuple unchecked. Only the last table is kept, and held,
+    so no other object can pass for it."""
+    global _reused_labels
+    reused = _reused_labels
+    if table is not reused[0]:
+        reused = _reused_labels = (table, _label_table(table))
+    return reused[1]
 
 
 def _encode_labels(labels: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -285,10 +308,15 @@ def parse_csv(source) -> Dataset:
     trimmed strings and are never coerced to numbers.
 
     source is a path, read as UTF-8, or a text stream. Bytes a stream
-    decoded with errors="surrogateescape" are reported like the path's.
+    decoded with errors="surrogateescape" are reported like the path's; a
+    stream that decodes strictly fails while it fills its read-ahead, before
+    the line that holds them is known, so its error names no line.
     """
     if hasattr(source, "read"):
-        return _parse_csv_stream(source)
+        try:
+            return _parse_csv_stream(source)
+        except UnicodeDecodeError:
+            raise ParseError("input is not valid UTF-8") from None
     try:
         fh = open(
             source, "r", newline="", encoding="utf-8", errors="surrogateescape"
@@ -302,12 +330,12 @@ def parse_csv(source) -> Dataset:
 def _parse_csv_stream(fh) -> Dataset:
     """Parse a text stream CSV_CHUNK_ROWS lines at a time.
 
-    A chunk with no '"' and no '\\r' holds one record a line, so it is
-    tokenized with one str.split of its joined text (_split_columns). The
-    first chunk that holds either character hands itself and the rest of
-    the stream to csv.reader, which joins quoted lines into one record.
-    Rows are counted by record and lines by line of text, both from the
-    start of the stream, whichever path reads them.
+    A chunk with no '"', whose every '\\r' is in a CRLF line end, holds
+    one record a line, so it is tokenized with one str.split of its joined
+    text, CRLF read as '\\n' (_split_columns). The first other chunk hands
+    itself and the rest of the stream to csv.reader, which joins quoted
+    lines into one record. Rows are counted by record and lines by line of
+    text, both from the start of the stream, whichever path reads them.
     """
     lines = iter(fh)
     # drop the byte-order mark spreadsheet programs write
@@ -335,7 +363,11 @@ def _parse_csv_stream(fh) -> Dataset:
     line_num = reader.line_num  # lines read
     texts = _line_chunks(lines, line_num)
     for chunk, text in texts:
-        if '"' in text or "\r" in text:
+        crlf = "\r" in text
+        if crlf and '"' not in text and text.count("\r") == text.count("\r\n"):
+            # every '\r' ends a line, so each line is still one record
+            text, crlf = text.replace("\r\n", "\n"), False
+        if crlf or '"' in text:
             # csv.reader reads this chunk and the rest of the stream
             rest = itertools.chain.from_iterable(later for later, _ in texts)
             reader = csv.reader(itertools.chain(chunk, rest))
@@ -409,12 +441,12 @@ def _split_columns(chunk: list[str], text: str, width: int, at, x_at):
     """The columns of a chunk of quote-free lines, tokenized by one split,
     or None.
 
-    text is the chunk joined and holds no '"' and no '\\r', so each line
-    is one record whose cells are its comma-separated pieces, as csv.reader
-    gives them, if no cell passes csv.field_size_limit(). That holds when
-    every line, the last possibly without its newline, has exactly
-    width - 1 commas and no line is longer than the limit. Otherwise, or if
-    _columns refuses the cells, None.
+    text is the chunk joined, CRLF line ends read as '\\n', and holds no
+    '"' and no '\\r', so each line is one record whose cells are its
+    comma-separated pieces, as csv.reader gives them, if no cell passes
+    csv.field_size_limit(). That holds when every line, the last possibly
+    without its newline, has exactly width - 1 commas and no line is longer
+    than the limit. Otherwise, or if _columns refuses the cells, None.
     """
     m = len(chunk)
     raw = np.frombuffer(text.encode(), dtype=np.uint8)

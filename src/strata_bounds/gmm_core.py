@@ -11,7 +11,9 @@ fills one moment-major buffer, five rows per bound, from columns it computes
 once, and each bound's fit holds its five-column block. Standard errors use a
 smoothed analytic Jacobian: indicator terms are replaced by normal-kernel
 CDFs with a Silverman bandwidth, differentiated exactly in the parameters.
-Point estimates are never smoothed.
+The moment pass keeps what the Jacobian reads of the data (the trimming
+sample and a few sums, not the n-sized columns), so a fit is differentiated
+without building its columns again. Point estimates are never smoothed.
 """
 
 from __future__ import annotations
@@ -88,6 +90,27 @@ class LeeIpwTheta:
 
 
 @dataclass(frozen=True, eq=False)
+class FitContext:
+    """What jacobian reads of the data at one rescaling of the treated
+    outcome; the moment pass keeps one, shared by the bounds it fits.
+
+    sample is the observed-treated trimming sample and bandwidth its
+    Silverman bandwidth, or None where it is too small for one. n counts the
+    units and n_treated the treated ones. control is the sum of s(1 - d),
+    weighted by w_c in the weighted system, which also reads m_sum, the sum
+    of m_i, and the pooled treated share p_hat.
+    """
+
+    n: int
+    sample: np.ndarray
+    bandwidth: float | None
+    n_treated: float
+    control: float
+    m_sum: float = 0.0
+    p_hat: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
 class MomentMatrix:
     """Per-unit moment values of one or more bounds, with residual checks.
 
@@ -97,16 +120,20 @@ class MomentMatrix:
     |residual| <= bound: rows solved exactly get 1e-8; the trimmed-mean and
     tail-share rows get boundary-tie bounds; a clamped trimming share exempts
     the selection-rate relation row (its mean is the monotonicity violation).
-    bandwidths holds per bound the Silverman bandwidth of its
-    observed-treated trimming sample, or None where that sample is too small
-    for one.
+    contexts holds per bound the FitContext its Jacobian reads.
     """
 
     values: np.ndarray
     residuals: np.ndarray
     bounds: np.ndarray
     checked: np.ndarray
-    bandwidths: tuple[float | None, ...]
+    contexts: tuple[FitContext, ...]
+
+    @property
+    def bandwidths(self) -> tuple[float | None, ...]:
+        """Per bound, the Silverman bandwidth of its observed-treated
+        trimming sample, or None where that sample is too small for one."""
+        return tuple(context.bandwidth for context in self.contexts)
 
     @property
     def ok(self) -> bool:
@@ -129,7 +156,7 @@ class MomentMatrix:
             residuals=self.residuals[rows],
             bounds=self.bounds[rows],
             checked=self.checked[rows],
-            bandwidths=self.bandwidths[k : k + 1],
+            contexts=self.contexts[k : k + 1],
         )
 
 
@@ -152,11 +179,6 @@ def _split_system(system: str) -> tuple[str, str]:
     return kind, side
 
 
-def _filled_outcome(data: Dataset) -> np.ndarray:
-    """Outcome column with zeros where unobserved (every use carries an s factor)."""
-    return np.where(data.s == 1, np.nan_to_num(data.y, nan=0.0), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # vectorized moment matrices with residual certification
 # ---------------------------------------------------------------------------
@@ -174,7 +196,9 @@ def moment_matrix(
     weighted); bound k fills rows 5k..5k+4 of one (5k, n) moment-major
     buffer. The columns every bound uses (filled outcome, s, d, their
     products, the weighted system's per-unit block arrays and the
-    observed-treated trimming sample with its bandwidth) are computed once.
+    observed-treated trimming sample with its bandwidth) are computed once;
+    of them, only the sample and a few sums outlive the call, in each
+    bound's FitContext.
     """
     if len(thetas) != len(systems) or not systems:
         raise ValueError("moment_matrix needs one theta per system")
@@ -183,27 +207,32 @@ def moment_matrix(
         raise ValueError(f"systems must share one kind, got {systems}")
     kind = kinds[0]
     n = data.n
-    y0 = _filled_outcome(data)
+    y0 = np.nan_to_num(data.y, nan=0.0)  # zero where unobserved
     s = data.s.astype(float)
     d = data.d.astype(float)
     d0 = 1.0 - d
     sd = s * d
     s0d = s * d0
     treated = sd > 0
+    sums = dict(n_treated=float(d.sum()), control=float(s0d.sum()))
     if kind == "ipw":
         eta_i, m_i, w_c, w_q = _per_unit_block_arrays(data, design)
         p_hat = design.p_hat
         control_rate = (1.0 / (1.0 - p_hat)) * s0d * w_q
+        sums.update(  # the weighted system weights its controls by w_c
+            control=float((s0d * w_c).sum()), m_sum=float(m_i.sum()), p_hat=p_hat
+        )
 
     # each row is written in place, so a bound adds no n-sized temporaries
     # beyond its kept indicator
     buf = np.empty((5 * len(systems), n))
     bounds = np.full(buf.shape[0], EXACT_ROW_TOL)
     checked = np.ones(buf.shape[0], dtype=bool)
-    bandwidths = []
+    contexts = []
     # per rescaling of the treated outcome (delta; None for the pooled
-    # system): the trimmed values, their observed-treated sample, its largest
-    # magnitude and its bandwidth, which the bounds of one fit share
+    # system): the trimmed values, the FitContext of their observed-treated
+    # sample and the sample's largest magnitude, which the bounds of one fit
+    # share
     samples = {}
     for k, (theta, side) in enumerate(zip(thetas, sides)):
         rows = buf[5 * k : 5 * k + 5]
@@ -211,13 +240,16 @@ def moment_matrix(
         if rescale not in samples:
             trim_values = y0 if kind == "lee" else (theta.delta / eta_i) * y0
             sample = trim_values[treated]
-            samples[rescale] = (
-                trim_values,
-                sample,
-                float(np.max(np.abs(sample))) if sample.size else 0.0,
-                silverman_bandwidth(sample) if sample.size >= 2 else None,
+            sample.setflags(write=False)
+            context = FitContext(
+                n=n, sample=sample,
+                bandwidth=silverman_bandwidth(sample) if sample.size >= 2 else None,
+                **sums,
             )
-        trim_values, sample, max_abs, bandwidth = samples[rescale]
+            max_abs = float(np.max(np.abs(sample))) if sample.size else 0.0
+            samples[rescale] = (trim_values, context, max_abs)
+        trim_values, context, max_abs = samples[rescale]
+        sample = context.sample
         if side == "lb":
             kept = trim_values <= theta.cutoff
         else:
@@ -248,7 +280,7 @@ def moment_matrix(
             rows[4] -= control_rate
             rate_row = 4
 
-        bandwidths.append(bandwidth)
+        contexts.append(context)
         ties = int(np.count_nonzero(sample == theta.cutoff))
         slack = 1e-9 * (1.0 + max_abs)
         bounds[5 * k] = (2.0 * ties * max_abs + slack) / n
@@ -261,7 +293,7 @@ def moment_matrix(
         residuals=buf.mean(axis=1),
         bounds=bounds,
         checked=checked,
-        bandwidths=tuple(bandwidths),
+        contexts=tuple(contexts),
     )
 
 
@@ -382,78 +414,52 @@ def jacobian(
     theta: LeeTheta | LeeIpwTheta,
     system: str,
     bandwidth: float | None = None,
+    context: FitContext | None = None,
 ) -> np.ndarray:
     """Mean derivative matrix of the smoothed system at theta.
 
     Indicators 1{v <= c} / 1{v >= c} become normal CDFs at bandwidth h; every
-    entry is the exact derivative of the smoothed column mean. Raises if the
-    result is not finite or numerically singular (1-norm condition > 1e12).
+    entry is the exact derivative of the smoothed column mean. context is
+    what the moment pass of a fit at theta kept (FitResult.matrix.contexts);
+    without it, one is built from data and design. bandwidth defaults to the
+    Silverman bandwidth of its sample. Raises if the result is not finite or
+    numerically singular (1-norm condition > 1e12).
     """
     kind, side = _split_system(system)
-    n = data.n
-    y0 = _filled_outcome(data)
-    s = data.s.astype(float)
-    d = data.d.astype(float)
-    mask1 = (s * d) > 0
-    n1 = float(mask1.sum())
-    n_treated = float(d.sum())
-    n_control = float(n - n_treated)
+    if context is None:
+        (context,) = moment_matrix(data, design, (theta,), (system,)).contexts
+    n = context.n
+    sample = context.sample
+    h = bandwidth if bandwidth is not None else context.bandwidth
+    if h is None:
+        h = silverman_bandwidth(sample)  # raises: too few trimmed outcomes
+    sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
+    u = (theta.cutoff - sample) / h  # positive inside the kept lower tail
+    big_phi_kept = ndtr(sign * u)
+    small_phi = _phi(u) / h
+    dev_phi = (sample - theta.mu1) * small_phi
+    n1 = float(sample.size)
 
     jac = np.zeros((5, 5))
+    jac[0, 0] = -big_phi_kept.sum() / n
+    jac[0, 2] = sign * dev_phi.sum() / n
+    jac[1, 1] = -context.control / n
+    jac[2, 2] = -sign * small_phi.sum() / n
     if kind == "lee":
         assert isinstance(theta, LeeTheta)
-        v = y0
-        sample = v[mask1]
-        h = bandwidth if bandwidth is not None else silverman_bandwidth(sample)
-        u = (theta.cutoff - sample) / h  # positive inside the kept lower tail
-        big_phi_kept = ndtr(u) if side == "lb" else ndtr(-u)
-        small_phi = _phi(u) / h
-        dev = sample - theta.mu1
-
-        jac[0, 0] = -big_phi_kept.sum() / n
-        jac[0, 2] = (
-            (dev * small_phi).sum() / n
-            if side == "lb"
-            else -(dev * small_phi).sum() / n
-        )
-        jac[1, 1] = -float((s * (1.0 - d)).sum()) / n
-        jac[2, 2] = (-small_phi.sum() if side == "lb" else small_phi.sum()) / n
         jac[2, 3] = -n1 / n
+        n_treated = context.n_treated
         jac[3, 3] = -theta.alpha * n_treated / ((1.0 - theta.p) ** 2 * n)
         jac[3, 4] = -n_treated / ((1.0 - theta.p) * n)
-        jac[4, 4] = -n_control / n
+        jac[4, 4] = -float(n - n_treated) / n
     else:
         assert isinstance(theta, LeeIpwTheta)
-        eta_i, m_i, w_c, w_q = _per_unit_block_arrays(data, design)
-        p_hat = design.p_hat
-        v = (theta.delta / eta_i) * y0
-        sample = v[mask1]
-        h = bandwidth if bandwidth is not None else silverman_bandwidth(sample)
-        u = (theta.cutoff - sample) / h
-        big_phi_kept = ndtr(u) if side == "lb" else ndtr(-u)
-        small_phi = _phi(u) / h
-        dev = sample - theta.mu1
         v_over_delta = sample / theta.delta  # d(rescaled outcome)/d(delta)
-
-        jac[0, 0] = -big_phi_kept.sum() / n
-        if side == "lb":
-            jac[0, 2] = (dev * small_phi).sum() / n
-            jac[0, 3] = (
-                v_over_delta * (big_phi_kept - dev * small_phi)
-            ).sum() / n
-            jac[2, 2] = -small_phi.sum() / n
-            jac[2, 3] = (v_over_delta * small_phi).sum() / n
-        else:
-            jac[0, 2] = -(dev * small_phi).sum() / n
-            jac[0, 3] = (
-                v_over_delta * (big_phi_kept + dev * small_phi)
-            ).sum() / n
-            jac[2, 2] = small_phi.sum() / n
-            jac[2, 3] = -(v_over_delta * small_phi).sum() / n
-        jac[1, 1] = -float((s * (1.0 - d) * w_c).sum()) / n
+        jac[0, 3] = (v_over_delta * (big_phi_kept - sign * dev_phi)).sum() / n
+        jac[2, 3] = sign * (v_over_delta * small_phi).sum() / n
         jac[2, 4] = -n1 / n
-        jac[3, 3] = -float(m_i.sum()) / n
-        jac[4, 4] = -n1 / (p_hat * n)
+        jac[3, 3] = -context.m_sum / n
+        jac[4, 4] = -n1 / (context.p_hat * n)
 
     if not (np.linalg.cond(jac, 1) <= CONDITION_LIMIT):  # nan fails too
         raise SingularJacobianError(

@@ -28,13 +28,14 @@ import csv
 import functools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .data_model import Dataset, block_design
+from .data_model import Dataset, _reusable_labels, block_design
 from .errors import EstimationError, ValidationError
 from .variance import ESTIMATORS, VARIANCE_CHOICES, estimate_bounds
 
@@ -47,30 +48,14 @@ _MASK64 = (1 << 64) - 1
 THREADS_ENV = "STRATA_BOUNDS_THREADS"
 
 REPLICATION_COLUMNS = (
-    "rep",
-    "estimator",
-    "delta_lb",
-    "delta_ub",
-    "se_lb",
-    "se_ub",
-    "covered_lb",
-    "covered_ub",
-    "flags",
+    "rep", "estimator", "delta_lb", "delta_ub", "se_lb", "se_ub",
+    "covered_lb", "covered_ub", "flags",
 )
-
+# EstimatorSummary's fields, in order
 SUMMARY_COLUMNS = (
-    "estimator",
-    "reps",
-    "failed",
-    "mean_delta_lb",
-    "mean_delta_ub",
-    "sd_delta_lb",
-    "sd_delta_ub",
-    "mean_se_lb",
-    "mean_se_ub",
-    "coverage_lb",
-    "coverage_ub",
-    "flag_counts",
+    "estimator", "reps", "failed", "mean_delta_lb", "mean_delta_ub",
+    "sd_delta_lb", "sd_delta_ub", "mean_se_lb", "mean_se_ub", "coverage_lb",
+    "coverage_ub", "flag_counts",
 )
 
 
@@ -100,7 +85,7 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
         raise ValidationError("matched_pairs needs an even n of at least 4")
     rng = philox_generator(seed)
     x = rng.standard_normal(n)
-    x = x[np.argsort(x, kind="stable")]
+    x = np.sort(x)
     eps = rng.standard_normal(n)
     coin = rng.integers(0, 2, n // 2)
     u_sel_treated = rng.random(n)
@@ -119,7 +104,8 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
 
     return Dataset(
         y=np.where(s == 1, y, np.nan), s=s, d=d,
-        codes=np.repeat(np.arange(n // 2), 2), labels=_pair_labels(n // 2),
+        codes=np.repeat(np.arange(n // 2), 2),
+        labels=_reusable_labels(_pair_labels(n // 2)),
         x=x[:, None],
     )
 
@@ -197,7 +183,7 @@ def simulate_dgp2(seed: int) -> Dataset:
     rng = philox_generator(seed)
 
     x = rng.standard_normal(n)
-    x = x[np.argsort(x, kind="stable")]
+    x = np.sort(x)
     u = rng.random(n) * 0.995
     v = (1.0 - u) ** (-1.0 / 2.2)
     y0 = 2.0 * x + 2.0 + 12.0 * v
@@ -419,19 +405,12 @@ def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSumma
     threads = _thread_count(config.reps)
     truth = dgp1_truth() if config.dgp == DGP_MATCHED_PAIRS else (DGP2_TRUTH,) * 2
 
+    run = functools.partial(_run_replication, config, tokens, n, truth)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(
-                pool.map(
-                    lambda rep: _run_replication(config, tokens, n, truth, rep),
-                    range(config.reps),
-                )
-            )
+            per_rep = list(pool.map(run, range(config.reps)))
     else:
-        per_rep = [
-            _run_replication(config, tokens, n, truth, rep)
-            for rep in range(config.reps)
-        ]
+        per_rep = list(map(run, range(config.reps)))
     rows = [row for rep_rows in per_rep for row in rep_rows]
     if not any("delta_lb" in row for row in rows):
         raise EstimationError("every replication failed; no summary to report")
@@ -440,41 +419,30 @@ def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSumma
     for token, _, _ in tokens:
         mine = [r for r in rows if r["estimator"] == token]
         good = [r for r in mine if "delta_lb" in r]
-        failed = len(mine) - len(good)
 
         def col(name):
             vals = [r[name] for r in good if name in r]
             return np.array(vals, dtype=float) if vals else np.array([])
 
         lbs, ubs = col("delta_lb"), col("delta_ub")
-        ses_lb, ses_ub = col("se_lb"), col("se_ub")
-        cov_lb, cov_ub = col("covered_lb"), col("covered_ub")
-        flag_counts: dict[str, int] = {}
-        for r in mine:
-            for f in r["flags"].split(";"):
-                if f:
-                    flag_counts[f] = flag_counts.get(f, 0) + 1
-        summaries.append(
-            EstimatorSummary(
-                estimator=token,
-                reps=len(mine),
-                failed=failed,
-                mean_delta_lb=_mean_or_nan(lbs),
-                mean_delta_ub=_mean_or_nan(ubs),
-                sd_delta_lb=_sd_or_nan(lbs),
-                sd_delta_ub=_sd_or_nan(ubs),
-                mean_se_lb=_mean_or_nan(ses_lb),
-                mean_se_ub=_mean_or_nan(ses_ub),
-                coverage_lb=_mean_or_nan(cov_lb),
-                coverage_ub=_mean_or_nan(cov_ub),
-                flag_counts=tuple(sorted(flag_counts.items())),
-            )
-        )
+        flag_counts = Counter(f for r in mine for f in r["flags"].split(";") if f)
+        summaries.append(EstimatorSummary(
+            estimator=token,
+            reps=len(mine),
+            failed=len(mine) - len(good),
+            mean_delta_lb=_mean_or_nan(lbs),
+            mean_delta_ub=_mean_or_nan(ubs),
+            sd_delta_lb=_sd_or_nan(lbs),
+            sd_delta_ub=_sd_or_nan(ubs),
+            mean_se_lb=_mean_or_nan(col("se_lb")),
+            mean_se_ub=_mean_or_nan(col("se_ub")),
+            coverage_lb=_mean_or_nan(col("covered_lb")),
+            coverage_ub=_mean_or_nan(col("covered_ub")),
+            flag_counts=tuple(sorted(flag_counts.items())),
+        ))
 
     summary = MonteCarloSummary(
-        config=config,
-        truth_lb=truth[0],
-        truth_ub=truth[1],
+        config=config, truth_lb=truth[0], truth_ub=truth[1],
         estimators=tuple(summaries),
     )
     if out_dir is not None:
@@ -514,12 +482,10 @@ def write_replications_csv(rows: list[dict], path: str) -> None:
         return [
             str(row["rep"]),
             row["estimator"],
-            format_number(row["delta_lb"]) if "delta_lb" in row else "nan",
-            format_number(row["delta_ub"]) if "delta_ub" in row else "nan",
-            format_number(row["se_lb"]) if "se_lb" in row else "nan",
-            format_number(row["se_ub"]) if "se_ub" in row else "nan",
-            str(int(row["covered_lb"])) if "covered_lb" in row else "",
-            str(int(row["covered_ub"])) if "covered_ub" in row else "",
+            *(format_number(row[k]) if k in row else "nan"
+              for k in ("delta_lb", "delta_ub", "se_lb", "se_ub")),
+            *(str(int(row[k])) if k in row else ""
+              for k in ("covered_lb", "covered_ub")),
             row["flags"],
         ]
 
@@ -528,18 +494,12 @@ def write_replications_csv(rows: list[dict], path: str) -> None:
 
 def write_summary_csv(summary: MonteCarloSummary, path: str) -> None:
     def cells(est: EstimatorSummary):
+        stats = (getattr(est, name) for name in SUMMARY_COLUMNS[3:-1])
         return [
             est.estimator,
             str(est.reps),
             str(est.failed),
-            format_number(est.mean_delta_lb),
-            format_number(est.mean_delta_ub),
-            format_number(est.sd_delta_lb),
-            format_number(est.sd_delta_ub),
-            format_number(est.mean_se_lb),
-            format_number(est.mean_se_ub),
-            format_number(est.coverage_lb),
-            format_number(est.coverage_ub),
+            *map(format_number, stats),
             ";".join(f"{name}={count}" for name, count in est.flag_counts),
         ]
 

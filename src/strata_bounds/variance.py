@@ -500,9 +500,9 @@ def estimate_bounds(
 
     The point estimator runs once; an error it raises propagates. With
     methods, both bounds' systems are fitted in one moment_matrix pass and
-    each is differentiated once; each method forms one meat on both bounds'
-    stacked moments, leaving out a bound whose fit failed, and one sandwich
-    per bound. The dict maps each method to its report, or to the
+    each is differentiated once, from what that pass kept; each method forms
+    one meat on both bounds' stacked moments, leaving out a bound whose fit
+    failed, and one sandwich per bound. The dict maps each method to its report, or to the
     EstimationError that stopped it alone.
     """
     for method in methods:
@@ -536,7 +536,7 @@ def estimate_bounds(
         try:
             jac = jacobian(
                 data, design, fit.theta, fit.system,
-                bandwidth=fit.matrix.bandwidths[0],
+                context=fit.matrix.contexts[0],
             )
             sides.append((fit, jac))
         except EstimationError as exc:

@@ -54,3 +54,40 @@ LABEL_GAMMA0 = 2.0
 # cross-product term equals the same outer product, the correction cancels,
 # and the assembled matrix is exactly zero.
 CONSTANT_MOMENT_OMEGA = 0.0
+
+
+# Seeded Monte Carlo output ----------------------------------------------------
+# Unlike the values above, these are the program's own CSV text, captured
+# once and frozen: they guard the Philox draw order and byte-identical
+# output. Command: simulate --dgp 1 --n 200 --reps 3 --seed 5
+# --estimator lee:iid --estimator lee:design, and simulate --dgp 2 --reps 3
+# --seed 5 (its default panel).
+SIMULATE_SEED = 5
+DGP1_REPLICATIONS_CSV = (
+    'rep,estimator,delta_lb,delta_ub,se_lb,se_ub,covered_lb,covered_ub,flags\n'
+    '0,lee:iid,0.23328997961,1.74850618024,0.376189020775,0.381368902285,1,1,\n'
+    '0,lee:design,0.23328997961,1.74850618024,0.32324482168,0.30705146404,1,1,\n'
+    '1,lee:iid,0.597959520973,2.4123138336,0.445437410134,0.47399661171,1,1,\n'
+    '1,lee:design,0.597959520973,2.4123138336,0.335650915372,0.367970435515,1,0,\n'
+    '2,lee:iid,0.305264610025,0.975349741676,0.432291869147,0.443297614644,1,1,\n'
+    '2,lee:design,0.305264610025,0.975349741676,0.328275884163,0.362033930585,1,1,\n'
+)
+DGP1_SUMMARY_CSV = (
+    'estimator,reps,failed,mean_delta_lb,mean_delta_ub,sd_delta_lb,sd_delta_ub,mean_se_lb,mean_se_ub,coverage_lb,coverage_ub,flag_counts\n'
+    'lee:iid,3,0,0.37883803687,1.71205658517,0.193146978886,0.719175138687,0.417972766685,0.432887709546,1,1,\n'
+    'lee:design,3,0,0.37883803687,1.71205658517,0.193146978886,0.719175138687,0.329057207071,0.345685276713,1,0.666666666667,\n'
+)
+DGP2_REPLICATIONS_CSV = (
+    'rep,estimator,delta_lb,delta_ub,se_lb,se_ub,covered_lb,covered_ub,flags\n'
+    '0,lee-ipw:design,0.360296471013,4.62882836553,0.426505717417,0.59249993294,1,1,\n'
+    '0,conditional-lee:none,1.60149890767,4.44466968817,nan,nan,,,stratum_trimming_clamped:2\n'
+    '1,lee-ipw:design,-0.200639095378,4.52074470161,0.449104403074,0.631590069958,1,1,\n'
+    '1,conditional-lee:none,1.25860154971,4.22169461951,nan,nan,,,stratum_trimming_clamped:7\n'
+    '2,lee-ipw:design,0.180637922317,4.40395643712,0.449823806583,0.614365071373,1,1,\n'
+    '2,conditional-lee:none,1.65809247664,4.20281849316,nan,nan,,,stratum_trimming_clamped:7\n'
+)
+DGP2_SUMMARY_CSV = (
+    'estimator,reps,failed,mean_delta_lb,mean_delta_ub,sd_delta_lb,sd_delta_ub,mean_se_lb,mean_se_ub,coverage_lb,coverage_ub,flag_counts\n'
+    'lee-ipw:design,3,0,0.113431765984,4.51784316809,0.286443149678,0.112464039672,0.441811309025,0.61281835809,1,1,\n'
+    'conditional-lee:none,3,0,1.50606431134,4.28972760028,0.216169081526,0.134515296478,nan,nan,nan,nan,stratum_trimming_clamped:2=1;stratum_trimming_clamped:7=2\n'
+)

@@ -22,10 +22,15 @@ from conftest import build_dataset, count_calls
 from oracles import oracle_ipw, oracle_lee
 
 from frozen_values import (
+    DGP1_REPLICATIONS_CSV,
+    DGP1_SUMMARY_CSV,
+    DGP2_REPLICATIONS_CSV,
+    DGP2_SUMMARY_CSV,
     HAND_DELTA_LB,
     HAND_DELTA_UB,
     HAND_MU0,
     HAND_Q,
+    SIMULATE_SEED,
 )
 
 
@@ -456,6 +461,26 @@ def test_simulate_writes_files_and_is_repeatable(capsys, tmp_path):
     sum1 = (tmp_path / "r1" / "summary.csv").read_text()
     sum2 = (tmp_path / "r2" / "summary.csv").read_text()
     assert sum1 == sum2
+
+
+@pytest.mark.parametrize(
+    "args,replications,summary",
+    [
+        (["--dgp", "1", "--n", "200", "--estimator", "lee:iid",
+          "--estimator", "lee:design"], DGP1_REPLICATIONS_CSV, DGP1_SUMMARY_CSV),
+        (["--dgp", "2"], DGP2_REPLICATIONS_CSV, DGP2_SUMMARY_CSV),
+    ],
+    ids=["dgp1", "dgp2"],
+)
+def test_simulate_writes_the_frozen_csv_text(capsys, tmp_path, args, replications, summary):
+    # guards the Philox draw order and every digit the writers print
+    code, _, _ = run_cli(
+        capsys, "simulate", *args, "--reps", "3", "--seed", str(SIMULATE_SEED),
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert (tmp_path / "replications.csv").read_bytes() == replications.encode()
+    assert (tmp_path / "summary.csv").read_bytes() == summary.encode()
 
 
 def test_simulate_heavy_tails_summary_has_both_default_estimators(capsys, tmp_path):

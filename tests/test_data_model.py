@@ -18,6 +18,7 @@ from strata_bounds import (
     dataset_from_arrays,
     dataset_to_csv_text,
     parse_csv,
+    simulate_dgp1,
     write_csv,
 )
 
@@ -167,6 +168,34 @@ def test_dataset_rejects_columns_of_unequal_length(columns, fragment):
 def test_dataset_rejects_bad_label_tables(codes, labels, fragment):
     with pytest.raises(ValidationError, match=fragment):
         Dataset(y=[1.0] * 4, s=[1] * 4, d=[1, 0, 1, 0], codes=codes, labels=labels)
+
+
+def test_dataset_checks_each_label_table_not_handed_to_it_checked():
+    columns = dict(y=[1.0] * 4, s=[1] * 4, d=[1, 0, 1, 0], codes=[0, 0, 1, 1])
+    kept = data_model._reusable_labels((" a", "b"))
+    assert kept == ("a", "b")
+    # the checked table passes as that very object
+    assert Dataset(**columns, labels=kept).labels is kept
+    # new tables get every check, even right after an equal one was kept
+    for labels, fragment in [
+        (("b", "a"), "sorted and distinct"),
+        (("a", " \t "), "non-empty"),
+    ]:
+        with pytest.raises(ValidationError, match=fragment):
+            Dataset(**columns, labels=labels)
+        with pytest.raises(ValidationError, match=fragment):
+            data_model._reusable_labels(labels)
+    # (1,) and (1.0,) compare and hash alike, but are different labels
+    pair = dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], codes=[0, 0])
+    assert data_model._reusable_labels(tuple([1])) == ("1",)
+    assert Dataset(**pair, labels=tuple([1.0])).labels == ("1.0",)
+    assert data_model._reusable_labels(tuple([1.0])) == ("1.0",)
+
+
+def test_simulated_pairs_of_one_size_share_one_label_table():
+    first, second = simulate_dgp1(1, n=20), simulate_dgp1(2, n=20)
+    assert first.labels is second.labels
+    assert first.labels == tuple(f"{g:01d}" for g in range(10))
 
 
 def test_dataset_codes_follow_sorted_label_order():
@@ -469,6 +498,72 @@ def test_parse_csv_refuses_a_carriage_return_inside_a_line(monkeypatch, chunk_ro
     text = _csv(_data_lines(12) + ["1.5\r,1,1,g6", "2.5,1,0,g6"])
     with pytest.raises(ParseError, match="^line 14: new-line character seen"):
         parse_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def test_parse_csv_reads_crlf_line_ends_like_lf(monkeypatch, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(data_model, "CSV_CHUNK_ROWS", chunk_rows)
+    split = []  # per chunk the split tokenizer saw: whether it gave columns
+    real_split = data_model._split_columns
+
+    def recording(*args):
+        columns = real_split(*args)
+        split.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(data_model, "_split_columns", recording)
+    canonical = ["y,s,d,block,x1"] + [
+        f"{line},{i / 4}" for i, line in enumerate(_data_lines(30))
+    ]
+    # a row the split refuses, so _check_rows reads its CRLF lines
+    with_na = canonical + ["NA,0,0,g15,1", "2.5,1,1,g15,0"]
+    taken = []
+    for lines in (canonical, with_na):
+        lf = parse_csv(io.StringIO("\n".join(lines) + "\n", newline=""))
+        lf_split, split[:] = split[:], []
+        crlf = parse_csv(io.StringIO("\r\n".join(lines) + "\r\n", newline=""))
+        assert_same_columns(crlf, lf)
+        np.testing.assert_array_equal(crlf.x, lf.x, strict=True)
+        np.testing.assert_array_equal(crlf.codes, lf.codes, strict=True)
+        assert crlf.labels == lf.labels
+        # the CRLF chunks took the split where the LF ones did
+        assert split == lf_split
+        taken.append(split[:])
+        split.clear()
+    assert all(taken[0]) and not all(taken[1])
+
+
+CRLF_THEN_CSV_READER = {
+    # a later chunk still goes to csv.reader, from its first line on
+    "lone_cr": _csv(_data_lines(12), end="\r\n").replace("\n", "\r\n")
+    + "6.5,1,1,g6\r7.5,1,0,g6\r",
+    "quote": _csv(_data_lines(12), end="\r\n").replace("\n", "\r\n")
+    + '"6.5",1,1,g6\r\n7.5,1,0,"g6"\r\n',
+    "quoted_crlf": _csv(_data_lines(12), end="\r\n").replace("\n", "\r\n")
+    + '6.5,1,1,"g6\r\nbis"\r\n7.5,1,0,"g6\r\nbis"\r\n',
+    "row_error": _csv(_data_lines(12), end="\r\n").replace("\n", "\r\n")
+    + "6.5,1,2,g6\r\n7.5,1,0,g6\r\n",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(CRLF_THEN_CSV_READER))
+def test_parse_csv_crlf_chunks_with_a_lone_cr_or_a_quote_read_like_csv_reader(
+    monkeypatch, chunk_rows, case
+):
+    if chunk_rows is not None:
+        monkeypatch.setattr(data_model, "CSV_CHUNK_ROWS", chunk_rows)
+    assert_parses_like_oracle(CRLF_THEN_CSV_READER[case])
+
+
+@pytest.mark.parametrize("rows_before", [1, 2000])
+def test_parse_csv_refuses_a_strict_stream_that_is_not_utf8(rows_before):
+    # the decoder fails as it fills its read-ahead: no line can be named
+    text = _csv(_data_lines(rows_before)).encode() + b"1,1,1,a\xff\n2,1,0,a\n"
+    stream = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8")
+    with pytest.raises(ParseError, match="^input is not valid UTF-8$"):
+        parse_csv(stream)
 
 
 @pytest.mark.parametrize("line", [1, 3])

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from strata_bounds import (
     EstimationError,
+    estimate_bounds,
     LeeIpwTheta,
     LeeTheta,
     SingularJacobianError,
@@ -19,9 +20,10 @@ from strata_bounds import (
     silverman_bandwidth,
     solve_sandwich,
 )
+from strata_bounds import variance
 from strata_bounds.ipw_estimator import _per_unit_block_arrays
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, random_dataset, random_equal_share_dataset
 
 from oracles import lee_ipw_moments, lee_moments
 
@@ -319,6 +321,45 @@ def test_jacobian_rejects_numerically_singular_result(hand_dataset):
         jacobian(
             hand_dataset, design, replace(fit.theta, mu1=math.nan), "lee_lb"
         )
+
+
+@pytest.mark.parametrize(
+    "make", [random_equal_share_dataset, random_dataset],
+    ids=["equal_shares", "heterogeneous_shares"],
+)
+@pytest.mark.parametrize("name", ["lee", "lee-ipw"])
+def test_estimate_bounds_differentiates_each_fit_like_jacobian(monkeypatch, make, name):
+    # the Jacobian estimate_bounds reads from its fit's moment pass is the
+    # one jacobian builds from the data, bit for bit
+    used = []
+    solve = variance.solve_sandwich
+
+    def recording(m_hat, omega):
+        used.append(m_hat)
+        return solve(m_hat, omega)
+
+    monkeypatch.setattr(variance, "solve_sandwich", recording)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(25):
+        data = make(rng)
+        design = block_design(data)
+        used.clear()
+        try:
+            _, reports = estimate_bounds(data, design, name, ("iid",))
+        except EstimationError:
+            continue
+        report = reports["iid"]
+        if isinstance(report, EstimationError):
+            continue
+        for fit, jac in zip((report.fit_lb, report.fit_ub), used, strict=True):
+            expect = jacobian(
+                data, design, fit.theta, fit.system,
+                bandwidth=fit.matrix.bandwidths[0],
+            )
+            assert np.array_equal(jac, expect), fit.system
+            checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -484,10 +484,10 @@ def test_estimate_bounds_keeps_each_methods_error_order(
     design = block_design(data)
     jacobian = variance.jacobian
 
-    def failing_jacobian(data, design, theta, system, bandwidth=None):
+    def failing_jacobian(data, design, theta, system, **kwargs):
         if failing is not None and system.endswith(failing):
             raise SingularJacobianError(system)
-        return jacobian(data, design, theta, system, bandwidth=bandwidth)
+        return jacobian(data, design, theta, system, **kwargs)
 
     monkeypatch.setattr(variance, "jacobian", failing_jacobian)
     widths = []  # moment columns each meat was formed on
