@@ -4,7 +4,9 @@ Randomness uses the Philox counter-based generator (4x64) keyed by
 (seed mod 2^64, high word); the driver derives the child key for replication
 r as (seed mod 2^64, r + 1), so output is identical across runs and across
 thread counts. Each process documents its draw order, which is frozen:
-changing it would silently change every seeded result.
+changing it would silently change every seeded result. Each replication's
+design meat reuses the work arrays of the previous replication on its thread
+(variance._reusing_work_arrays).
 
 matched_pairs: units sorted by a standard-normal covariate form consecutive
 pairs; one unit per pair is treated; outcomes are 2X + 2 + noise; selection
@@ -12,7 +14,8 @@ is 0.8 (treated) / 0.7 (control) independent of outcomes; observed treated
 outcomes get an additive Uniform(0, 2) bonus. Truth for the bounds is the
 exact population value: the observed treated outcome is a normal plus a
 uniform, whose distribution function and partial first moment have closed
-forms in the normal distribution and density.
+forms in the normal distribution and density; its quantiles come from a
+bisection down to adjacent floats, and the truth is computed once per process.
 
 heavy_tails: 100 strata of 20 (10 treated each); outcomes 2X + 2 + 12V with
 V a truncated Pareto tail; the largest control outcome in each stratum is an
@@ -37,7 +40,9 @@ from scipy.special import ndtr
 
 from .data_model import Dataset, _reusable_labels, block_design
 from .errors import EstimationError, ValidationError
-from .variance import ESTIMATORS, VARIANCE_CHOICES, estimate_bounds
+from .variance import (
+    ESTIMATORS, VARIANCE_CHOICES, _reusing_work_arrays, estimate_bounds,
+)
 
 DGP_MATCHED_PAIRS = "matched_pairs"
 DGP_HEAVY_TAILS = "heavy_tails"
@@ -117,8 +122,55 @@ def _pair_labels(n_pairs: int) -> tuple[str, ...]:
     return tuple(map(f"%0{len(str(n_pairs - 1))}d".__mod__, range(n_pairs)))
 
 
+_DGP1_SIGMA = math.sqrt(5.0)  # SD of 2X + noise
+_DGP1_KEEP = 0.875  # one minus the population trimming share
+
+
+def _dgp1_normal_parts(t: float) -> tuple[float, float]:
+    """Phi(t / sigma) and sigma phi(t / sigma)."""
+    sigma = _DGP1_SIGMA
+    return ndtr(t / sigma), sigma * math.exp(-t * t / 10.0) / math.sqrt(2.0 * math.pi)
+
+
+def _dgp1_cdf(w: float) -> float:
+    """Distribution function of the observed treated outcome of matched_pairs."""
+    def g(t):
+        cum, dens = _dgp1_normal_parts(t)
+        return t * cum + dens
+
+    return 0.5 * (g(w - 2.0) - g(w - 4.0))
+
+
+def _dgp1_partial_moment(w: float) -> float:
+    """E[W; W <= w] for the observed treated outcome W of matched_pairs."""
+    # = 1/2 int_{w-4}^{w-2} (w - a) Phi(a/sigma) - sigma phi(a/sigma) da;
+    # k is an antiderivative of the integrand
+    def k(a):
+        cum, dens = _dgp1_normal_parts(a)
+        return (a * (w - a / 2.0) - _DGP1_SIGMA**2 / 2.0) * cum + (w - a / 2.0) * dens
+
+    return 0.5 * (k(w - 2.0) - k(w - 4.0))
+
+
+def _dgp1_quantile(p: float) -> float:
+    """The least float q in [-30, 40] with p <= F(q), F = _dgp1_cdf.
+
+    Bisection keeps F(lo) < p <= F(hi) until lo and hi are adjacent floats.
+    """
+    lo, hi = -30.0, 40.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _dgp1_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
+@functools.cache
 def dgp1_truth() -> tuple[float, float]:
-    """Exact population bounds for matched_pairs.
+    """Exact population bounds for matched_pairs, computed once.
 
     The treated-observed outcome is W = 2X + 2 + noise + Uniform(0, 2), that
     is Z + V with Z ~ N(0, 5) and V ~ Uniform(2, 4). Its distribution
@@ -128,37 +180,10 @@ def dgp1_truth() -> tuple[float, float]:
     population trimming share is 1 - 0.7/0.8 = 0.125, and the control mean
     is exactly 2 because selection is independent of outcomes.
     """
-    # imported here: loading scipy.optimize would slow every command's start
-    from scipy.optimize import brentq
-
-    sigma = math.sqrt(5.0)
-    keep = 0.875  # one minus the trimming share
-
-    def normal_parts(t):
-        """Phi(t / sigma) and sigma phi(t / sigma)."""
-        return ndtr(t / sigma), sigma * math.exp(-t * t / 10.0) / math.sqrt(2.0 * math.pi)
-
-    def cdf(w):
-        def g(t):
-            cum, dens = normal_parts(t)
-            return t * cum + dens
-
-        return 0.5 * (g(w - 2.0) - g(w - 4.0))
-
-    def partial_moment(w):
-        # E[W; W <= w] = 1/2 int_{w-4}^{w-2} (w - a) Phi(a/sigma)
-        # - sigma phi(a/sigma) da; k is an antiderivative of the integrand
-        def k(a):
-            cum, dens = normal_parts(a)
-            return (a * (w - a / 2.0) - sigma**2 / 2.0) * cum + (w - a / 2.0) * dens
-
-        return 0.5 * (k(w - 2.0) - k(w - 4.0))
-
-    def quantile(p):
-        return brentq(lambda w: cdf(w) - p, -30.0, 40.0, xtol=1e-14)
-
-    lb = partial_moment(quantile(keep)) / keep - 2.0
-    ub = (3.0 - partial_moment(quantile(1.0 - keep))) / keep - 2.0  # E[W] = 3
+    keep = _DGP1_KEEP
+    lb = _dgp1_partial_moment(_dgp1_quantile(keep)) / keep - 2.0
+    # E[W] = 3
+    ub = (3.0 - _dgp1_partial_moment(_dgp1_quantile(1.0 - keep))) / keep - 2.0
     return float(lb), float(ub)
 
 
@@ -336,18 +361,20 @@ def _run_replication(config, tokens, n, truth, rep):
         else simulate_dgp2(child_seed(config.seed, rep))
     )
     design = block_design(data)
-    # each estimator runs once, with every variance method the panel asks of it
+    # each estimator runs once, with every variance method the panel asks of
+    # it, and the design meat reuses this thread's work arrays
     results = {}
-    for est in dict.fromkeys(est for _, est, _ in tokens):
-        methods = tuple(dict.fromkeys(
-            var for _, e, var in tokens if e == est and var != "none"
-        ))
-        try:
-            results[est] = estimate_bounds(
-                data, design, est, methods, alpha=config.alpha
-            )
-        except EstimationError as exc:
-            results[est] = exc, {}
+    with _reusing_work_arrays():
+        for est in dict.fromkeys(est for _, est, _ in tokens):
+            methods = tuple(dict.fromkeys(
+                var for _, e, var in tokens if e == est and var != "none"
+            ))
+            try:
+                results[est] = estimate_bounds(
+                    data, design, est, methods, alpha=config.alpha
+                )
+            except EstimationError as exc:
+                results[est] = exc, {}
     rows = []
     for token, est, var in tokens:
         row = {"rep": rep, "estimator": token, "flags": ""}

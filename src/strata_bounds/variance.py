@@ -14,11 +14,16 @@ Monte Carlo driver both go through it. It fits both bounds in one pass and
 forms each method's meat once, on both bounds' moments stacked side by side;
 each bound's meat is a diagonal block of it. The meat's design-only part,
 from each arm's units to the singleton pairings, is built once per design.
+Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
+takes its per-arm work arrays from one store per thread instead of fresh
+memory; the store keeps them after the context exits, for the next call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,6 +231,37 @@ def _pairing(design: BlockDesign, layout: _MeatLayout):
     return layout.pairing
 
 
+# per thread: whether meat_design reuses its work arrays (set by
+# _reusing_work_arrays), and the stored arrays themselves
+_work = threading.local()
+
+
+@contextlib.contextmanager
+def _reusing_work_arrays():
+    """Within the block, meat_design takes its work arrays from this thread's
+    store instead of fresh memory; the store keeps them after the block, so
+    the next replication finds them, and is freed with its thread."""
+    previous = getattr(_work, "reusing", False)
+    _work.reusing = True
+    try:
+        yield
+    finally:
+        _work.reusing = previous
+
+
+def _work_array(key: tuple[str, int], shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized float array: fresh, or inside _reusing_work_arrays
+    the thread's stored one for key (a role and an arm), replaced when the
+    shape asked for changes. No caller may let it escape into a result."""
+    if not getattr(_work, "reusing", False):
+        return np.empty(shape)
+    store = _work.__dict__.setdefault("arrays", {})
+    if key not in store or store[key].shape != shape:
+        store.pop(key, None)  # free the old array before making the new one
+        store[key] = np.empty(shape)
+    return store[key]
+
+
 def meat_design(
     data: Dataset,
     design: BlockDesign,
@@ -256,19 +292,24 @@ def meat_design(
     else:
         pairing = _pairing(design, layout)
 
-    cols = np.asarray(moments).T  # (m, n), C-contiguous for Fortran moments
-    n = cols.shape[1]
+    # (m, n), C-contiguous for Fortran moments; float, as the work arrays are
+    cols = np.asarray(moments, dtype=float).T
+    m, n = cols.shape
     coef = layout.coef
     mbar = cols.mean(axis=1)
     a3 = np.outer(mbar, mbar)
     per_arm = []  # (a, zeta, means) of the treated, then the control arm
-    for arm, paired in zip(layout.arms, pairing):
-        # one arm's gather alive at a time; every other temporary is one row
-        rows = cols.take(arm.units, axis=1)
-        sums = np.empty((rows.shape[0], arm.counts.size))
+    for side, (arm, paired) in enumerate(zip(layout.arms, pairing)):
+        # every gather's indices are valid by construction: mode="clip"
+        # lets take write straight into out, where "raise" would buffer it
+        rows = np.take(
+            cols, arm.units, axis=1, mode="clip",
+            out=_work_array(("rows", side), (m, arm.units.size)),
+        )
+        sums = _work_array(("sums", side), (m, arm.counts.size))
         for row, total in zip(rows, sums):
             total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
-        zeta = np.zeros((cols.shape[0],) * 2)
+        zeta = np.zeros((m, m))
         if arm.within is not None:
             # sum_g w_g (S_g S_g' - sum_i r_i r_i') over blocks with two or
             # more units in the arm, one column at a time: Gram products of
@@ -279,7 +320,7 @@ def meat_design(
                 zeta[:, k] = sums @ (arm.within * total) - rows @ (w_unit * row)
             zeta = 0.5 * (zeta + zeta.T)
         a = rows @ rows.T / n
-        del rows
+        del rows  # a fresh gather goes here, so one arm's is alive at a time
         means = sums  # in place: the sums are not needed any more
         means /= arm.counts
         if paired is not None:
@@ -287,14 +328,23 @@ def meat_design(
             # mean; its partner term is the arm mean of the block it is
             # paired with
             _, partner = paired
-            weighted = means.take(partner, axis=1)
+            shape = (m, arm.single.size)
+            weighted = np.take(
+                means, partner, axis=1, mode="clip",
+                out=_work_array(("partner", side), shape),
+            )
             weighted *= coef[arm.single]
-            cross = means.take(arm.single, axis=1) @ weighted.T
+            single = np.take(
+                means, arm.single, axis=1, mode="clip",
+                out=_work_array(("single", side), shape),
+            )
+            cross = single @ weighted.T
             zeta = zeta + 0.5 * (cross + cross.T)
         per_arm.append((a, zeta, means))
     (a1, zeta_11, mean1), (a0, zeta_00, mean0) = per_arm
 
-    cross = mean1 @ (coef * mean0).T
+    mean0 *= coef  # in place: the control means are not needed any more
+    cross = mean1 @ mean0.T
     zeta_10 = 0.5 * (cross + cross.T)
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
     omega = a1 + a0 + b_n - a3

@@ -1,11 +1,15 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import strata_bounds
 from strata_bounds import (
     EstimationError,
     McConfig,
@@ -126,6 +130,30 @@ def test_dgp1_truth_matches_quadrature():
     # the closed form against numerical integration of the outcome density
     for got, want in zip(dgp1_truth(), oracle_dgp1_truth()):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.875, 0.125])
+def test_dgp1_quantile_is_the_least_float_that_reaches_p(p):
+    q = simulation._dgp1_quantile(p)
+    cdf = simulation._dgp1_cdf
+    assert cdf(math.nextafter(q, -math.inf)) < p <= cdf(math.nextafter(q, math.inf))
+
+
+def test_simulate_does_not_load_scipy_optimize(tmp_path):
+    script = (
+        "import sys\n"
+        "from strata_bounds import cli\n"
+        "code = cli.main(['simulate', '--dgp', '1', '--n', '200', '--reps', '2',\n"
+        f"                 '--seed', '3', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "STRATA_BOUNDS_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strata_bounds.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------

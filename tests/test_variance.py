@@ -1,6 +1,11 @@
 """Meat matrices, pairing, label variance, intervals, sandwich reports."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +29,9 @@ from strata_bounds import (
     pair_blocks,
     sandwich_report,
     set_critical_value,
+    simulate_dgp1,
 )
+import strata_bounds
 from strata_bounds import variance
 from strata_bounds.variance import bound_standard_error
 
@@ -516,3 +523,134 @@ def test_estimate_bounds_keeps_each_methods_error_order(
     # one meat per method that got past the lower bound, over the bounds
     # whose fit succeeded
     assert widths == {"lb": [], "ub": [5, 5, 5], None: [10, 10, 10]}[failing]
+
+
+# ---------------------------------------------------------------------------
+# the design meat's work-array store
+# ---------------------------------------------------------------------------
+
+# run in this process and in fresh interpreters; fingerprint(kind, arg) hashes
+# one call's results to the last bit
+_STORE_CALLS = """
+import hashlib
+import io
+
+import numpy as np
+
+from strata_bounds import (
+    DGP_MATCHED_PAIRS, McConfig, block_design, dataset_from_arrays,
+    dataset_to_csv_text, estimate_bounds, monte_carlo, parse_csv,
+)
+
+
+def csv_text():
+    # blocks of 2-6 units, 1 to n_g - 1 treated: singleton arms in both
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(2, 7, 40)
+    d = np.concatenate([rng.permutation(n) < rng.integers(1, n) for n in sizes])
+    s = np.where(d, rng.random(d.size) < 0.85, rng.random(d.size) < 0.65)
+    y = np.where(s, rng.normal(size=d.size), np.nan)
+    blocks = [f"b{g:02d}" for g, n in enumerate(sizes) for _ in range(n)]
+    return dataset_to_csv_text(
+        dataset_from_arrays(y, s.astype(int), d.astype(int), blocks)
+    )
+
+
+def fingerprint(kind, arg):
+    digest = hashlib.sha256()
+    if kind == "monte_carlo":
+        summary = monte_carlo(McConfig(
+            dgp=DGP_MATCHED_PAIRS, reps=3, seed=7, n=arg,
+            estimators=("lee:iid", "lee:design"),
+        ))
+        digest.update(repr(summary).encode())
+        return digest.hexdigest()
+    data = parse_csv(io.StringIO(csv_text()))
+    design = block_design(data)
+    for name in ("lee", "lee-ipw"):
+        _, reports = estimate_bounds(data, design, name, ("design", "iid"))
+        for report in reports.values():
+            digest.update(repr(report.se_lb).encode() + repr(report.se_ub).encode())
+            digest.update(report.v_hat_lb.tobytes() + report.v_hat_ub.tobytes())
+            for meat in (report.meat_lb, report.meat_ub):
+                if meat is not None:
+                    digest.update(meat.omega.tobytes())
+    return digest.hexdigest()
+"""
+
+
+def _fresh_fingerprint(kind, arg):
+    env = {k: v for k, v in os.environ.items() if k != "STRATA_BOUNDS_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strata_bounds.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STORE_CALLS + f"\nprint(fingerprint({kind!r}, {arg!r}))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip()
+
+
+def test_reused_work_arrays_give_what_a_fresh_process_gives():
+    namespace = {}
+    exec(_STORE_CALLS, namespace)
+    calls = [("monte_carlo", 200), ("monte_carlo", 400), ("monte_carlo", 200),
+             ("estimate", None)]
+    here = [namespace["fingerprint"](*call) for call in calls]
+    # the last Monte Carlo left its arrays, which estimate_bounds did not use
+    assert variance._work.arrays[("rows", 0)].shape == (10, 100)
+    fresh = {call: _fresh_fingerprint(*call) for call in dict.fromkeys(calls)}
+    assert here == [fresh[call] for call in calls]
+
+
+def _arrays_of(meat):
+    for field in dataclasses.fields(meat):
+        value = getattr(meat, field.name)
+        if isinstance(value, variance.Involution):
+            value = value.pairs
+        if isinstance(value, np.ndarray):
+            yield field.name, value
+
+
+def test_meat_report_holds_no_stored_work_array():
+    data = simulate_dgp1(3, n=200)
+    design = block_design(data)
+    moments = np.asfortranarray(np.random.default_rng(5).normal(size=(200, 10)))
+    with variance._reusing_work_arrays():
+        meat = meat_design(data, design, moments)
+        _, reports = estimate_bounds(data, design, "lee", ("design",))
+    stored = variance._work.arrays
+    # every pair is a singleton block in both arms: all four roles ran
+    assert {role for role, _ in stored} == {"rows", "sums", "partner", "single"}
+    report = reports["design"]
+    for checked in (meat, report.meat_lb, report.meat_ub):
+        for name, value in _arrays_of(checked):
+            for key, array in stored.items():
+                assert not np.shares_memory(value, array), (name, key)
+
+
+def test_meat_design_outside_the_context_leaves_the_store_alone():
+    data = simulate_dgp1(3, n=200)
+    rng = np.random.default_rng(6)
+    with variance._reusing_work_arrays():
+        meat_design(data, block_design(data), rng.normal(size=(200, 10)))
+    stored = dict(variance._work.arrays)
+    contents = {key: array.copy() for key, array in stored.items()}
+
+    bigger = simulate_dgp1(4, n=400)
+    meat_design(bigger, block_design(bigger), rng.normal(size=(400, 10)))
+    # another thread's calls in the context fill that thread's own store
+    seen = {}
+
+    def in_thread():
+        with variance._reusing_work_arrays():
+            meat_design(bigger, block_design(bigger), rng.normal(size=(400, 10)))
+        seen.update(variance._work.arrays)
+
+    thread = threading.Thread(target=in_thread)
+    thread.start()
+    thread.join()
+    assert seen[("rows", 0)].shape == (10, 200)
+
+    assert variance._work.arrays.keys() == stored.keys()
+    for key, array in variance._work.arrays.items():
+        assert array is stored[key]
+        np.testing.assert_array_equal(array, contents[key])
