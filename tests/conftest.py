@@ -2,7 +2,10 @@
 
 import importlib
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,18 @@ def count_calls(monkeypatch, functions):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+def run_fresh_interpreter(code: str) -> str:
+    """Stdout of code run by a fresh interpreter that imports this package
+    from the same source, with STRATA_BOUNDS_THREADS unset."""
+    env = {k: v for k, v in os.environ.items() if k != "STRATA_BOUNDS_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strata_bounds.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return proc.stdout
 
 
 def build_dataset(y, s, d, blocks, x=None):

@@ -1,15 +1,11 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
 import math
-import os
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-import strata_bounds
 from strata_bounds import (
     EstimationError,
     McConfig,
@@ -38,7 +34,7 @@ from strata_bounds.simulation import (
     format_number,
 )
 
-from conftest import assert_same_columns, count_calls
+from conftest import assert_same_columns, count_calls, run_fresh_interpreter
 from oracles import oracle_dgp1_truth
 
 
@@ -147,13 +143,7 @@ def test_simulate_does_not_load_scipy_optimize(tmp_path):
         f"                 '--seed', '3', '--out', {str(tmp_path)!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "STRATA_BOUNDS_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strata_bounds.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert run_fresh_interpreter(script).splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------

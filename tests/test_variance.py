@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import os
-import subprocess
 import sys
 import threading
 
@@ -31,11 +29,10 @@ from strata_bounds import (
     set_critical_value,
     simulate_dgp1,
 )
-import strata_bounds
 from strata_bounds import variance
 from strata_bounds.variance import bound_standard_error
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, random_dataset, run_fresh_interpreter
 
 from oracles import (
     assignments,
@@ -580,13 +577,9 @@ def fingerprint(kind, arg):
 
 
 def _fresh_fingerprint(kind, arg):
-    env = {k: v for k, v in os.environ.items() if k != "STRATA_BOUNDS_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strata_bounds.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", _STORE_CALLS + f"\nprint(fingerprint({kind!r}, {arg!r}))"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return proc.stdout.strip()
+    return run_fresh_interpreter(
+        _STORE_CALLS + f"\nprint(fingerprint({kind!r}, {arg!r}))"
+    ).strip()
 
 
 def test_reused_work_arrays_give_what_a_fresh_process_gives():
@@ -654,3 +647,36 @@ def test_meat_design_outside_the_context_leaves_the_store_alone():
     for key, array in variance._work.arrays.items():
         assert array is stored[key]
         np.testing.assert_array_equal(array, contents[key])
+
+
+def test_threads_reusing_work_arrays_keep_their_own():
+    # three threads on two cores, switching every microsecond, on data of
+    # one shape: a store shared between threads would mix their arrays
+    cases = []
+    for seed in range(3):
+        data = simulate_dgp1(20 + seed, n=1000)
+        design = block_design(data)
+        moments = np.random.default_rng(seed).normal(size=(1000, 10))
+        cases.append((data, design, moments, meat_design(data, design, moments).omega))
+    mismatches = []
+
+    def repeat(case):
+        data, design, moments, want = case
+        with variance._reusing_work_arrays():
+            for _ in range(40):
+                got = meat_design(data, design, moments).omega
+                if not np.array_equal(got, want):
+                    mismatches.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=repeat, args=(case,)) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
