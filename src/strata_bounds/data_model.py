@@ -27,10 +27,6 @@ REQUIRED_COLUMNS = ("y", "s", "d", "block")
 CSV_CHUNK_ROWS = 4096
 # block labels an error message names before it gives only their count
 LABELS_IN_MESSAGE = 5
-# the table _reusable_labels was given last and its checked copy, which
-# Dataset takes unchecked (() passes the checks, so it stands for none). By
-# identity: (1,) and (1.0,) compare alike, but read "1" and "1.0".
-_reused_labels = ((), ())
 
 
 def _name_blocks(labels, indices) -> str:
@@ -113,7 +109,8 @@ class Dataset:
         if not np.isnan(y[s == 0]).all():
             raise ValidationError("unselected unit (s=0) must not carry an outcome")
         labels = self.labels
-        labels = labels if labels is _reused_labels[1] else _label_table(labels)
+        if not isinstance(labels, _LabelTable):
+            labels = _label_table(labels)
         if n and (
             codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(labels)
         ):
@@ -152,7 +149,15 @@ class Dataset:
         return tuple(map(self.labels.__getitem__, self.codes.tolist()))
 
 
-def _label_table(table) -> tuple[str, ...]:
+class _LabelTable(tuple):
+    """A block label table known to be trimmed non-empty strings, strictly
+    increasing. Only code that has checked a table makes one, and Dataset
+    takes it without checking it again; a plain tuple gets every check."""
+
+    __slots__ = ()
+
+
+def _label_table(table) -> _LabelTable:
     """The block labels as trimmed strings, checked non-empty and strictly
     increasing."""
     labels = tuple(map(str.strip, map(str, table)))
@@ -161,29 +166,21 @@ def _label_table(table) -> tuple[str, ...]:
     # strictly increasing: sorted and distinct in one pass
     if not all(map(operator.lt, labels, labels[1:])):
         raise ValidationError("block labels must be sorted and distinct")
-    return labels
+    return _LabelTable(labels)
 
 
-def _reusable_labels(table: tuple[str, ...]) -> tuple[str, ...]:
-    """_label_table(table) for a table of str that many Datasets share: they
-    take the returned tuple unchecked. Only the last table is kept, and held,
-    so no other object can pass for it."""
-    global _reused_labels
-    reused = _reused_labels
-    if table is not reused[0]:
-        reused = _reused_labels = (table, _label_table(table))
-    return reused[1]
-
-
-def _encode_labels(labels: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+def _encode_labels(labels: list[str]) -> tuple[np.ndarray, _LabelTable]:
     """Per-unit trimmed block labels as int64 codes into their sorted
     distinct table."""
     table = sorted(dict.fromkeys(labels))
+    # sorted and distinct by construction, so an empty label comes first
+    if table and not table[0]:
+        raise ValidationError("block label must be a non-empty string")
     lookup = dict(zip(table, range(len(table))))
     codes = np.fromiter(
         map(lookup.__getitem__, labels), dtype=np.int64, count=len(labels)
     )
-    return codes, tuple(table)
+    return codes, _LabelTable(table)
 
 
 def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
@@ -218,10 +215,6 @@ class BlockDesign:
     x_mean: np.ndarray | None
     codes: np.ndarray = field(repr=False)
     p_hat: float
-    # what later stages derive from the design alone (the design meat's arm
-    # layout and singleton pairings), built once however many estimators and
-    # variance methods share the design
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("n_g", "t_g", "eta_g", "m_g", "n1s_g", "n0s_g", "x_mean", "codes"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BlockDesign, Dataset
+from .data_model import LABELS_IN_MESSAGE, BlockDesign, Dataset
 from .errors import DegenerateTrimError, EstimationError, UndefinedTrimmingError
 
 METHOD_LEE = "lee"
@@ -312,8 +312,9 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     Each stratum gets its own trimming share from its own observed-selection
     rates. Strata whose cells are undefined (an arm with no observed
     outcome, or a trim that keeps less than one unit of treated mass) are
-    dropped from the aggregate and listed in the warnings; if every stratum
-    fails, estimation fails. All strata are trimmed at once, with the
+    dropped from the aggregate and named in the warnings, the first
+    LABELS_IN_MESSAGE of them with their reasons; if every stratum fails,
+    estimation fails. All strata are trimmed at once, with the
     fractional boundary mass of trimmed_mean.
     """
     # one sort puts each block's observed treated outcomes in ascending
@@ -338,13 +339,11 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     used = defined & (clamped | (n0s * t_g >= c_g))
 
     g = np.flatnonzero(used)
+    dropped = np.flatnonzero(~used)
     if not g.size:
         raise EstimationError(
             "conditional bounds undefined in every stratum: "
-            + "; ".join(
-                f"{label}: {reason}"
-                for label, reason in _drop_reasons(design, n1s, tau, used)
-            )
+            + _name_dropped(design, n1s, tau, dropped, "{}: {}")
         )
     m = n1s[g]
     # (1 - tau) m rounds to just below one unit where exactly one unit is kept
@@ -391,12 +390,11 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     if clamp_count:
         flags.append(f"stratum_trimming_clamped:{clamp_count}")
     warnings = []
-    dropped = _drop_reasons(design, n1s, tau, used)
-    if dropped:
-        flags.append(f"strata_dropped:{len(dropped)}")
+    if dropped.size:
+        flags.append(f"strata_dropped:{dropped.size}")
         warnings.append(
             "dropped strata: "
-            + "; ".join(f"{label} ({reason})" for label, reason in dropped)
+            + _name_dropped(design, n1s, tau, dropped, "{} ({})")
         )
     counts = _usage_counts(data)
     return BoundsEstimate(
@@ -420,15 +418,20 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     )
 
 
-def _drop_reasons(design, n1s, tau, used) -> list[tuple[str, str]]:
-    """(label, reason) for each stratum left out of the aggregate."""
-    reasons = []
-    for g in np.flatnonzero(~used).tolist():
+def _name_dropped(design, n1s, tau, dropped, form: str) -> str:
+    """The dropped strata for a message, each as form.format(label, reason),
+    joined by "; ". Up to LABELS_IN_MESSAGE are listed in full; a longer
+    list is cut to its count and first few, "2968 blocks: a (...); ...".
+    """
+    shown = []
+    for g in dropped[:LABELS_IN_MESSAGE].tolist():
         q = float(tau[g])
         if math.isnan(q):
             reason = "no observed outcomes in one arm"
         else:
             m = int(n1s[g])
             reason = str(_degenerate_trim(q, (1.0 - q) * m, m))
-        reasons.append((design.labels[g], reason))
-    return reasons
+        shown.append(form.format(design.labels[g], reason))
+    if dropped.size <= LABELS_IN_MESSAGE:
+        return "; ".join(shown)
+    return f"{dropped.size} blocks: {'; '.join(shown)}; ..."

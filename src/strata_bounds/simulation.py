@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .data_model import Dataset, _reusable_labels, block_design
+from .data_model import Dataset, _label_table, block_design
 from .errors import EstimationError, ValidationError
 from .variance import (
     ESTIMATORS, VARIANCE_CHOICES, _reusing_work_arrays, estimate_bounds,
@@ -110,7 +110,7 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
     return Dataset(
         y=np.where(s == 1, y, np.nan), s=s, d=d,
         codes=np.repeat(np.arange(n // 2), 2),
-        labels=_reusable_labels(_pair_labels(n // 2)),
+        labels=_pair_labels(n // 2),
         x=x[:, None],
     )
 
@@ -118,8 +118,11 @@ def simulate_dgp1(seed: int, n: int = 10000) -> Dataset:
 @functools.lru_cache(maxsize=4)
 def _pair_labels(n_pairs: int) -> tuple[str, ...]:
     """Pair labels zero-padded to one width, so label order is pair order;
-    built once per size, since every replication of a run uses the same."""
-    return tuple(map(f"%0{len(str(n_pairs - 1))}d".__mod__, range(n_pairs)))
+    built and checked once per size, since every replication of a run uses
+    the same table."""
+    return _label_table(
+        map(f"%0{len(str(n_pairs - 1))}d".__mod__, range(n_pairs))
+    )
 
 
 _DGP1_SIGMA = math.sqrt(5.0)  # SD of 2X + noise
@@ -191,6 +194,10 @@ def dgp1_truth() -> tuple[float, float]:
 # heavy-tails process
 # ---------------------------------------------------------------------------
 
+# the 100 stratum labels, checked once for every replication
+_DGP2_LABELS = _label_table(map("%03d".__mod__, range(100)))
+
+
 def simulate_dgp2(seed: int) -> Dataset:
     """Stratified design with per-stratum outliers and selective attrition.
 
@@ -222,11 +229,10 @@ def simulate_dgp2(seed: int) -> Dataset:
     w = rng.random(n)
     s_pot_treated = w < 0.98
     s_pot_control = w < 0.94
-    for g in range(n_strata):
-        lo = g * size_g
-        outlier = lo + int(np.argmax(y0[lo : lo + size_g]))
-        s_pot_treated[outlier] = True
-        s_pot_control[outlier] = w[outlier] < 0.01
+    # each stratum's largest control outcome
+    outlier = np.arange(0, n, size_g) + y0.reshape(n_strata, size_g).argmax(axis=1)
+    s_pot_treated[outlier] = True
+    s_pot_control[outlier] = w[outlier] < 0.01
 
     s = np.where(d == 1, s_pot_treated, s_pot_control)
 
@@ -255,7 +261,7 @@ def simulate_dgp2(seed: int) -> Dataset:
     return Dataset(
         y=np.where(s == 1, y, np.nan), s=s, d=d,
         codes=np.repeat(np.arange(n_strata), size_g),
-        labels=tuple(map("%03d".__mod__, range(n_strata))), x=x[:, None],
+        labels=_DGP2_LABELS, x=x[:, None],
     )
 
 

@@ -13,7 +13,7 @@ estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits both bounds in one pass and
 forms each method's meat once, on both bounds' moments stacked side by side;
 each bound's meat is a diagonal block of it. The meat's design-only part,
-from each arm's units to the singleton pairings, is built once per design.
+from each arm's units to the singleton pairings, is built on each call.
 Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
 takes its per-arm work arrays from one store per thread instead of fresh
 memory; the store keeps them after the context exits, for the next call.
@@ -155,22 +155,6 @@ class _Arm:
     single: np.ndarray
 
 
-@dataclass(eq=False)
-class _MeatLayout:
-    """What meat_design needs of the design and the treatment column.
-
-    It depends on no moment, so it is built once per design (and kept in
-    the design's cache); pairing is filled on the first paired-mode meat
-    with, per arm, (involution, partner block of each singleton block) or
-    None, or the PairingError that pairing raised.
-    """
-
-    d: np.ndarray  # the treatment column the layout was built from
-    coef: np.ndarray  # (n_g / n) eta_g (1 - eta_g)
-    arms: tuple[_Arm, _Arm]  # treated, control
-    pairing: tuple | PairingError | None = None
-
-
 def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
     units = np.flatnonzero(in_arm)
     codes = design.codes[units]
@@ -181,54 +165,22 @@ def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
         c = counts[multi].astype(float)
         within = np.zeros(counts.size)
         within[multi] = coef[multi] / (c * (c - 1.0))
-    arm = _Arm(
+    return _Arm(
         units=units, codes=codes, counts=counts, within=within,
         single=np.flatnonzero(counts == 1),
     )
-    for col in (units, codes, counts, within, arm.single):
-        if col is not None:
-            col.setflags(write=False)
-    return arm
 
 
-def _meat_layout(data: Dataset, design: BlockDesign) -> _MeatLayout:
-    layout = design._cache.get("meat")
-    if layout is None or layout.d is not data.d:
-        etas = design.eta_g
-        coef = (design.n_g / data.n) * etas * (1.0 - etas)
-        layout = _MeatLayout(
-            d=data.d,
-            coef=coef,
-            arms=(_arm(design, data.d == 1, coef), _arm(design, data.d == 0, coef)),
-        )
-        design._cache["meat"] = layout
-    return layout
-
-
-def _pairing(design: BlockDesign, layout: _MeatLayout):
-    """Per arm, its singleton blocks' involution and partner blocks, or None.
-
-    pair_blocks runs once per arm and design; a PairingError is kept and
-    raised again on each later call.
-    """
-    if layout.pairing is None:
-        try:
-            pairing = []
-            for arm in layout.arms:
-                if not arm.single.size:
-                    pairing.append(None)
-                    continue
-                inv = pair_blocks(design, arm.single)
-                partner = np.empty(design.n_blocks, dtype=np.int64)
-                partner[inv.pairs[:, 1]] = inv.pairs[:, 0]
-                partner[inv.pairs[:, 0]] = inv.pairs[:, 1]  # in-set blocks win
-                pairing.append((inv, partner[arm.single]))
-            layout.pairing = tuple(pairing)
-        except PairingError as exc:
-            layout.pairing = exc
-    if isinstance(layout.pairing, PairingError):
-        raise layout.pairing
-    return layout.pairing
+def _pairing(design: BlockDesign, arm: _Arm):
+    """The arm's singleton blocks' involution and the partner block of each,
+    or None when the arm has no singleton block."""
+    if not arm.single.size:
+        return None
+    inv = pair_blocks(design, arm.single)
+    partner = np.empty(design.n_blocks, dtype=np.int64)
+    partner[inv.pairs[:, 1]] = inv.pairs[:, 0]
+    partner[inv.pairs[:, 0]] = inv.pairs[:, 1]  # in-set blocks win
+    return inv, partner[arm.single]
 
 
 # per thread: whether meat_design reuses its work arrays (set by
@@ -275,12 +227,15 @@ def meat_design(
     moments is (n, m): one bound's five columns or several bounds' stacked
     side by side, best Fortran-ordered, since the meat works on columns.
     The design-only part (each arm's units and their blocks, its weights,
-    singleton sets and pairings) is built once per design and reused.
+    singleton sets and pairings) is built from the design and the treatment
+    column on each call.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
-    layout = _meat_layout(data, design)
-    treated, control = layout.arms
+    etas = design.eta_g
+    coef = (design.n_g / data.n) * etas * (1.0 - etas)
+    arms = _arm(design, data.d == 1, coef), _arm(design, data.d == 0, coef)
+    treated, control = arms
     pairing = (None, None)
     if mode == "label":
         if treated.single.size or control.single.size:
@@ -290,16 +245,15 @@ def meat_design(
                 f"block; singleton arms in: {_name_blocks(design.labels, bad)}"
             )
     else:
-        pairing = _pairing(design, layout)
+        pairing = _pairing(design, treated), _pairing(design, control)
 
     # (m, n), C-contiguous for Fortran moments; float, as the work arrays are
     cols = np.asarray(moments, dtype=float).T
     m, n = cols.shape
-    coef = layout.coef
     mbar = cols.mean(axis=1)
     a3 = np.outer(mbar, mbar)
     per_arm = []  # (a, zeta, means) of the treated, then the control arm
-    for side, (arm, paired) in enumerate(zip(layout.arms, pairing)):
+    for side, (arm, paired) in enumerate(zip(arms, pairing)):
         # every gather's indices are valid by construction: mode="clip"
         # lets take write straight into out, where "raise" would buffer it
         rows = np.take(

@@ -26,6 +26,11 @@ from frozen_values import (
     DGP1_SUMMARY_CSV,
     DGP2_REPLICATIONS_CSV,
     DGP2_SUMMARY_CSV,
+    ESTIMATE_DESIGN_CSV,
+    ESTIMATE_DESIGN_JSON,
+    ESTIMATE_IID_CSV,
+    ESTIMATE_IID_JSON,
+    ESTIMATE_INPUT_CSV,
     HAND_DELTA_LB,
     HAND_DELTA_UB,
     HAND_MU0,
@@ -399,7 +404,24 @@ def test_label_variance_error_names_few_of_many_blocks(capsys, tmp_path):
     )
 
 
-def test_estimate_all_pairs_each_arm_once(capsys, monkeypatch, tmp_path):
+def test_conditional_lee_error_names_few_of_many_strata(capsys, tmp_path):
+    # 7 strata, none with an observed control outcome
+    rows = [f"{g},1,1,s{g}\n,0,0,s{g}\n" for g in range(7)]
+    path = tmp_path / "nocontrol.csv"
+    path.write_text("y,s,d,block\n" + "".join(rows))
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator",
+        "conditional-lee",
+    )
+    assert (code, out) == (2, "")
+    reason = "no observed outcomes in one arm"
+    assert err == (
+        "error: conditional bounds undefined in every stratum: 7 blocks: "
+        + "; ".join(f"s{g}: {reason}" for g in range(5)) + "; ...\n"
+    )
+
+
+def test_estimate_all_pairs_each_arm_per_meat(capsys, monkeypatch, tmp_path):
     # blocks a-c have a singleton treated arm, d-f a singleton control arm
     rows = []
     for g, label in enumerate("abcdef"):
@@ -416,9 +438,32 @@ def test_estimate_all_pairs_each_arm_once(capsys, monkeypatch, tmp_path):
     assert [r["se_lb"] is not None for r in json.loads(out)["results"]] == [
         True, False, True
     ]
-    # lee and lee-ipw form one meat each on both bounds; the pairings belong
-    # to the design, so they are built once, one per arm
-    assert counts == {"meat_design": 2, "pair_blocks": 2}
+    # lee and lee-ipw form one meat each on both bounds, and each meat pairs
+    # the singleton blocks of each arm
+    assert counts == {"meat_design": 2, "pair_blocks": 4}
+
+
+@pytest.mark.parametrize(
+    "variance,fmt,expected",
+    [
+        ("design", "json", ESTIMATE_DESIGN_JSON),
+        ("design", "csv", ESTIMATE_DESIGN_CSV),
+        ("iid", "json", ESTIMATE_IID_JSON),
+        ("iid", "csv", ESTIMATE_IID_CSV),
+    ],
+    ids=["design-json", "design-csv", "iid-json", "iid-csv"],
+)
+def test_estimate_prints_the_frozen_text(capsys, tmp_path, variance, fmt, expected):
+    # guards every digit and word estimate prints: an odd singleton-arm
+    # pairing with a covariate, a clamped stratum and two dropped strata
+    path = tmp_path / "hand.csv"
+    path.write_text(ESTIMATE_INPUT_CSV)
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", "all",
+        "--variance", variance, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_no_observed_control_outcomes_exits_two(capsys, tmp_path):

@@ -22,10 +22,13 @@ from strata_bounds import (
     write_csv,
 )
 
+from strata_bounds.cli import flip_treatment
+
 from conftest import (
     assert_parses_like_oracle,
     assert_same_columns,
     build_dataset,
+    count_calls,
     hand_arrays,
 )
 
@@ -170,13 +173,13 @@ def test_dataset_rejects_bad_label_tables(codes, labels, fragment):
         Dataset(y=[1.0] * 4, s=[1] * 4, d=[1, 0, 1, 0], codes=codes, labels=labels)
 
 
-def test_dataset_checks_each_label_table_not_handed_to_it_checked():
+def test_dataset_takes_a_checked_label_table_by_its_type():
     columns = dict(y=[1.0] * 4, s=[1] * 4, d=[1, 0, 1, 0], codes=[0, 0, 1, 1])
-    kept = data_model._reusable_labels((" a", "b"))
-    assert kept == ("a", "b")
+    checked = data_model._label_table((" a", "b"))
+    assert checked == ("a", "b")
     # the checked table passes as that very object
-    assert Dataset(**columns, labels=kept).labels is kept
-    # new tables get every check, even right after an equal one was kept
+    assert Dataset(**columns, labels=checked).labels is checked
+    # a plain tuple gets every check, even one equal to a checked table
     for labels, fragment in [
         (("b", "a"), "sorted and distinct"),
         (("a", " \t "), "non-empty"),
@@ -184,12 +187,28 @@ def test_dataset_checks_each_label_table_not_handed_to_it_checked():
         with pytest.raises(ValidationError, match=fragment):
             Dataset(**columns, labels=labels)
         with pytest.raises(ValidationError, match=fragment):
-            data_model._reusable_labels(labels)
+            data_model._label_table(labels)
     # (1,) and (1.0,) compare and hash alike, but are different labels
     pair = dict(y=[1.0, 2.0], s=[1, 1], d=[1, 0], codes=[0, 0])
-    assert data_model._reusable_labels(tuple([1])) == ("1",)
-    assert Dataset(**pair, labels=tuple([1.0])).labels == ("1.0",)
-    assert data_model._reusable_labels(tuple([1.0])) == ("1.0",)
+    assert Dataset(**pair, labels=(1,)).labels == ("1",)
+    assert Dataset(**pair, labels=(1.0,)).labels == ("1.0",)
+
+
+def test_built_datasets_hand_over_a_table_checked_once(monkeypatch, tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("y,s,d,block\n1,1,1, a\n2,1,0,a\n")
+    counts = count_calls(monkeypatch, [data_model._label_table])
+    # each builder checks its table where it builds it, and Dataset, seeing
+    # its type, does not check it again
+    for build in (
+        lambda: parse_csv(str(path)),
+        lambda: dataset_from_arrays([1.0, 2.0], [1, 1], [1, 0], [" a", "a"]),
+        lambda: flip_treatment(parse_csv(str(path))),
+    ):
+        assert build().labels == ("a",)
+        assert counts == {"_label_table": 0}
+    with pytest.raises(ValidationError, match="block label must be a non-empty string"):
+        dataset_from_arrays([1.0, 2.0], [1, 1], [1, 0], [" \t ", " \t "])
 
 
 def test_simulated_pairs_of_one_size_share_one_label_table():

@@ -345,6 +345,52 @@ def test_conditional_bounds_fail_when_every_stratum_fails():
         conditional_lee_bounds(data, block_design(data))
 
 
+def _seven_dropped_strata(with_used: bool):
+    """Strata d1-d7 that conditional_lee_bounds drops: d1 keeps a third of a
+    treated unit, d2-d7 observe no control; "ok", if asked for, is used."""
+    y = [4.0, 1.0, 0.0, 0.0]
+    s = [1, 1, 0, 0]
+    d = [1, 0, 0, 0]
+    blocks = ["d1"] * 4
+    for g in range(2, 8):
+        y += [float(g), 0.0]
+        s += [1, 0]
+        d += [1, 0]
+        blocks += [f"d{g}"] * 2
+    if with_used:
+        y += [5.0, 6.0, 2.0, 1.0]
+        s += [1, 1, 1, 1]
+        d += [1, 1, 0, 0]
+        blocks += ["ok"] * 4
+    return build_dataset(y, s, d, blocks)
+
+
+SEVEN_DROPPED = (
+    "7 blocks: d1{}trimming share 0.6666666666666667 retains mass 0.333333 "
+    "< 1 of 1 values{}; d2{}no observed outcomes in one arm{}; "
+    "d3{}no observed outcomes in one arm{}; d4{}no observed outcomes in one "
+    "arm{}; d5{}no observed outcomes in one arm{}; ..."
+)
+
+
+def test_conditional_bounds_name_few_of_many_dropped_strata():
+    data = _seven_dropped_strata(with_used=True)
+    est = conditional_lee_bounds(data, block_design(data))
+    assert est.warnings == (
+        "dropped strata: " + SEVEN_DROPPED.format(*[" (", ")"] * 5),
+    )
+    # the flag and the detail keep the full count and set
+    assert "strata_dropped:7" in est.flags
+    assert est.detail.used.tolist() == [False] * 7 + [True]
+    data = _seven_dropped_strata(with_used=False)
+    with pytest.raises(EstimationError) as info:
+        conditional_lee_bounds(data, block_design(data))
+    assert str(info.value) == (
+        "conditional bounds undefined in every stratum: "
+        + SEVEN_DROPPED.format(*[": ", ""] * 5)
+    )
+
+
 def test_bounds_estimate_is_immutable(hand_dataset):
     est = lee_bounds(hand_dataset, block_design(hand_dataset))
     assert isinstance(est, BoundsEstimate)
