@@ -2,6 +2,8 @@
 
 Each constant was worked out on paper from the defining formulas; tests
 assert the library reproduces them exactly (or to the stated tolerance).
+The last two sections instead hold the program's own output text, captured
+once and frozen as a guard against any change in it.
 """
 
 # Trimmed means ------------------------------------------------------------

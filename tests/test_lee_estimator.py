@@ -365,20 +365,21 @@ def _seven_dropped_strata(with_used: bool):
     return build_dataset(y, s, d, blocks)
 
 
-SEVEN_DROPPED = (
-    "7 blocks: d1{}trimming share 0.6666666666666667 retains mass 0.333333 "
-    "< 1 of 1 values{}; d2{}no observed outcomes in one arm{}; "
-    "d3{}no observed outcomes in one arm{}; d4{}no observed outcomes in one "
-    "arm{}; d5{}no observed outcomes in one arm{}; ..."
-)
+def _first_five_of_seven(form: str) -> str:
+    """The count and the first five of _seven_dropped_strata, each as
+    form.format(label, reason)."""
+    reasons = [
+        "trimming share 0.6666666666666667 retains mass 0.333333 < 1 of 1 values",
+        *["no observed outcomes in one arm"] * 4,
+    ]
+    shown = (form.format(f"d{g}", r) for g, r in enumerate(reasons, start=1))
+    return "7 blocks: " + "; ".join(shown) + "; ..."
 
 
 def test_conditional_bounds_name_few_of_many_dropped_strata():
     data = _seven_dropped_strata(with_used=True)
     est = conditional_lee_bounds(data, block_design(data))
-    assert est.warnings == (
-        "dropped strata: " + SEVEN_DROPPED.format(*[" (", ")"] * 5),
-    )
+    assert est.warnings == ("dropped strata: " + _first_five_of_seven("{} ({})"),)
     # the flag and the detail keep the full count and set
     assert "strata_dropped:7" in est.flags
     assert est.detail.used.tolist() == [False] * 7 + [True]
@@ -387,7 +388,7 @@ def test_conditional_bounds_name_few_of_many_dropped_strata():
         conditional_lee_bounds(data, block_design(data))
     assert str(info.value) == (
         "conditional bounds undefined in every stratum: "
-        + SEVEN_DROPPED.format(*[": ", ""] * 5)
+        + _first_five_of_seven("{}: {}")
     )
 
 
