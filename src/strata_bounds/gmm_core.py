@@ -23,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data_model import BlockDesign, Dataset
 from .errors import (
@@ -408,6 +407,76 @@ def _phi(u: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
+# Cephes' rational approximations, as scipy.special.ndtr evaluates them:
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = e^{-x^2} P(x) / Q(x)
+# for 1 <= x < 8, e^{-x^2} R(x) / S(x) for x >= 8. erfc is 0 where e^{-x^2}
+# would pass exp's underflow limit, from x = sqrt(709.78...).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_BRANCHES = (  # lower and upper end in x, numerator, denominator
+    (1.0, 8.0,
+     (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2),
+     (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)),
+    (8.0, math.sqrt(7.09782712893383996843e2),
+     (5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0),
+     (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)),
+)
+
+
+def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """coefs[0] x^k + ... + coefs[k] by Horner's rule."""
+    p = x * coefs[0]
+    p += coefs[1]
+    for c in coefs[2:]:
+        p *= x
+        p += c
+    return p
+
+
+def _big_phi(u: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise. Cephes' operations run in their
+    order, so the result is ndtr's wherever np.exp rounds as libm's exp
+    does. Each branch runs on its own elements only, gathered by index,
+    which costs a fraction of a boolean-mask gather."""
+    x = u * math.sqrt(0.5)
+    # from x = 6 on, 1 - erfc(x)/2 rounds to 1 (erfc(6)/2 < 2^-54), so such
+    # elements skip every branch, as if erfc had underflowed
+    z = np.where(x >= 6.0, np.inf, np.abs(x))
+    half_erfc = np.minimum(z, 0.0)  # 0 where erfc underflows; nan stays nan
+    for lo, hi, num, den in _ERFC_BRANCHES:
+        at = np.flatnonzero((z >= lo) & (z < hi))
+        zs = z[at]
+        y = np.exp(-zs * zs)
+        y *= _horner(zs, num)
+        y /= _horner(zs, den)
+        y *= 0.5
+        half_erfc[at] = y
+    out = np.where(x > 0.0, 1.0 - half_erfc, half_erfc)
+    at = np.flatnonzero(z < 1.0)
+    xs = x[at]
+    zs = xs * xs
+    y = _horner(zs, _ERF_T)
+    y *= xs
+    y /= _horner(zs, _ERF_U)
+    out[at] = 0.5 + 0.5 * y
+    return out
+
+
 def jacobian(
     data: Dataset,
     design: BlockDesign,
@@ -435,7 +504,7 @@ def jacobian(
         h = silverman_bandwidth(sample)  # raises: too few trimmed outcomes
     sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
     u = (theta.cutoff - sample) / h  # positive inside the kept lower tail
-    big_phi_kept = ndtr(sign * u)
+    big_phi_kept = _big_phi(sign * u)
     small_phi = _phi(u) / h
     dev_phi = (sample - theta.mu1) * small_phi
     n1 = float(sample.size)

@@ -36,12 +36,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data_model import Dataset, _label_table, block_design
 from .errors import EstimationError, ValidationError
 from .variance import (
-    ESTIMATORS, VARIANCE_CHOICES, _reusing_work_arrays, estimate_bounds,
+    ESTIMATORS, VARIANCE_CHOICES, _normal_cdf, _reusing_work_arrays,
+    estimate_bounds,
 )
 
 DGP_MATCHED_PAIRS = "matched_pairs"
@@ -132,7 +132,7 @@ _DGP1_KEEP = 0.875  # one minus the population trimming share
 def _dgp1_normal_parts(t: float) -> tuple[float, float]:
     """Phi(t / sigma) and sigma phi(t / sigma)."""
     sigma = _DGP1_SIGMA
-    return ndtr(t / sigma), sigma * math.exp(-t * t / 10.0) / math.sqrt(2.0 * math.pi)
+    return _normal_cdf(t / sigma), sigma * math.exp(-t * t / 10.0) / math.sqrt(2.0 * math.pi)
 
 
 def _dgp1_cdf(w: float) -> float:

@@ -25,9 +25,9 @@ import contextlib
 import math
 import threading
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data_model import BlockDesign, Dataset, _name_blocks
 from .errors import EstimationError, FeasibilityError, PairingError
@@ -377,20 +377,31 @@ def bound_standard_error(v_hat: np.ndarray, n: int) -> tuple[float, bool]:
     return math.sqrt(max(sigma2, 0.0) / n), clipped
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal distribution function Phi(x)."""
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+def _normal_quantile(p: float) -> float:
+    """Phi^{-1}(p); +inf for p >= 1, which 1 - alpha/2 rounds to when alpha
+    is below about 1e-16, so such an alpha gives infinite intervals."""
+    return math.inf if p >= 1.0 else NormalDist().inv_cdf(p)
+
+
 def set_critical_value(width: float, sigma: float, alpha: float) -> float:
-    """Critical value c solving ndtr(c + width/sigma) - ndtr(-c) = 1 - alpha.
+    """Critical value c solving Phi(c + width/sigma) - Phi(-c) = 1 - alpha.
 
     Bisection on [z_{1-a}, z_{1-a/2}] to an interval of 1e-10. With sigma = 0
     the interval degenerates and the one-sided value z_{1-a} is returned.
     """
     if sigma <= 0.0:
-        return float(ndtri(1.0 - alpha))
+        return _normal_quantile(1.0 - alpha)
     ratio = max(width, 0.0) / sigma
-    lo = float(ndtri(1.0 - alpha))
-    hi = float(ndtri(1.0 - alpha / 2.0))
+    lo = _normal_quantile(1.0 - alpha)
+    hi = _normal_quantile(1.0 - alpha / 2.0)
 
     def gap(c: float) -> float:
-        return float(ndtr(c + ratio) - ndtr(-c) - (1.0 - alpha))
+        return _normal_cdf(c + ratio) - _normal_cdf(-c) - (1.0 - alpha)
 
     if gap(hi) < 0.0:  # cannot happen analytically; float safety
         return hi
@@ -423,7 +434,7 @@ def confidence_intervals(
     alpha: float,
 ) -> IntervalReport:
     """Two-sided per-bound intervals and the width-adjusted set interval."""
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _normal_quantile(1.0 - alpha / 2.0)
     sigma = max(se_lb, se_ub)
     crit = set_critical_value(delta_ub - delta_lb, sigma, alpha)
     return IntervalReport(

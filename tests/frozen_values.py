@@ -2,7 +2,7 @@
 
 Each constant was worked out on paper from the defining formulas; tests
 assert the library reproduces them exactly (or to the stated tolerance).
-The last two sections instead hold the program's own output text, captured
+The last three sections instead hold the program's own output text, captured
 once and frozen as a guard against any change in it.
 """
 
@@ -369,4 +369,55 @@ ESTIMATE_IID_CSV = (
     'lee,iid,0.05,41,34,2.05065359477,2.81290849673,0.217391304348,1.30882352941,3.35947712418,4.12173202614,4.75,2.75,0.34205007283,0.380119742999,1.38024777112,2.72105941843,2.06788749064,3.55792950282,1.48759838056,3.43863092839,1.64611926421,,heterogeneous_treated_shares: pooled trimming is biased for the always-observed effect; consider the weighted estimator,\n'
     'conditional-lee,none,,41,34,1.9595959596,2.55050505051,0.181818181818,1.36994949495,3.32954545455,3.92045454545,nan,nan,,,,,,,,,,stratum_trimming_clamped:1;strata_dropped:2,dropped strata: c (trimming share 0.33333333333333337 retains mass 0.666667 < 1 of 1 values); e (no observed outcomes in one arm),conditional-lee reports no variance; method set to none\n'
     'lee-ipw,iid,0.05,41,34,1.74297752809,2.80056179775,0.254901960784,1.33005617978,3.07303370787,4.13061797753,4.26966292135,2.98876404494,0.44809616097,1.31548715291,0.864725190978,2.6212298652,0.22225435593,5.37886923958,0.978356762667,5.04527818091,1.70637651474,,,\n'
+)
+
+
+# estimate with an alpha below 1e-16 -----------------------------------------
+# The program's own stdout on the pooled-bounds hand dataset, captured once
+# and frozen: 1 - alpha/2 rounds to 1, so every interval is infinite and the
+# run still exits 0. Command: estimate --estimator lee --variance iid
+# --alpha 1e-17 --format json|csv.
+TINY_ALPHA = 1e-17
+TINY_ALPHA_JSON = (
+    '{\n'
+    '  "results": [\n'
+    '    {\n'
+    '      "estimator": "lee",\n'
+    '      "variance": "iid",\n'
+    '      "alpha": 1e-17,\n'
+    '      "n": 20,\n'
+    '      "n_used": 14,\n'
+    '      "delta_lb": 0.0,\n'
+    '      "delta_ub": 2.0,\n'
+    '      "q": 0.25,\n'
+    '      "mu0": 3.5,\n'
+    '      "mu1_lb": 3.5,\n'
+    '      "mu1_ub": 5.5,\n'
+    '      "cutoff_lb": 6.0,\n'
+    '      "cutoff_ub": 3.0,\n'
+    '      "se_lb": 1.37751746935,\n'
+    '      "se_ub": 1.37751746935,\n'
+    '      "ci_lb": [\n'
+    '        -Infinity,\n'
+    '        Infinity\n'
+    '      ],\n'
+    '      "ci_ub": [\n'
+    '        -Infinity,\n'
+    '        Infinity\n'
+    '      ],\n'
+    '      "ci_set": [\n'
+    '        -Infinity,\n'
+    '        Infinity\n'
+    '      ],\n'
+    '      "critical_set": Infinity,\n'
+    '      "flags": [],\n'
+    '      "warnings": [],\n'
+    '      "notes": []\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+TINY_ALPHA_CSV = (
+    'estimator,variance,alpha,n,n_used,delta_lb,delta_ub,q,mu0,mu1_lb,mu1_ub,cutoff_lb,cutoff_ub,se_lb,se_ub,ci_lb_lo,ci_lb_hi,ci_ub_lo,ci_ub_hi,ci_set_lo,ci_set_hi,critical_set,flags,warnings,notes\n'
+    'lee,iid,1e-17,20,14,0,2,0.25,3.5,3.5,5.5,6,3,1.37751746935,1.37751746935,-inf,inf,-inf,inf,-inf,inf,inf,,,\n'
 )

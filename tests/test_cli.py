@@ -18,7 +18,7 @@ from strata_bounds import (
 )
 from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, cli, main
 
-from conftest import build_dataset, count_calls
+from conftest import build_dataset, count_calls, run_fresh_interpreter
 from oracles import oracle_ipw, oracle_lee
 
 from frozen_values import (
@@ -36,6 +36,9 @@ from frozen_values import (
     HAND_MU0,
     HAND_Q,
     SIMULATE_SEED,
+    TINY_ALPHA,
+    TINY_ALPHA_CSV,
+    TINY_ALPHA_JSON,
 )
 
 
@@ -466,6 +469,22 @@ def test_estimate_prints_the_frozen_text(capsys, tmp_path, variance, fmt, expect
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "fmt,expected", [("json", TINY_ALPHA_JSON), ("csv", TINY_ALPHA_CSV)],
+    ids=["json", "csv"],
+)
+def test_estimate_alpha_below_float_resolution_prints_infinite_intervals(
+    capsys, hand_csv, fmt, expected
+):
+    # 1 - alpha/2 rounds to 1: the normal quantile is +inf, not an error
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", hand_csv, "--estimator", "lee",
+        "--variance", "iid", "--alpha", repr(TINY_ALPHA), "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_no_observed_control_outcomes_exits_two(capsys, tmp_path):
     text = "y,s,d,block\n1,1,1,a\n,0,0,a\n2,1,1,a\n,0,0,a\n"
     path = tmp_path / "noctrl.csv"
@@ -578,6 +597,29 @@ def test_simulate_explicit_estimators_add_rows(capsys, tmp_path):
     lines = (tmp_path / "replications.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
     assert "lee:design" in lines[1] and "lee:iid" in lines[2]
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise
+    path = tmp_path / "hand.csv"
+    path.write_text(ESTIMATE_INPUT_CSV)
+    out = str(tmp_path)
+    runs = [
+        ["simulate", "--dgp", "1", "--n", "200", "--reps", "2", "--seed", "3",
+         "--estimator", "lee:iid", "--estimator", "lee:design",
+         "--out", f"{out}/dgp1"],
+        ["simulate", "--dgp", "2", "--reps", "2", "--seed", "3",
+         "--estimator", "lee-ipw:design", "--out", f"{out}/dgp2"],
+        ["estimate", "--input", str(path), "--estimator", "all",
+         "--variance", "design"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from strata_bounds import cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}])\n"
+    )
+    assert run_fresh_interpreter(script).splitlines()[-1] == "[0, 0, 0]"
 
 
 def test_console_entry_point_runs(capsys):

@@ -20,7 +20,7 @@ from strata_bounds import (
     silverman_bandwidth,
     solve_sandwich,
 )
-from strata_bounds import variance
+from strata_bounds import gmm_core, variance
 from strata_bounds.ipw_estimator import _per_unit_block_arrays
 
 from conftest import build_dataset, random_dataset, random_equal_share_dataset
@@ -193,6 +193,31 @@ def test_silverman_bandwidth_formula():
 def test_silverman_bandwidth_degenerate_sample_stays_positive():
     h = silverman_bandwidth(np.array([3.0, 3.0, 3.0]))
     assert h > 0.0
+
+
+def test_normal_cdf_kernel_matches_scipy_ndtr():
+    # within 4e-15 relative where ndtr >= 1e-300, 1e-300 absolute below it;
+    # the grid crosses both branch edges of the Cephes form, |u| = sqrt(2)
+    # and 8 sqrt(2), and u = 6 sqrt(2), from which Phi is 1; each edge is
+    # also tried with its float neighbours
+    edges = [
+        e
+        for b in (math.sqrt(2.0), 6.0 * math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+        for v in (b, -b)
+        for e in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+    ]
+    u = np.concatenate([
+        np.arange(-40_000, 40_001) * 1e-3,
+        edges,
+        [1e9, -1e9, np.inf, -np.inf, np.nan],
+    ])
+    got, want = gmm_core._big_phi(u), ndtr(u)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(u))
+    normal = np.abs(want) >= 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=4e-15, atol=0.0)
+    tiny = ~normal & ~np.isnan(u)
+    assert np.all(np.abs(got[tiny] - want[tiny]) <= 1e-300)
+    assert (got[-5:-1] == (1.0, 0.0, 1.0, 0.0)).all()
 
 
 def _filled(data):

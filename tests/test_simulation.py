@@ -34,7 +34,7 @@ from strata_bounds.simulation import (
     format_number,
 )
 
-from conftest import assert_same_columns, count_calls, run_fresh_interpreter
+from conftest import assert_same_columns, count_calls
 from oracles import oracle_dgp1_truth
 
 
@@ -133,17 +133,6 @@ def test_dgp1_quantile_is_the_least_float_that_reaches_p(p):
     q = simulation._dgp1_quantile(p)
     cdf = simulation._dgp1_cdf
     assert cdf(math.nextafter(q, -math.inf)) < p <= cdf(math.nextafter(q, math.inf))
-
-
-def test_simulate_does_not_load_scipy_optimize(tmp_path):
-    script = (
-        "import sys\n"
-        "from strata_bounds import cli\n"
-        "code = cli.main(['simulate', '--dgp', '1', '--n', '200', '--reps', '2',\n"
-        f"                 '--seed', '3', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'scipy.optimize' in sys.modules)\n"
-    )
-    assert run_fresh_interpreter(script).splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,13 @@ def test_confidence_intervals_degenerate_sigma():
     assert rep.ci_set == (1.0, 2.0)
 
 
+def test_confidence_intervals_alpha_below_float_resolution_are_infinite():
+    # 1 - alpha/2 rounds to 1, where the normal quantile is +inf
+    rep = confidence_intervals(0.4, 0.6, 0.05, 0.06, 1e-17)
+    assert rep.ci_lb == rep.ci_ub == rep.ci_set == (-math.inf, math.inf)
+    assert rep.z_per_bound == rep.critical_set == math.inf
+
+
 # ---------------------------------------------------------------------------
 # sandwich_report end to end
 # ---------------------------------------------------------------------------
