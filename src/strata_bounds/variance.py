@@ -13,7 +13,10 @@ estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits both bounds in one pass and
 forms each method's meat once, on both bounds' moments stacked side by side;
 each bound's meat is a diagonal block of it. The meat's design-only part,
-from each arm's units to the singleton pairings, is built on each call.
+from each arm's units to the singleton pairings, is built on each call. An
+arm with one unit in every block, as each arm of matched pairs, lists its
+units in block order, so their rows are its block sums and means; arms with
+the same singleton blocks share one pairing.
 Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
 takes its per-arm work arrays from one store per thread instead of fresh
 memory; the store keeps them after the context exits, for the next call.
@@ -141,8 +144,9 @@ class MeatReport:
 class _Arm:
     """One arm's units and the meat's design-only weights for them.
 
-    units lists the arm's unit indices in dataset order and codes their
-    blocks; counts[g] >= 1 is block g's size in the arm. within[g] =
+    units lists the arm's unit indices in dataset order, or in block order
+    when every block has one (as in matched pairs), and codes their blocks;
+    counts[g] >= 1 is block g's size in the arm. within[g] =
     coef_g / (c_g (c_g - 1)) weights the within-arm pair term, zero where
     c_g < 2; it is None when no block has two units in the arm. single lists
     the blocks with one.
@@ -159,6 +163,10 @@ def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
     units = np.flatnonzero(in_arm)
     codes = design.codes[units]
     counts = np.bincount(codes, minlength=design.n_blocks)
+    single = np.flatnonzero(counts == 1)
+    if single.size == counts.size:
+        units[codes] = units.copy()  # one scatter puts them in block order
+        codes = single
     multi = counts >= 2
     within = None
     if multi.any():
@@ -166,8 +174,7 @@ def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
         within = np.zeros(counts.size)
         within[multi] = coef[multi] / (c * (c - 1.0))
     return _Arm(
-        units=units, codes=codes, counts=counts, within=within,
-        single=np.flatnonzero(counts == 1),
+        units=units, codes=codes, counts=counts, within=within, single=single
     )
 
 
@@ -228,7 +235,10 @@ def meat_design(
     side by side, best Fortran-ordered, since the meat works on columns.
     The design-only part (each arm's units and their blocks, its weights,
     singleton sets and pairings) is built from the design and the treatment
-    column on each call.
+    column on each call. An arm with one unit in every block takes its rows,
+    gathered in block order, as its block sums, means and singleton rows;
+    when both arms have the same singleton blocks, as in matched pairs,
+    pair_blocks runs once and both arms use its pairing.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
@@ -245,7 +255,10 @@ def meat_design(
                 f"block; singleton arms in: {_name_blocks(design.labels, bad)}"
             )
     else:
-        pairing = _pairing(design, treated), _pairing(design, control)
+        # arms with the same singleton blocks (matched pairs) share a pairing
+        first = _pairing(design, treated)
+        same = np.array_equal(control.single, treated.single)
+        pairing = first, first if same else _pairing(design, control)
 
     # (m, n), C-contiguous for Fortran moments; float, as the work arrays are
     cols = np.asarray(moments, dtype=float).T
@@ -260,9 +273,14 @@ def meat_design(
             cols, arm.units, axis=1, mode="clip",
             out=_work_array(("rows", side), (m, arm.units.size)),
         )
-        sums = _work_array(("sums", side), (m, arm.counts.size))
-        for row, total in zip(rows, sums):
-            total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
+        # with one unit in every block, listed in block order, the rows are
+        # the arm's block sums, its block means and its singleton rows
+        one_each = arm.single.size == arm.counts.size
+        sums = rows
+        if not one_each:
+            sums = _work_array(("sums", side), (m, arm.counts.size))
+            for row, total in zip(rows, sums):
+                total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
         zeta = np.zeros((m, m))
         if arm.within is not None:
             # sum_g w_g (S_g S_g' - sum_i r_i r_i') over blocks with two or
@@ -274,9 +292,10 @@ def meat_design(
                 zeta[:, k] = sums @ (arm.within * total) - rows @ (w_unit * row)
             zeta = 0.5 * (zeta + zeta.T)
         a = rows @ rows.T / n
-        del rows  # a fresh gather goes here, so one arm's is alive at a time
+        del rows  # unless they are the sums, the next arm's gather replaces them
         means = sums  # in place: the sums are not needed any more
-        means /= arm.counts
+        if not one_each:
+            means /= arm.counts
         if paired is not None:
             # a singleton arm's sum is its single row, which is also its
             # mean; its partner term is the arm mean of the block it is
@@ -288,7 +307,7 @@ def meat_design(
                 out=_work_array(("partner", side), shape),
             )
             weighted *= coef[arm.single]
-            single = np.take(
+            single = means if one_each else np.take(
                 means, arm.single, axis=1, mode="clip",
                 out=_work_array(("single", side), shape),
             )
@@ -433,14 +452,19 @@ def confidence_intervals(
     se_ub: float,
     alpha: float,
 ) -> IntervalReport:
-    """Two-sided per-bound intervals and the width-adjusted set interval."""
+    """Two-sided per-bound intervals and the width-adjusted set interval;
+    a zero SE gives the point, even where the critical value is infinite."""
     z = _normal_quantile(1.0 - alpha / 2.0)
     sigma = max(se_lb, se_ub)
     crit = set_critical_value(delta_ub - delta_lb, sigma, alpha)
+    half_lb, half_ub, set_lb, set_ub = (
+        c * se if se else 0.0  # never inf * 0
+        for c, se in ((z, se_lb), (z, se_ub), (crit, se_lb), (crit, se_ub))
+    )
     return IntervalReport(
-        ci_lb=(delta_lb - z * se_lb, delta_lb + z * se_lb),
-        ci_ub=(delta_ub - z * se_ub, delta_ub + z * se_ub),
-        ci_set=(delta_lb - crit * se_lb, delta_ub + crit * se_ub),
+        ci_lb=(delta_lb - half_lb, delta_lb + half_lb),
+        ci_ub=(delta_ub - half_ub, delta_ub + half_ub),
+        ci_set=(delta_lb - set_lb, delta_ub + set_ub),
         z_per_bound=z,
         critical_set=crit,
         degenerate=sigma <= 0.0,

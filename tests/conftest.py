@@ -53,6 +53,14 @@ def build_dataset(y, s, d, blocks, x=None):
     return dataset_from_arrays(np.where(s == 1, y, np.nan), s, d, blocks, x=x)
 
 
+def assert_close_matrix(actual, expected, moments, what):
+    """A meat field matches the oracle's to 1e-12 of its scale."""
+    # every meat field is a quadratic form in the moments, so rounding error
+    # scales with their largest square even where a field is exactly 0
+    scale = max(float(np.abs(expected).max()), float(np.abs(moments).max()) ** 2)
+    assert float(np.abs(actual - expected).max()) <= 1e-12 * scale, what
+
+
 def assert_same_columns(a, b):
     """Two datasets hold identical columns (nan outcomes compare equal)."""
     np.testing.assert_array_equal(a.y, b.y, strict=True)

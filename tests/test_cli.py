@@ -485,6 +485,36 @@ def test_estimate_alpha_below_float_resolution_prints_infinite_intervals(
     assert out == expected
 
 
+@pytest.mark.parametrize("variance", ["iid", "design"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_estimate_zero_se_with_infinite_quantile_prints_the_point(
+    capsys, tmp_path, variance, fmt
+):
+    # every outcome ties within its arm, so both SEs are 0; with 1 - alpha/2
+    # rounding to 1 the half-widths are inf * 0, which must read 0, not nan
+    path = tmp_path / "constant.csv"
+    path.write_text("y,s,d,block\n" + "5,1,1,a\n5,1,1,a\n2,1,0,a\n2,1,0,a\n"
+                    "5,1,1,b\n5,1,1,b\n2,1,0,b\n2,1,0,b\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", "lee",
+        "--variance", variance, "--alpha", "1e-17", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        (record,) = json.loads(out)["results"]
+        cells = [*record["ci_lb"], *record["ci_ub"], *record["ci_set"]]
+        assert (record["se_lb"], record["se_ub"]) == (0.0, 0.0)
+        assert record["critical_set"] == float("inf")
+        assert record["flags"] == ["degenerate_ci"]
+    else:
+        header, line = out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        cells = [row[f"ci_{which}_{end}"] for which in ("lb", "ub", "set")
+                 for end in ("lo", "hi")]
+        assert (row["critical_set"], row["flags"]) == ("inf", "degenerate_ci")
+    assert [str(cell) for cell in cells] == (["3.0"] if fmt == "json" else ["3"]) * 6
+
+
 def test_no_observed_control_outcomes_exits_two(capsys, tmp_path):
     text = "y,s,d,block\n1,1,1,a\n,0,0,a\n2,1,1,a\n,0,0,a\n"
     path = tmp_path / "noctrl.csv"

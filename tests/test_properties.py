@@ -34,7 +34,11 @@ from scipy.stats import norm
 
 from strata_bounds.cli import flip_treatment
 
-from conftest import assert_parses_like_oracle, assert_same_columns
+from conftest import (
+    assert_close_matrix,
+    assert_parses_like_oracle,
+    assert_same_columns,
+)
 from oracles import (
     always_observed_treat_prob_oracle,
     meat_design_oracle,
@@ -387,13 +391,6 @@ def singleton_arms_strategy(draw):
     return data, block_design(data)
 
 
-def _assert_close_matrix(actual, expected, moments, what):
-    # every meat field is a quadratic form in the moments, so rounding error
-    # scales with their largest square even where a field is exactly 0
-    scale = max(float(np.abs(expected).max()), float(np.abs(moments).max()) ** 2)
-    assert float(np.abs(actual - expected).max()) <= 1e-12 * scale, what
-
-
 def _exact_zero_cross_term_case():
     """b0 has no observed control, so the oracle's zeta_10 is exactly 0,
     while the joint meat's is of order 1e-18."""
@@ -431,7 +428,7 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
         moments = fit.matrix.values
         expected = meat_design_oracle(data, design, moments, mode)
         for field in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
-            _assert_close_matrix(
+            assert_close_matrix(
                 getattr(meat, field), expected[field], moments, f"{side} {field}"
             )
         assert meat.mode == mode
@@ -587,3 +584,54 @@ def test_affine_outcome_map_moves_bounds_to_match(parts, shift, scale):
         want = (scale * a[0], scale * a[1]) if scale > 0 else (scale * a[1], scale * a[0])
         assert b[0] == pytest.approx(want[0], abs=tol)
         assert b[1] == pytest.approx(want[1], abs=tol)
+
+
+@st.composite
+def tied_treated_strategy(draw):
+    """Designs whose observed treated outcomes all equal one value, so every
+    trimming cutoff sits on a tie of the whole sample.
+
+    Blocks hold 2-6 units with any treated count, so either arm may be a
+    singleton; block 0's first treated and first control unit are observed.
+    """
+    tie = draw(st.one_of(
+        st.sampled_from([-1.5, 0.0, 0.1, 3.0]),
+        st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+    ))
+    y, s, d, blocks = [], [], [], []
+    for g in range(draw(st.integers(2, 7))):
+        n_g = draw(st.integers(2, 6))
+        t_g = draw(st.integers(1, n_g - 1))
+        for i in range(n_g):
+            treated = i < t_g
+            observed = (g == 0 and i in (0, t_g)) or draw(st.sampled_from([0, 1, 1]))
+            d.append(int(treated))
+            s.append(int(observed))
+            y.append(tie if treated else draw(st.floats(-5.0, 5.0)))
+            blocks.append(f"g{g}")
+    s = np.array(s)
+    y = np.where(s == 1, np.array(y), np.nan)
+    return dataset_from_arrays(y, s, np.array(d), blocks), tie
+
+
+@given(case=tied_treated_strategy())
+@settings(**COMMON)
+def test_treated_outcomes_tied_at_the_cutoff(case):
+    # trimming a constant sample keeps that constant, and the smoothed
+    # Jacobian at a cutoff tied by every unit stays finite
+    data, tie = case
+    design = block_design(data)
+    mu0 = float(data.y[(data.d == 0) & (data.s == 1)].mean())
+    for name in ("lee", "lee-ipw"):
+        try:
+            estimate, reports = estimate_bounds(data, design, name, ("iid", "design"))
+        except EstimationError:
+            continue  # the point estimate itself is undefined on this draw
+        if name == "lee":
+            assert estimate.delta_lb == estimate.delta_ub
+            assert estimate.delta_lb == pytest.approx(tie - mu0, rel=1e-12, abs=1e-12)
+        for method, report in reports.items():
+            if isinstance(report, EstimationError):
+                continue  # documented: a singular Jacobian, say
+            assert math.isfinite(report.se_lb), (name, method)
+            assert math.isfinite(report.se_ub), (name, method)

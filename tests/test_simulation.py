@@ -376,14 +376,14 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
     monte_carlo(config)
     # one point estimate; one moment matrix for both bounds; one Jacobian per
     # bound; one meat per method on both bounds' stacked moments; one
-    # pairing per arm, since every pair has a singleton treated and control arm
+    # pairing for both arms, since every pair is a singleton block in each
     assert counts == {
         "lee_bounds": 1,
         "moment_matrix": 1,
         "jacobian": 2,
         "meat_iid": 1,
         "meat_design": 1,
-        "pair_blocks": 2,
+        "pair_blocks": 1,
     }
 
 

@@ -32,13 +32,19 @@ from strata_bounds import (
 from strata_bounds import variance
 from strata_bounds.variance import bound_standard_error
 
-from conftest import build_dataset, random_dataset, run_fresh_interpreter
+from conftest import (
+    assert_close_matrix,
+    build_dataset,
+    random_dataset,
+    run_fresh_interpreter,
+)
 
 from oracles import (
     assignments,
     enum_mean_cross_term,
     enum_mean_label_within,
     enum_mean_within_arm,
+    meat_design_oracle,
     oracle_set_critical,
     pair_probability,
     rhs_cross_term,
@@ -253,6 +259,85 @@ def test_meat_design_pairs_singletons_and_reports_them():
     m_b1 = moments[2]  # block b treated unit
     expect_11 = coef * 0.5 * (np.outer(m_a1, m_b1) + np.outer(m_b1, m_a1)) * 2
     np.testing.assert_allclose(report.zeta_11, expect_11, atol=1e-14)
+
+
+def _mixed_arms_data(n_blocks=40):
+    """Blocks of three with one treated unit, then two, alternating."""
+    rng = np.random.default_rng(8)
+    d = np.tile([1, 0, 0, 1, 1, 0], n_blocks // 2)
+    s = np.where(d == 1, 1, rng.random(d.size) < 0.8).astype(int)
+    blocks = [f"b{i // 3:03d}" for i in range(d.size)]
+    return build_dataset(rng.normal(size=d.size), s, d, blocks)
+
+
+def _assert_meat_matches_oracle(data, moments):
+    design = block_design(data)
+    meat = meat_design(data, design, moments)
+    expected = meat_design_oracle(data, design, moments)
+    for field in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
+        assert_close_matrix(getattr(meat, field), expected[field], moments, field)
+    for arm in ("treated", "control"):
+        assert getattr(meat, f"singleton_{arm}").tolist() == expected[f"singleton_{arm}"]
+        inv = getattr(meat, f"involution_{arm}")
+        pairs = () if inv is None else tuple(map(tuple, inv.pairs.tolist()))
+        assert pairs == expected[f"pairs_{arm}"]
+    return meat
+
+
+def _shuffled(data, perm):
+    return dataset_from_arrays(
+        y=data.y[perm], s=data.s[perm], d=data.d[perm],
+        block=[data.blocks[i] for i in perm],
+        x=None if data.x is None else data.x[perm],
+    )
+
+
+def test_meat_design_one_unit_per_block_matches_the_oracle():
+    # matched pairs: both arms have one unit in every block, in dataset
+    # order as simulated and in a shuffled order
+    data = simulate_dgp1(9, n=200)
+    rng = np.random.default_rng(9)
+    moments = rng.normal(size=(data.n, 5))
+    meat = _assert_meat_matches_oracle(data, moments)
+    assert meat.singleton_treated.size == meat.singleton_control.size == 100
+    perm = rng.permutation(data.n)
+    _assert_meat_matches_oracle(_shuffled(data, perm), moments[perm])
+
+
+def test_meat_design_one_unit_treated_arm_beside_a_larger_control_arm():
+    # blocks of three with one treated unit: the treated arm has one unit
+    # in every block, the control arm two, so only the treated arm is paired
+    rng = np.random.default_rng(10)
+    labels = [f"b{g}" for g in rng.permutation(8)]  # not in label order
+    d = np.concatenate([rng.permutation([1, 0, 0]) for _ in range(8)])
+    blocks = [labels[i // 3] for i in range(d.size)]
+    data = build_dataset(rng.normal(size=d.size), np.ones(d.size), d, blocks)
+    moments = rng.normal(size=(data.n, 5))
+    meat = _assert_meat_matches_oracle(data, moments)
+    assert meat.singleton_treated.size == 8 and meat.singleton_control.size == 0
+    assert meat.involution_control is None
+
+
+@pytest.mark.parametrize("case", ["matched_pairs", "odd_shared_set"])
+def test_meat_design_arms_with_one_singleton_set_share_its_pairs(case):
+    if case == "matched_pairs":
+        data = simulate_dgp1(11, n=200)
+    else:
+        # blocks a-c hold one unit of each arm, d-e two: the odd leftover
+        # of the shared set pairs outside it
+        data, _ = _pairs_design([("a", 2, 1), ("b", 2, 1), ("c", 2, 1),
+                                 ("d", 4, 2), ("e", 4, 2)])
+    design = block_design(data)
+    meat = _assert_meat_matches_oracle(
+        data, np.random.default_rng(11).normal(size=(data.n, 5))
+    )
+    np.testing.assert_array_equal(meat.singleton_treated, meat.singleton_control)
+    np.testing.assert_array_equal(
+        meat.involution_treated.pairs, meat.involution_control.pairs
+    )
+    np.testing.assert_array_equal(
+        meat.involution_treated.pairs, pair_blocks(design, meat.singleton_treated).pairs
+    )
 
 
 def test_meat_design_bad_mode_rejected(hand_dataset):
@@ -611,20 +696,28 @@ def _arrays_of(meat):
 
 
 def test_meat_report_holds_no_stored_work_array():
-    data = simulate_dgp1(3, n=200)
-    design = block_design(data)
-    moments = np.asfortranarray(np.random.default_rng(5).normal(size=(200, 10)))
-    with variance._reusing_work_arrays():
-        meat = meat_design(data, design, moments)
-        _, reports = estimate_bounds(data, design, "lee", ("design",))
-    stored = variance._work.arrays
-    # every pair is a singleton block in both arms: all four roles ran
-    assert {role for role, _ in stored} == {"rows", "sums", "partner", "single"}
-    report = reports["design"]
-    for checked in (meat, report.meat_lb, report.meat_ub):
-        for name, value in _arrays_of(checked):
-            for key, array in stored.items():
-                assert not np.shares_memory(value, array), (name, key)
+    # matched pairs: each arm has one unit per block, whose rows serve as
+    # the block sums, means and singleton rows; blocks of three with one or
+    # two treated units: each arm has both one-unit and two-unit blocks
+    cases = (
+        (simulate_dgp1(3, n=200), {"rows", "partner"}),
+        (_mixed_arms_data(), {"rows", "sums", "partner", "single"}),
+    )
+    rng = np.random.default_rng(5)
+    for data, roles in cases:
+        design = block_design(data)
+        moments = np.asfortranarray(rng.normal(size=(data.n, 10)))
+        variance._work.__dict__.pop("arrays", None)  # start from an empty store
+        with variance._reusing_work_arrays():
+            meat = meat_design(data, design, moments)
+            _, reports = estimate_bounds(data, design, "lee", ("design",))
+        stored = variance._work.arrays
+        assert {role for role, _ in stored} == roles
+        report = reports["design"]
+        for checked in (meat, report.meat_lb, report.meat_ub):
+            for name, value in _arrays_of(checked):
+                for key, array in stored.items():
+                    assert not np.shares_memory(value, array), (name, key)
 
 
 def test_meat_design_outside_the_context_leaves_the_store_alone():
