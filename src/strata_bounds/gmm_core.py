@@ -13,7 +13,10 @@ smoothed analytic Jacobian: indicator terms are replaced by normal-kernel
 CDFs with a Silverman bandwidth, differentiated exactly in the parameters.
 The moment pass keeps what the Jacobian reads of the data (the trimming
 sample and a few sums, not the n-sized columns), so a fit is differentiated
-without building its columns again. Point estimates are never smoothed.
+without building its columns again, both bounds in one normal-CDF kernel
+call. Each Jacobian is inverted once: the inverse decides its refusal (the
+1-norm condition number) and serves every variance method's sandwich for
+that bound. Point estimates are never smoothed.
 """
 
 from __future__ import annotations
@@ -452,7 +455,8 @@ def _big_phi(u: np.ndarray) -> np.ndarray:
     """Standard normal CDF, elementwise. Cephes' operations run in their
     order, so the result is ndtr's wherever np.exp rounds as libm's exp
     does. Each branch runs on its own elements only, gathered by index,
-    which costs a fraction of a boolean-mask gather."""
+    which costs a fraction of a boolean-mask gather, and a branch with no
+    elements is skipped."""
     x = u * math.sqrt(0.5)
     # from x = 6 on, 1 - erfc(x)/2 rounds to 1 (erfc(6)/2 < 2^-54), so such
     # elements skip every branch, as if erfc had underflowed
@@ -460,6 +464,8 @@ def _big_phi(u: np.ndarray) -> np.ndarray:
     half_erfc = np.minimum(z, 0.0)  # 0 where erfc underflows; nan stays nan
     for lo, hi, num, den in _ERFC_BRANCHES:
         at = np.flatnonzero((z >= lo) & (z < hi))
+        if not at.size:
+            continue
         zs = z[at]
         y = np.exp(-zs * zs)
         y *= _horner(zs, num)
@@ -468,13 +474,116 @@ def _big_phi(u: np.ndarray) -> np.ndarray:
         half_erfc[at] = y
     out = np.where(x > 0.0, 1.0 - half_erfc, half_erfc)
     at = np.flatnonzero(z < 1.0)
-    xs = x[at]
-    zs = xs * xs
-    y = _horner(zs, _ERF_T)
-    y *= xs
-    y /= _horner(zs, _ERF_U)
-    out[at] = 0.5 + 0.5 * y
+    if at.size:
+        xs = x[at]
+        zs = xs * xs
+        y = _horner(zs, _ERF_T)
+        y *= xs
+        y /= _horner(zs, _ERF_U)
+        out[at] = 0.5 + 0.5 * y
     return out
+
+
+def _inverse(m_hat: np.ndarray) -> np.ndarray | None:
+    """M^{-1}, or None where M is not finite or numerically singular.
+
+    The refusal is np.linalg.cond(M, 1) > 1e12, read off this one inverse:
+    cond multiplies the 1-norms of M and of the same inverse, and a matrix
+    inv finds exactly singular has condition inf. A nan product, which cond
+    returns as inf or nan, refuses as well.
+    """
+    try:
+        m_inv = np.linalg.inv(m_hat)
+    except np.linalg.LinAlgError:
+        return None
+    # cond's 1-norm: the largest column sum of absolute values; Python
+    # floats, so inf * 0 gives nan without a warning
+    condition = float(np.abs(m_hat).sum(axis=0).max()) * float(
+        np.abs(m_inv).sum(axis=0).max()
+    )
+    return m_inv if condition <= CONDITION_LIMIT else None
+
+
+def differentiate(
+    bounds: Sequence[tuple[LeeTheta | LeeIpwTheta, str, FitContext]],
+    bandwidth: float | None = None,
+) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
+    """Smoothed Jacobians of several bounds, each with its inverse.
+
+    bounds holds per bound its parameters, its system and the FitContext
+    the moment pass of a fit at those parameters kept. One normal-CDF kernel
+    call covers every bound's trimming sample, and each bound's entries are
+    the ones it would get alone, bit for bit. bandwidth defaults to each
+    context's. Per bound, the result is the pair (Jacobian, inverse), or
+    the EstimationError that stopped it alone: too few trimmed outcomes for
+    a bandwidth, or a Jacobian that is not finite or numerically singular
+    (1-norm condition > 1e12), decided from its one inverse.
+    """
+    staged = []  # per bound: (kind, sign, h, u), or the error that stopped it
+    for theta, system, context in bounds:
+        kind, side = _split_system(system)
+        h = bandwidth if bandwidth is not None else context.bandwidth
+        if h is None:
+            try:
+                h = silverman_bandwidth(context.sample)  # raises: too few outcomes
+            except EstimationError as exc:
+                staged.append(exc)
+                continue
+        sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
+        u = (theta.cutoff - context.sample) / h  # positive inside the kept lower tail
+        staged.append((kind, sign, h, u))
+    # one kernel call on every bound's arguments; each reads its own slice
+    ready = [stage for stage in staged if isinstance(stage, tuple)]
+    args = [sign * u for _, sign, _, u in ready]
+    kept = iter(())
+    if args:
+        big_phi = _big_phi(np.concatenate(args))
+        ends = np.cumsum([arg.size for arg in args]).tolist()
+        kept = (big_phi[end - arg.size : end] for arg, end in zip(args, ends))
+
+    results = []
+    for (theta, system, context), stage in zip(bounds, staged):
+        if not isinstance(stage, tuple):
+            results.append(stage)
+            continue
+        kind, sign, h, u = stage
+        n = context.n
+        sample = context.sample
+        big_phi_kept = next(kept)
+        small_phi = _phi(u) / h
+        dev_phi = (sample - theta.mu1) * small_phi
+        n1 = float(sample.size)
+
+        jac = np.zeros((5, 5))
+        jac[0, 0] = -big_phi_kept.sum() / n
+        jac[0, 2] = sign * dev_phi.sum() / n
+        jac[1, 1] = -context.control / n
+        jac[2, 2] = -sign * small_phi.sum() / n
+        if kind == "lee":
+            assert isinstance(theta, LeeTheta)
+            jac[2, 3] = -n1 / n
+            n_treated = context.n_treated
+            jac[3, 3] = -theta.alpha * n_treated / ((1.0 - theta.p) ** 2 * n)
+            jac[3, 4] = -n_treated / ((1.0 - theta.p) * n)
+            jac[4, 4] = -float(n - n_treated) / n
+        else:
+            assert isinstance(theta, LeeIpwTheta)
+            v_over_delta = sample / theta.delta  # d(rescaled outcome)/d(delta)
+            jac[0, 3] = (v_over_delta * (big_phi_kept - sign * dev_phi)).sum() / n
+            jac[2, 3] = sign * (v_over_delta * small_phi).sum() / n
+            jac[2, 4] = -n1 / n
+            jac[3, 3] = -context.m_sum / n
+            jac[4, 4] = -n1 / (context.p_hat * n)
+
+        jac_inv = _inverse(jac)
+        if jac_inv is None:
+            results.append(SingularJacobianError(
+                f"moment Jacobian for {system} is numerically singular "
+                f"(1-norm condition above {CONDITION_LIMIT:.0e})"
+            ))
+            continue
+        results.append((jac, jac_inv))
+    return results
 
 
 def jacobian(
@@ -492,59 +601,29 @@ def jacobian(
     what the moment pass of a fit at theta kept (FitResult.matrix.contexts);
     without it, one is built from data and design. bandwidth defaults to the
     Silverman bandwidth of its sample. Raises if the result is not finite or
-    numerically singular (1-norm condition > 1e12).
+    numerically singular (1-norm condition > 1e12); differentiate gives the
+    inverse the decision was read from, with the matrix.
     """
-    kind, side = _split_system(system)
     if context is None:
         (context,) = moment_matrix(data, design, (theta,), (system,)).contexts
-    n = context.n
-    sample = context.sample
-    h = bandwidth if bandwidth is not None else context.bandwidth
-    if h is None:
-        h = silverman_bandwidth(sample)  # raises: too few trimmed outcomes
-    sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
-    u = (theta.cutoff - sample) / h  # positive inside the kept lower tail
-    big_phi_kept = _big_phi(sign * u)
-    small_phi = _phi(u) / h
-    dev_phi = (sample - theta.mu1) * small_phi
-    n1 = float(sample.size)
+    (result,) = differentiate(((theta, system, context),), bandwidth)
+    if isinstance(result, EstimationError):
+        raise result
+    return result[0]
 
-    jac = np.zeros((5, 5))
-    jac[0, 0] = -big_phi_kept.sum() / n
-    jac[0, 2] = sign * dev_phi.sum() / n
-    jac[1, 1] = -context.control / n
-    jac[2, 2] = -sign * small_phi.sum() / n
-    if kind == "lee":
-        assert isinstance(theta, LeeTheta)
-        jac[2, 3] = -n1 / n
-        n_treated = context.n_treated
-        jac[3, 3] = -theta.alpha * n_treated / ((1.0 - theta.p) ** 2 * n)
-        jac[3, 4] = -n_treated / ((1.0 - theta.p) * n)
-        jac[4, 4] = -float(n - n_treated) / n
-    else:
-        assert isinstance(theta, LeeIpwTheta)
-        v_over_delta = sample / theta.delta  # d(rescaled outcome)/d(delta)
-        jac[0, 3] = (v_over_delta * (big_phi_kept - sign * dev_phi)).sum() / n
-        jac[2, 3] = sign * (v_over_delta * small_phi).sum() / n
-        jac[2, 4] = -n1 / n
-        jac[3, 3] = -context.m_sum / n
-        jac[4, 4] = -n1 / (context.p_hat * n)
 
-    if not (np.linalg.cond(jac, 1) <= CONDITION_LIMIT):  # nan fails too
-        raise SingularJacobianError(
-            f"moment Jacobian for {system} is numerically singular "
-            f"(1-norm condition above {CONDITION_LIMIT:.0e})"
-        )
-    return jac
+def _sandwich(m_inv: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """M^{-1} Omega M^{-T} from the inverse, symmetrized."""
+    v = m_inv @ omega @ m_inv.T
+    return 0.5 * (v + v.T)
 
 
 def solve_sandwich(m_hat: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Sandwich M^{-1} Omega M^{-T}, symmetrized; refuses an M that is not
     finite or has a 1-norm condition number above 1e12."""
-    if not (np.linalg.cond(m_hat, 1) <= CONDITION_LIMIT):
+    m_inv = _inverse(m_hat)
+    if m_inv is None:
         raise SingularJacobianError(
             "moment Jacobian is numerically singular in solve_sandwich"
         )
-    m_inv = np.linalg.inv(m_hat)
-    v = m_inv @ omega @ m_inv.T
-    return 0.5 * (v + v.T)
+    return _sandwich(m_inv, omega)

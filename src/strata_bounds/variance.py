@@ -1,22 +1,25 @@
 """Design-consistent variance for the bound estimators.
 
-The meat matrix combines per-arm second moments with a between-block
-correction built from within-block cross products. Blocks where an arm has a
-single unit cannot form within-arm products, so such blocks are paired (by
-covariate means, then labels) and borrow the partner's unit; the label-mode
+The meat matrix is the i.i.d. meat, the moments' Gram a = M'M/n less the
+outer product a3 of their means, plus a between-block correction b_n built
+from within-block cross products. Blocks where an arm has a single unit
+cannot form within-arm products, so such blocks are paired (by covariate
+means, then labels) and borrow the partner's unit; the label-mode
 variant refuses singleton arms instead, and an i.i.d.-style meat that drops
 the block correction is available as a conservative comparator. A scalar
 label-based estimator of the squared between-arm mean gap is also provided.
 Standard errors, per-bound confidence intervals, and the width-adjusted
 identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
-Monte Carlo driver both go through it. It fits both bounds in one pass and
-forms each method's meat once, on both bounds' moments stacked side by side;
-each bound's meat is a diagonal block of it. The meat's design-only part,
-from each arm's units to the singleton pairings, is built on each call. An
-arm with one unit in every block, as each arm of matched pairs, lists its
-units in block order, so their rows are its block sums and means; arms with
-the same singleton blocks share one pairing.
+Monte Carlo driver both go through it. It fits and differentiates both
+bounds in one pass, inverts each bound's Jacobian once for every method's
+sandwich, and forms each method's meat once, on both bounds' moments
+stacked side by side; each bound's meat is a diagonal block of it. The
+i.i.d. meat takes its Gram from a design meat formed for the same fit. The
+meat's design-only part, from each arm's units to the singleton pairings,
+is built on each call. An arm with one unit in every block, as each arm of
+matched pairs, lists its units in block order, so their rows are its block
+sums and means; arms with the same singleton blocks share one pairing.
 Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
 takes its per-arm work arrays from one store per thread instead of fresh
 memory; the store keeps them after the context exits, for the next call.
@@ -34,7 +37,7 @@ import numpy as np
 
 from .data_model import BlockDesign, Dataset, _name_blocks
 from .errors import EstimationError, FeasibilityError, PairingError
-from .gmm_core import FitResult, fit_from_estimate, jacobian, solve_sandwich
+from .gmm_core import FitResult, _sandwich, differentiate, fit_from_estimate
 from .ipw_estimator import lee_ipw_bounds
 from .lee_estimator import BoundsEstimate, conditional_lee_bounds, lee_bounds
 
@@ -110,15 +113,16 @@ def pair_blocks(design: BlockDesign, needs) -> Involution:
 class MeatReport:
     """Pieces of the design-consistent meat.
 
-    omega = a1 + a0 + b_n - a3 and b_n = -(zeta_11 + zeta_00 - 2 zeta_10)
-    hold exactly by construction. singleton_treated / singleton_control hold
-    the indices of blocks whose arm had one unit (paired mode only); their
-    labels are design.labels[g]. For moments of several stacked bounds, each
+    omega = a + b_n - a3 and b_n = -(zeta_11 + zeta_00 - 2 zeta_10) hold
+    exactly by construction: a is the moments' Gram M'M/n and a3 the outer
+    product of their means, formed as meat_iid forms them, so omega is the
+    i.i.d. meat a - a3 plus the between-block correction b_n.
+    singleton_treated / singleton_control hold the indices of blocks whose
+    arm had one unit (paired mode only); their labels are design.labels[g]. For moments of several stacked bounds, each
     matrix is over all their columns and bound(k) gives one bound's block.
     """
 
-    a1: np.ndarray
-    a0: np.ndarray
+    a: np.ndarray
     a3: np.ndarray
     zeta_10: np.ndarray
     zeta_11: np.ndarray
@@ -136,7 +140,7 @@ class MeatReport:
         block = slice(5 * k, 5 * k + 5)
         return replace(self, **{
             name: getattr(self, name)[block, block]
-            for name in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega")
+            for name in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega")
         })
 
 
@@ -227,7 +231,8 @@ def meat_design(
     moments: np.ndarray,
     mode: str = "paired",
 ) -> MeatReport:
-    """Design-consistent meat with the between-block correction.
+    """Design-consistent meat: the i.i.d. meat a - a3 plus the
+    between-block correction b_n.
 
     mode="paired" resolves singleton arms by pairing blocks; mode="label"
     requires at least two units per arm in every block and fails otherwise.
@@ -238,7 +243,8 @@ def meat_design(
     column on each call. An arm with one unit in every block takes its rows,
     gathered in block order, as its block sums, means and singleton rows;
     when both arms have the same singleton blocks, as in matched pairs,
-    pair_blocks runs once and both arms use its pairing.
+    pair_blocks runs once and both arms use its pairing. The Gram a and a3
+    are formed once, over all units, by meat_iid's operations.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
@@ -260,12 +266,11 @@ def meat_design(
         same = np.array_equal(control.single, treated.single)
         pairing = first, first if same else _pairing(design, control)
 
-    # (m, n), C-contiguous for Fortran moments; float, as the work arrays are
-    cols = np.asarray(moments, dtype=float).T
-    m, n = cols.shape
-    mbar = cols.mean(axis=1)
-    a3 = np.outer(mbar, mbar)
-    per_arm = []  # (a, zeta, means) of the treated, then the control arm
+    moments = np.asarray(moments, dtype=float)  # as the work arrays are
+    a, a3 = _second_moments(moments)
+    cols = moments.T  # (m, n), C-contiguous for Fortran moments
+    m = cols.shape[0]
+    per_arm = []  # (zeta, means) of the treated, then the control arm
     for side, (arm, paired) in enumerate(zip(arms, pairing)):
         # every gather's indices are valid by construction: mode="clip"
         # lets take write straight into out, where "raise" would buffer it
@@ -291,7 +296,6 @@ def meat_design(
             for k, (total, row) in enumerate(zip(sums, rows)):
                 zeta[:, k] = sums @ (arm.within * total) - rows @ (w_unit * row)
             zeta = 0.5 * (zeta + zeta.T)
-        a = rows @ rows.T / n
         del rows  # unless they are the sums, the next arm's gather replaces them
         means = sums  # in place: the sums are not needed any more
         if not one_each:
@@ -313,17 +317,16 @@ def meat_design(
             )
             cross = single @ weighted.T
             zeta = zeta + 0.5 * (cross + cross.T)
-        per_arm.append((a, zeta, means))
-    (a1, zeta_11, mean1), (a0, zeta_00, mean0) = per_arm
+        per_arm.append((zeta, means))
+    (zeta_11, mean1), (zeta_00, mean0) = per_arm
 
     mean0 *= coef  # in place: the control means are not needed any more
     cross = mean1 @ mean0.T
     zeta_10 = 0.5 * (cross + cross.T)
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
-    omega = a1 + a0 + b_n - a3
+    omega = a + b_n - a3
     return MeatReport(
-        a1=a1,
-        a0=a0,
+        a=a,
         a3=a3,
         zeta_10=zeta_10,
         zeta_11=zeta_11,
@@ -338,15 +341,23 @@ def meat_design(
     )
 
 
-def meat_iid(moments: np.ndarray) -> np.ndarray:
-    """Centered second-moment meat that ignores the block structure.
-
-    moments is (n, m); for several bounds stacked side by side, each bound's
-    meat is a diagonal block of the result.
-    """
+def _second_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram a = M'M/n of (n, m) moments and the outer product a3 of
+    their column means."""
     n = moments.shape[0]
     mbar = moments.mean(axis=0)
-    return moments.T @ moments / n - np.outer(mbar, mbar)
+    return moments.T @ moments / n, np.outer(mbar, mbar)
+
+
+def meat_iid(moments: np.ndarray) -> np.ndarray:
+    """Centered second-moment meat that ignores the block structure: a - a3.
+
+    moments is (n, m); for several bounds stacked side by side, each bound's
+    meat is a diagonal block of the result. A design meat on the same
+    moments holds the same a and a3, bit for bit.
+    """
+    a, a3 = _second_moments(moments)
+    return a - a3
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +550,13 @@ def estimate_bounds(
 
     The point estimator runs once; an error it raises propagates. With
     methods, both bounds' systems are fitted in one moment_matrix pass and
-    each is differentiated once, from what that pass kept; each method forms
-    one meat on both bounds' stacked moments, leaving out a bound whose fit
-    failed, and one sandwich per bound. The dict maps each method to its report, or to the
-    EstimationError that stopped it alone.
+    differentiated together, from what that pass kept, in one normal-CDF
+    kernel call; each Jacobian is inverted once, and every method's sandwich
+    for that bound uses the inverse. Each method's meat is formed once on
+    both bounds' stacked moments, leaving out a bound whose fit failed; the
+    i.i.d. meat is a - a3 of a design meat formed for another method, when
+    there is one, else meat_iid's. The dict maps each method to its report,
+    or to the EstimationError that stopped it alone.
     """
     for method in methods:
         if method not in VARIANCE_METHODS:
@@ -567,61 +581,69 @@ def estimate_bounds(
     stack, fits = fit_from_estimate(
         data, design, (f"{kind}_lb", f"{kind}_ub"), estimate, components
     )
-    sides = []  # per bound: (fit, jacobian), or the error that stopped it
+    breads = iter(differentiate([
+        (fit.theta, fit.system, fit.matrix.contexts[0])
+        for fit in fits if not isinstance(fit, EstimationError)
+    ]))
+    sides = []  # per bound: (fit, inverse Jacobian), or the error that stopped it
     for fit in fits:
-        if isinstance(fit, EstimationError):
-            sides.append(fit)
-            continue
-        try:
-            jac = jacobian(
-                data, design, fit.theta, fit.system,
-                context=fit.matrix.contexts[0],
-            )
-            sides.append((fit, jac))
-        except EstimationError as exc:
-            sides.append(exc)
+        side = fit
+        if not isinstance(fit, EstimationError):
+            bread = next(breads)
+            side = bread if isinstance(bread, EstimationError) else (fit, bread[1])
+        sides.append(side)
     # the moments the meats see: the lower bound's columns, then the upper
     # bound's unless its fit failed (a method whose lower bound failed
     # forms no meat)
-    moments = None
+    meats = {}  # per method: (MeatReport or None, omega), or the meat's error
     if not isinstance(sides[0], EstimationError):
         fitted_ub = not isinstance(sides[1], EstimationError)
         moments = stack.values if fitted_ub else stack.bound(0).values
+        for method in methods:
+            if method != "iid":
+                mode = "paired" if method == "design" else "label"
+                try:
+                    meat = meat_design(data, design, moments, mode=mode)
+                    meats[method] = (meat, meat.omega)
+                except EstimationError as exc:
+                    meats[method] = exc
+        if "iid" in methods:
+            # a design meat's a and a3 are meat_iid's own, bit for bit
+            formed = [meat[0] for meat in meats.values() if isinstance(meat, tuple)]
+            omega = formed[0].a - formed[0].a3 if formed else meat_iid(moments)
+            meats["iid"] = (None, omega)
     reports = {}
     for method in methods:
         try:
             reports[method] = _variance_report(
-                data, design, sides, moments, method, alpha
+                data, sides, meats.get(method), method, alpha
             )
         except EstimationError as exc:
             reports[method] = exc
     return estimate, reports
 
 
-def _variance_report(data, design, sides, moments, method, alpha) -> VarianceReport:
-    """One method's meat on the stacked moments, then each bound's sandwich,
-    lower bound first, then the intervals.
+def _variance_report(data, sides, formed, method, alpha) -> VarianceReport:
+    """One method's sandwich per bound, lower bound first, from the meat
+    formed on the stacked moments (its MeatReport or None, and omega), then
+    the intervals.
 
     The errors come in the order a bound-by-bound pass would meet them: the
-    lower bound's fit, the meat's design-only error, the lower bound's
-    sandwich, the upper bound's fit, its sandwich.
+    lower bound's fit or Jacobian, the meat's design-only error, the upper
+    bound's fit or Jacobian.
     """
     if isinstance(sides[0], EstimationError):
         raise sides[0]
-    meat = None
-    if method == "iid":
-        omega = meat_iid(moments)
-    else:
-        mode = "paired" if method == "design" else "label"
-        meat = meat_design(data, design, moments, mode=mode)
-        omega = meat.omega
+    if isinstance(formed, EstimationError):
+        raise formed
+    meat, omega = formed
     fields, clipped = {}, []
     for k, (side, fitted) in enumerate(zip(("lb", "ub"), sides)):
         if isinstance(fitted, EstimationError):
             raise fitted
-        fit, jac = fitted
+        fit, jac_inv = fitted
         block = slice(5 * k, 5 * k + 5)
-        v_hat = solve_sandwich(jac, omega[block, block])
+        v_hat = _sandwich(jac_inv, omega[block, block])
         se, clip = bound_standard_error(v_hat, data.n)
         if clip:
             clipped.append(f"variance_clipped_{side}")

@@ -642,8 +642,8 @@ def meat_design_oracle(data, design, moments, mode="paired"):
 
     out = {"a3": np.outer(moments.mean(axis=0), moments.mean(axis=0))}
     means = {arm: [np.mean(rows, axis=0) for rows in members] for arm, members in arms.items()}
+    a = np.zeros((m, m))  # every unit's outer product, arm by arm
     for arm, name in ((1, "11"), (0, "00")):
-        a = np.zeros((m, m))
         zeta = np.zeros((m, m))
         partner = {}
         for g, h in pairs[arm]:
@@ -662,8 +662,8 @@ def meat_design_oracle(data, design, moments, mode="paired"):
                 zeta += sym(coef / (c * (c - 1)) * pair_sum)
             elif g in partner:
                 zeta += sym(coef * np.outer(rows[0], means[arm][partner[g]]))
-        out["a1" if arm == 1 else "a0"] = a / n
         out[f"zeta_{name}"] = zeta
+    out["a"] = a / n
     zeta_10 = np.zeros((m, m))
     for g in range(design.n_blocks):
         eta = design.t_g[g] / design.n_g[g]
@@ -671,7 +671,7 @@ def meat_design_oracle(data, design, moments, mode="paired"):
         zeta_10 += sym(coef * np.outer(means[1][g], means[0][g]))
     out["zeta_10"] = zeta_10
     out["b_n"] = -(out["zeta_11"] + out["zeta_00"] - 2.0 * zeta_10)
-    out["omega"] = out["a1"] + out["a0"] + out["b_n"] - out["a3"]
+    out["omega"] = out["a"] + out["b_n"] - out["a3"]
     out.update(
         singleton_treated=single[1] if mode == "paired" else [],
         singleton_control=single[0] if mode == "paired" else [],

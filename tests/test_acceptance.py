@@ -407,7 +407,7 @@ def test_criterion_8_structural_invariants_on_random_inputs():
                     )
                     np.testing.assert_allclose(
                         omega,
-                        meat.a1 + meat.a0 + meat.b_n - meat.a3,
+                        meat.a + meat.b_n - meat.a3,
                         atol=1e-12,
                     )
                 assert rep.se_lb >= 0.0 and rep.se_ub >= 0.0

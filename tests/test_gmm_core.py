@@ -211,13 +211,45 @@ def test_normal_cdf_kernel_matches_scipy_ndtr():
         edges,
         [1e9, -1e9, np.inf, -np.inf, np.nan],
     ])
-    got, want = gmm_core._big_phi(u), ndtr(u)
+    got = gmm_core._big_phi(u)
+    _assert_matches_ndtr(got, u)
+    assert (got[-5:-1] == (1.0, 0.0, 1.0, 0.0)).all()
+    # an empty array, and arrays whose elements all take one branch (or
+    # none, from u = 6 sqrt(2) on and below the underflow): every element
+    # is what it is in the full grid, bit for bit, whichever branches the
+    # other elements leave empty
+    root2 = math.sqrt(2.0)
+    for lo, hi in [
+        (-root2 * 0.999, root2 * 0.999),  # erf
+        (root2, 7.9 * root2), (-7.9 * root2, -root2),  # erfc, 1 <= |x| < 8
+        (-26.0 * root2, -8.0 * root2),  # erfc, x <= -8
+        (6.0 * root2, 40.0), (-1e9, -38.0 * root2),  # no branch: 1 and 0
+    ]:
+        part = np.concatenate([[lo, hi], np.linspace(lo, hi, 101)])
+        alone = gmm_core._big_phi(part)
+        _assert_matches_ndtr(alone, part)
+        in_grid = gmm_core._big_phi(np.concatenate([part, u]))[: part.size]
+        np.testing.assert_array_equal(alone, in_grid)
+    # a branch with a single element, as x <= -8 often has on a sample
+    for v in [*edges, *np.linspace(-40.0, 40.0, 81)]:
+        single = np.array([v])
+        in_grid = gmm_core._big_phi(np.concatenate([single, u]))[:1]
+        np.testing.assert_array_equal(gmm_core._big_phi(single), in_grid, str(v))
+    empty = gmm_core._big_phi(np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    nan_only = gmm_core._big_phi(np.full(3, np.nan))
+    assert np.isnan(nan_only).all()
+
+
+def _assert_matches_ndtr(got, u):
+    """got is ndtr(u) within 4e-15 relative where ndtr >= 1e-300 and 1e-300
+    absolute below it, with nan exactly where u is nan."""
+    want = ndtr(u)
     np.testing.assert_array_equal(np.isnan(got), np.isnan(u))
     normal = np.abs(want) >= 1e-300
     np.testing.assert_allclose(got[normal], want[normal], rtol=4e-15, atol=0.0)
     tiny = ~normal & ~np.isnan(u)
     assert np.all(np.abs(got[tiny] - want[tiny]) <= 1e-300)
-    assert (got[-5:-1] == (1.0, 0.0, 1.0, 0.0)).all()
 
 
 def _filled(data):
@@ -354,16 +386,18 @@ def test_jacobian_rejects_numerically_singular_result(hand_dataset):
 )
 @pytest.mark.parametrize("name", ["lee", "lee-ipw"])
 def test_estimate_bounds_differentiates_each_fit_like_jacobian(monkeypatch, make, name):
-    # the Jacobian estimate_bounds reads from its fit's moment pass is the
-    # one jacobian builds from the data, bit for bit
+    # the Jacobian estimate_bounds reads from its fit's moment pass, both
+    # bounds in one kernel call, is the one jacobian builds from the data,
+    # bit for bit, and its inverse is numpy's
     used = []
-    solve = variance.solve_sandwich
+    differentiate = variance.differentiate
 
-    def recording(m_hat, omega):
-        used.append(m_hat)
-        return solve(m_hat, omega)
+    def recording(bounds):
+        results = differentiate(bounds)
+        used.extend(results)
+        return results
 
-    monkeypatch.setattr(variance, "solve_sandwich", recording)
+    monkeypatch.setattr(variance, "differentiate", recording)
     rng = np.random.default_rng(29)
     checked = 0
     for _ in range(25):
@@ -377,12 +411,13 @@ def test_estimate_bounds_differentiates_each_fit_like_jacobian(monkeypatch, make
         report = reports["iid"]
         if isinstance(report, EstimationError):
             continue
-        for fit, jac in zip((report.fit_lb, report.fit_ub), used, strict=True):
+        for fit, (jac, jac_inv) in zip((report.fit_lb, report.fit_ub), used, strict=True):
             expect = jacobian(
                 data, design, fit.theta, fit.system,
                 bandwidth=fit.matrix.bandwidths[0],
             )
             assert np.array_equal(jac, expect), fit.system
+            assert np.array_equal(jac_inv, np.linalg.inv(jac)), fit.system
             checked += 1
     assert checked >= 20
 
@@ -408,6 +443,11 @@ def test_solve_sandwich_symmetric_and_matches_numpy():
     for m, omega in _sandwich_cases():
         v = solve_sandwich(m, omega)
         np.testing.assert_array_equal(v, v.T)
+        # the formula with its own inverse and condition number, bit for bit
+        assert np.linalg.cond(m, 1) <= gmm_core.CONDITION_LIMIT
+        m_inv = np.linalg.inv(m)
+        formula = m_inv @ omega @ m_inv.T
+        np.testing.assert_array_equal(v, 0.5 * (formula + formula.T))
         # M^{-1} (M^{-1} Omega)' = M^{-1} Omega M^{-T} for a symmetric Omega
         expected = np.linalg.solve(m, np.linalg.solve(m, omega).T)
         np.testing.assert_allclose(v, expected, rtol=1e-8, atol=1e-10)
@@ -421,6 +461,61 @@ def test_solve_sandwich_symmetric_and_matches_numpy():
                        np.array([[1.0, 0.5], [0.5, 2.0]])),
         [[2.0, 0.5], [0.5, 1.0]],
     )
+
+
+def _refusal_edge_cases():
+    """Square matrices at the edges of the refusal rule: exactly singular,
+    with a nan or an infinite entry, and diagonal scalings whose condition
+    number is 1e12 or one ulp either side of it."""
+    limit = gmm_core.CONDITION_LIMIT
+    cases = [
+        np.zeros((5, 5)),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # rank one
+        np.diag([1.0, 1.0, 0.0, 1.0, 1.0]),
+    ]
+    for value in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (1, 3)):
+            m = np.eye(5) + 0.25
+            m[at] = value
+            cases.append(m)
+    for c in (math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf)):
+        cases.append(np.diag([1.0, 1.0, 1.0, 1.0, c]))  # condition c exactly
+        cases.append(np.diag([-c, 1.0, 1.0, 1.0, 1.0]))
+        cases.append(np.diag([1.0, 1.0, 1.0 / c, 1.0, 1.0]))  # 1 / fl(1 / c)
+    # a smallest entry of 1e-12 and up to three ulps either side of it:
+    # conditions around 1e12
+    for k in range(-3, 4):
+        tiny = 1e-12
+        for _ in range(abs(k)):
+            tiny = math.nextafter(tiny, math.inf if k > 0 else 0.0)
+        cases.append(np.diag([1.0, tiny, 1.0, 1.0, 1.0]))
+    return cases
+
+
+def test_one_inverse_refuses_exactly_as_numpy_cond():
+    limit = gmm_core.CONDITION_LIMIT
+    for m in _refusal_edge_cases() + [m for m, _ in _sandwich_cases()]:
+        refused = not (np.linalg.cond(m, 1) <= limit)
+        m_inv = gmm_core._inverse(m)
+        assert (m_inv is None) == refused, m
+        if m_inv is not None:
+            np.testing.assert_array_equal(m_inv, np.linalg.inv(m))
+        if refused:
+            with pytest.raises(
+                SingularJacobianError,
+                match="moment Jacobian is numerically singular in solve_sandwich",
+            ):
+                solve_sandwich(m, np.eye(m.shape[0]))
+        else:
+            solve_sandwich(m, np.eye(m.shape[0]))
+    # a condition number of exactly 1e12 passes, one ulp above it does not
+    below, at, above = (
+        np.diag([1.0, 1.0, 1.0, 1.0, c])
+        for c in (math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf))
+    )
+    assert gmm_core._inverse(below) is not None
+    assert gmm_core._inverse(at) is not None
+    assert gmm_core._inverse(above) is None
 
 
 def test_solve_sandwich_rejects_singular_bread():

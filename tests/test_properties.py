@@ -23,6 +23,7 @@ from strata_bounds import (
     estimate_bounds,
     lee_bounds,
     lee_ipw_bounds,
+    meat_design,
     meat_iid,
     pair_blocks,
     parse_csv,
@@ -427,7 +428,7 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
         fit = getattr(report, f"fit_{side}")
         moments = fit.matrix.values
         expected = meat_design_oracle(data, design, moments, mode)
-        for field in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
+        for field in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
             assert_close_matrix(
                 getattr(meat, field), expected[field], moments, f"{side} {field}"
             )
@@ -438,6 +439,57 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
             inv = getattr(meat, f"involution_{arm}")
             pairs = () if inv is None else tuple(map(tuple, inv.pairs.tolist()))
             assert pairs == expected[f"pairs_{arm}"]
+
+
+@given(
+    case=singleton_arms_strategy(),
+    bounds=st.integers(1, 3),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(**COMMON)
+def test_design_meat_is_the_iid_meat_plus_the_block_correction(
+    case, bounds, scale, seed
+):
+    data, design = case
+    rng = np.random.default_rng(seed)
+    moments = np.asfortranarray(scale * rng.normal(size=(data.n, 5 * bounds)))
+    try:
+        meat = meat_design(data, design, moments)
+    except PairingError:
+        return  # no block outside an odd singleton set
+    iid = meat_iid(moments)
+    # one Gram: the design meat's a and a3 are meat_iid's, bit for bit
+    np.testing.assert_array_equal(meat.a - meat.a3, iid)
+    # so omega - meat_iid is b_n up to the rounding of the two assemblies,
+    # (a + b_n) - a3 and a - a3, and of the two differences taken here:
+    # a few units in the last place of the terms' sizes
+    tol = 8.0 * np.finfo(float).eps * (
+        np.abs(meat.a) + np.abs(meat.b_n) + np.abs(meat.a3)
+    )
+    assert np.all(np.abs(meat.omega - iid - meat.b_n) <= tol)
+
+
+@given(
+    case=singleton_arms_strategy(),
+    name=st.sampled_from(["lee", "lee-ipw"]),
+    panel=st.permutations(["iid", "design", "label"]),
+)
+@settings(**COMMON)
+def test_iid_variance_keeps_every_bit_whatever_else_is_asked(case, name, panel):
+    data, design = case
+    try:
+        _, alone = estimate_bounds(data, design, name, ("iid",))
+    except EstimationError:
+        return  # the point estimate itself is undefined on this draw
+    _, together = estimate_bounds(data, design, name, tuple(panel))
+    want, got = alone["iid"], together["iid"]
+    if isinstance(want, EstimationError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    for field in ("v_hat_lb", "v_hat_ub"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert (got.se_lb, got.se_ub) == (want.se_lb, want.se_ub)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from strata_bounds import (
     simulate_dgp2,
 )
 from strata_bounds import (
+    gmm_core,
     jacobian,
     lee_bounds,
     meat_design,
@@ -26,6 +27,7 @@ from strata_bounds import (
     moment_matrix,
     pair_blocks,
     simulation,
+    variance,
 )
 from strata_bounds.simulation import (
     DGP2_TRUTH,
@@ -367,22 +369,41 @@ def test_monte_carlo_panel_composition_changes_no_row(tmp_path, token):
 def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
     counts = count_calls(
         monkeypatch,
-        [lee_bounds, moment_matrix, jacobian, meat_iid, meat_design, pair_blocks],
+        [
+            lee_bounds, moment_matrix, gmm_core.differentiate, jacobian,
+            gmm_core._big_phi, meat_iid, meat_design, variance._second_moments,
+            pair_blocks,
+        ],
     )
+    for name in ("cond", "inv"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(np.linalg, name, counted)
     config = McConfig(
         dgp="matched_pairs", reps=1, seed=3, n=200,
         estimators=("lee:iid", "lee:design"),
     )
     monte_carlo(config)
-    # one point estimate; one moment matrix for both bounds; one Jacobian per
-    # bound; one meat per method on both bounds' stacked moments; one
-    # pairing for both arms, since every pair is a singleton block in each
+    # one point estimate; one moment matrix for both bounds; both bounds
+    # differentiated in one pass with one normal-CDF kernel call, and each
+    # Jacobian inverted once, its refusal read off that inverse; one meat
+    # for the design method on both bounds' stacked moments, with one Gram
+    # that the i.i.d. meat shares; one pairing for both arms, since every
+    # pair is a singleton block in each
     assert counts == {
         "lee_bounds": 1,
         "moment_matrix": 1,
-        "jacobian": 2,
-        "meat_iid": 1,
+        "differentiate": 1,
+        "jacobian": 0,
+        "_big_phi": 1,
+        "inv": 2,
+        "cond": 0,
+        "meat_iid": 0,
         "meat_design": 1,
+        "_second_moments": 1,
         "pair_blocks": 1,
     }
 

@@ -98,7 +98,7 @@ def test_meat_design_assembly_identity(hand_dataset):
     )
     np.testing.assert_allclose(
         report.omega,
-        report.a1 + report.a0 + report.b_n - report.a3,
+        report.a + report.b_n - report.a3,
         atol=1e-15,
     )
     np.testing.assert_array_equal(report.omega, report.omega.T)
@@ -274,7 +274,7 @@ def _assert_meat_matches_oracle(data, moments):
     design = block_design(data)
     meat = meat_design(data, design, moments)
     expected = meat_design_oracle(data, design, moments)
-    for field in ("a1", "a0", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
+    for field in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
         assert_close_matrix(getattr(meat, field), expected[field], moments, field)
     for arm in ("treated", "control"):
         assert getattr(meat, f"singleton_{arm}").tolist() == expected[f"singleton_{arm}"]
@@ -578,19 +578,21 @@ def test_estimate_bounds_keeps_each_methods_error_order(
 ):
     data = _matched_pair_data()  # one unit per arm per block
     design = block_design(data)
-    jacobian = variance.jacobian
+    differentiate = variance.differentiate
 
-    def failing_jacobian(data, design, theta, system, **kwargs):
-        if failing is not None and system.endswith(failing):
-            raise SingularJacobianError(system)
-        return jacobian(data, design, theta, system, **kwargs)
+    def failing_differentiate(bounds, *args, **kwargs):
+        return [
+            SingularJacobianError(system)
+            if failing is not None and system.endswith(failing) else result
+            for (_, system, _), result in zip(bounds, differentiate(bounds, *args, **kwargs))
+        ]
 
-    monkeypatch.setattr(variance, "jacobian", failing_jacobian)
-    widths = []  # moment columns each meat was formed on
+    monkeypatch.setattr(variance, "differentiate", failing_differentiate)
+    widths = []  # each meat function called, with the moment columns it saw
 
     def recording(meat, at):
         def recorded(*args, **kwargs):
-            widths.append(args[at].shape[1])
+            widths.append((meat.__name__, args[at].shape[1]))
             return meat(*args, **kwargs)
 
         return recorded
@@ -609,9 +611,14 @@ def test_estimate_bounds_keeps_each_methods_error_order(
             assert str(report).endswith(error), method
         else:
             assert isinstance(report, error), method
-    # one meat per method that got past the lower bound, over the bounds
-    # whose fit succeeded
-    assert widths == {"lb": [], "ub": [5, 5, 5], None: [10, 10, 10]}[failing]
+    # one meat per design or label method that got past the lower bound,
+    # over the bounds whose fit succeeded; the i.i.d. meat is the design
+    # meat's a - a3, so meat_iid is not called
+    assert widths == {
+        "lb": [],
+        "ub": [("meat_design", 5)] * 2,
+        None: [("meat_design", 10)] * 2,
+    }[failing]
 
 
 # ---------------------------------------------------------------------------
