@@ -35,15 +35,11 @@ from .errors import (
     SingularJacobianError,
 )
 from .ipw_estimator import (
-    IpwComponents,
     _per_unit_block_arrays,
+    always_observed_treat_prob,
     lee_ipw_bounds,
 )
-from .lee_estimator import (
-    BoundsEstimate,
-    lee_bounds,
-    trimming_share_pooled,
-)
+from .lee_estimator import BoundsEstimate, lee_bounds
 
 SYSTEMS = ("lee_lb", "lee_ub", "ipw_lb", "ipw_ub")
 
@@ -170,7 +166,6 @@ class FitResult:
     theta: LeeTheta | LeeIpwTheta
     matrix: MomentMatrix
     estimate: BoundsEstimate
-    components: IpwComponents | None = None
     flags: tuple[str, ...] = ()
 
 
@@ -302,11 +297,8 @@ def moment_matrix(
 def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
     """Closed-form fit of one system, certified by its moment residuals."""
     kind, _ = _split_system(system)
-    if kind == "lee":
-        estimate, components = lee_bounds(data, design), None
-    else:
-        estimate, components = lee_ipw_bounds(data, design)
-    _, (fit,) = fit_from_estimate(data, design, (system,), estimate, components)
+    estimator = lee_bounds if kind == "lee" else lee_ipw_bounds
+    _, (fit,) = fit_from_estimate(data, design, (system,), estimator(data, design))
     if isinstance(fit, EstimationError):
         raise fit
     return fit
@@ -317,77 +309,67 @@ def fit_from_estimate(
     design: BlockDesign,
     systems: Sequence[str],
     estimate: BoundsEstimate,
-    components: IpwComponents | None = None,
 ) -> tuple[MomentMatrix | None, tuple[FitResult | EstimationError, ...]]:
     """fit_theta for several systems of one kind from a point estimate
     already in hand: lee_bounds' for the pooled systems, lee_ipw_bounds'
-    with its components for the weighted.
+    for the weighted.
 
-    The systems whose parameters could be formed share one moment_matrix
-    call; the stacked matrix is returned (None if there is none) with, per
-    system, its FitResult or the EstimationError that stopped it alone. A
-    FitResult's matrix is its bound's block of the stacked one.
+    The parameter the estimate does not carry comes from the design, exactly:
+    the control observed-selection rate from the integers
+    trimming_share_pooled divides, or always_observed_treat_prob. The bounds
+    share every parameter that can stop a fit, so either all the systems
+    are fitted in one moment_matrix call, whose stacked matrix is returned,
+    or none is and None is returned with that error for each. Per system,
+    the result is its FitResult, whose matrix is its bound's block of the
+    stacked one, or the residual error that stopped it alone.
     """
     kinds, sides = zip(*map(_split_system, systems))
     if len(set(kinds)) != 1:
         raise ValueError(f"systems must share one kind, got {systems}")
-    if kinds[0] == "lee":
-        share = trimming_share_pooled(data)
-        clamped = share.clamped
-    else:
-        clamped = components.clamped
-
-    results = {}  # per system index: its FitResult or EstimationError
-    thetas = {}  # per system index whose parameters could be formed
-    for i, side in enumerate(sides):
-        lower = side == "lb"
-        try:
-            if kinds[0] == "lee":
-                thetas[i] = LeeTheta(
-                    mu1=estimate.mu1_lb if lower else estimate.mu1_ub,
-                    mu0=estimate.mu0,
-                    cutoff=estimate.cutoff_lb if lower else estimate.cutoff_ub,
-                    p=estimate.q,
-                    alpha=share.rate_control,
-                )
-            else:
-                thetas[i] = LeeIpwTheta(
-                    mu1=estimate.mu1_lb if lower else estimate.mu1_ub,
-                    mu0=estimate.mu0,
-                    cutoff=components.cutoff_lo if lower else components.cutoff_hi,
-                    delta=components.delta_hat,
-                    q=components.q_hat,
-                )
-        except EstimationError as exc:
-            results[i] = exc
-
-    stack = None
-    if thetas:
-        stack = moment_matrix(
-            data, design, list(thetas.values()), [systems[i] for i in thetas],
-            clamped=clamped,
+    bounds = [
+        dict(
+            mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
+            mu0=estimate.mu0,
+            cutoff=estimate.cutoff_lb if side == "lb" else estimate.cutoff_ub,
         )
-    for k, (i, theta) in enumerate(thetas.items()):
+        for side in sides
+    ]
+    try:
+        if kinds[0] == "lee":
+            control = int((design.n_g - design.t_g).sum())
+            alpha = int(design.n0s_g.sum()) / control
+            thetas = [LeeTheta(**b, p=estimate.q, alpha=alpha) for b in bounds]
+        else:
+            delta = always_observed_treat_prob(design)
+            thetas = [LeeIpwTheta(**b, delta=delta, q=estimate.q) for b in bounds]
+    except EstimationError as exc:
+        return None, (exc,) * len(systems)
+
+    stack = moment_matrix(
+        data, design, thetas, systems,
+        clamped="trimming_share_clamped" in estimate.flags,
+    )
+    results = []
+    for k, (system, theta) in enumerate(zip(systems, thetas)):
         matrix = stack.bound(k)
         if matrix.ok:
-            results[i] = FitResult(
-                system=systems[i],
+            results.append(FitResult(
+                system=system,
                 theta=theta,
                 matrix=matrix,
                 estimate=estimate,
-                components=components,
                 flags=tuple(estimate.flags),
-            )
+            ))
             continue
         bad = [
             f"row {r + 1}: |{matrix.residuals[r]:.3e}| > {matrix.bounds[r]:.3e}"
             for r in range(5)
             if matrix.checked[r] and abs(matrix.residuals[r]) > matrix.bounds[r]
         ]
-        results[i] = InternalConsistencyError(
-            f"moment residuals violated for {systems[i]}: " + "; ".join(bad)
-        )
-    return stack, tuple(results[i] for i in range(len(systems)))
+        results.append(InternalConsistencyError(
+            f"moment residuals violated for {system}: " + "; ".join(bad)
+        ))
+    return stack, tuple(results)
 
 
 # ---------------------------------------------------------------------------

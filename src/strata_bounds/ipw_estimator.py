@@ -9,7 +9,6 @@ shares every weight is 1 and the estimator reduces to the pooled one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,29 +20,7 @@ from .lee_estimator import (
     BoundsEstimate,
     TrimmingShare,
     _trim_both_tails,
-    _usage_counts,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class IpwComponents:
-    """Per-unit weights and intermediates of the weighted estimator.
-
-    w_c and w_q are aligned with the dataset; y_tilde is the rescaled
-    treated outcome (nan off the treated-observed set). Both cutoffs live on
-    the rescaled scale: cutoff_lo is the upper-trim boundary used by the
-    lower bound, cutoff_hi the lower-trim boundary used by the upper bound.
-    """
-
-    w_c: np.ndarray
-    w_q: np.ndarray
-    delta_hat: float
-    q_hat: float
-    q_raw: float
-    clamped: bool
-    y_tilde: np.ndarray
-    cutoff_lo: float
-    cutoff_hi: float
 
 
 def _rate_sums(design: BlockDesign) -> tuple[Fraction, Fraction]:
@@ -72,7 +49,11 @@ def always_observed_treat_prob(design: BlockDesign) -> float:
     Computed in exact rational arithmetic over the block counts, so under
     equal treated shares the result equals that share bit-for-bit.
     """
-    num, den = _rate_sums(design)
+    return _treat_prob(*_rate_sums(design))
+
+
+def _treat_prob(num: Fraction, den: Fraction) -> float:
+    """always_observed_treat_prob from the sums _rate_sums gives."""
     if den == 0:
         raise EstimationError("no observed control outcomes in any block")
     return float(num / den)
@@ -108,44 +89,26 @@ def ipw_trimming_share(data: Dataset, design: BlockDesign) -> TrimmingShare:
     )
 
 
-def lee_ipw_bounds(
-    data: Dataset, design: BlockDesign
-) -> tuple[BoundsEstimate, IpwComponents]:
-    """Weighted trimming bounds and their per-unit components."""
-    eta_i, _, w_c, w_q = _per_unit_block_arrays(data, design)
+def lee_ipw_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
+    """Weighted trimming bounds."""
+    eta_i, _, w_c, _ = _per_unit_block_arrays(data, design)
     share = ipw_trimming_share(data, design)
-    delta = always_observed_treat_prob(design)
+    # kept, sum_g t_g m_g, is exactly the kept mass
+    kept, den = _rate_sums(design)
+    delta = _treat_prob(kept, den)  # raises where no control is observed
 
     d, s, y = data.d, data.s, data.y
     obs_treated = (d == 1) & (s == 1)
     obs_control = (d == 0) & (s == 1)
-    if not obs_control.any():
-        raise UndefinedTrimmingError("no observed control outcomes")
-
-    y_tilde = np.full(data.n, np.nan)
-    y_tilde[obs_treated] = (delta / eta_i[obs_treated]) * y[obs_treated]
-
-    # the kept mass is exactly sum_g n0s_g t_g / (n_g - t_g)
-    keeps_unit = share.clamped or _rate_sums(design)[0] >= 1
-    lb, ub = _trim_both_tails(y_tilde[obs_treated], share.q, keeps_unit)
+    y_tilde = (delta / eta_i[obs_treated]) * y[obs_treated]
+    keeps_unit = share.clamped or kept >= 1
+    lb, ub = _trim_both_tails(y_tilde, share.q, keeps_unit)
 
     wc_obs = w_c[obs_control]
     mu0 = float((wc_obs * y[obs_control]).sum() / wc_obs.sum())
 
-    comps = IpwComponents(
-        w_c=w_c,
-        w_q=w_q,
-        delta_hat=delta,
-        q_hat=share.q,
-        q_raw=share.q_raw,
-        clamped=share.clamped,
-        y_tilde=y_tilde,
-        cutoff_lo=lb.cutoff,
-        cutoff_hi=ub.cutoff,
-    )
-    counts = _usage_counts(data)
     flags = ("trimming_share_clamped",) if share.clamped else ()
-    estimate = BoundsEstimate(
+    return BoundsEstimate(
         method=METHOD_IPW,
         delta_lb=lb.mean - mu0,
         delta_ub=ub.mean - mu0,
@@ -155,8 +118,6 @@ def lee_ipw_bounds(
         q=share.q,
         cutoff_lb=lb.cutoff,
         cutoff_ub=ub.cutoff,
-        n_used=counts.treated_observed + counts.control_observed,
-        counts=counts,
+        n_used=int(data.s.sum()),
         flags=flags,
     )
-    return estimate, comps

@@ -166,22 +166,15 @@ def trimming_share_pooled(data: Dataset) -> TrimmingShare:
 
 
 @dataclass(frozen=True)
-class UsageCounts:
-    treated: int
-    control: int
-    treated_observed: int
-    control_observed: int
-
-
-@dataclass(frozen=True)
 class BoundsEstimate:
     """Lower/upper bound estimates for the always-observed effect.
 
     delta_lb and delta_ub are exactly mu1_lb - mu0 and mu1_ub - mu0. n_used
-    counts the observed outcomes entering the estimate; counts carries the
-    full arm breakdown. flags mark clamping and similar conditions; warnings
-    are advisory (e.g. heterogeneous treated shares under the pooled method).
-    detail holds the per-stratum cells of the conditional method, else None.
+    counts the observed outcomes entering the estimate. flags mark clamping
+    (trimming_share_clamped for the pooled and weighted estimators) and
+    similar conditions; warnings are advisory (e.g. heterogeneous treated
+    shares under the pooled method). detail holds the per-stratum cells of
+    the conditional method, else None.
     """
 
     method: str
@@ -194,21 +187,9 @@ class BoundsEstimate:
     cutoff_lb: float
     cutoff_ub: float
     n_used: int
-    counts: UsageCounts
     flags: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     detail: StrataDetail | None = None
-
-
-def _usage_counts(data: Dataset) -> UsageCounts:
-    d, s = data.d, data.s
-    n1 = int(d.sum())
-    return UsageCounts(
-        treated=n1,
-        control=data.n - n1,
-        treated_observed=int((d * s).sum()),
-        control_observed=int(((1 - d) * s).sum()),
-    )
 
 
 def _heterogeneous_shares(design: BlockDesign) -> bool:
@@ -225,16 +206,14 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     warning (the weighted variant removes the imbalance).
     """
     share = trimming_share_pooled(data)
-    counts = _usage_counts(data)
     obs_treated = (data.d == 1) & (data.s == 1)
     obs_control = (data.d == 0) & (data.s == 1)
     y1 = data.y[obs_treated]
     y0 = data.y[obs_control]
     mu0 = float(y0.mean())
     # the kept mass is exactly n0s n1 / n0
-    keeps_unit = share.clamped or (
-        counts.control_observed * counts.treated >= counts.control
-    )
+    n1 = int(design.t_g.sum())
+    keeps_unit = share.clamped or y0.size * n1 >= data.n - n1
     lb, ub = _trim_both_tails(y1, share.q, keeps_unit)
 
     flags = ("trimming_share_clamped",) if share.clamped else ()
@@ -254,8 +233,7 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
         q=share.q,
         cutoff_lb=lb.cutoff,
         cutoff_ub=ub.cutoff,
-        n_used=counts.treated_observed + counts.control_observed,
-        counts=counts,
+        n_used=int(data.s.sum()),
         flags=flags,
         warnings=warnings,
     )
@@ -396,7 +374,6 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
             "dropped strata: "
             + _name_dropped(design, n1s, tau, dropped, "{} ({})")
         )
-    counts = _usage_counts(data)
     return BoundsEstimate(
         method=METHOD_CONDITIONAL,
         delta_lb=mu1_lb - mu0,
@@ -407,8 +384,7 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
         q=q_agg,
         cutoff_lb=float("nan"),
         cutoff_ub=float("nan"),
-        n_used=counts.treated_observed + counts.control_observed,
-        counts=counts,
+        n_used=int(data.s.sum()),
         flags=tuple(flags),
         warnings=tuple(warnings),
         detail=StrataDetail(

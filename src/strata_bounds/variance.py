@@ -563,23 +563,24 @@ def estimate_bounds(
             raise ValueError(
                 f"method must be one of {VARIANCE_METHODS}, got {method!r}"
             )
-    if name == "lee":
-        estimate, components = lee_bounds(data, design), None
-    elif name == "lee-ipw":
-        estimate, components = lee_ipw_bounds(data, design)
-    elif name == "conditional-lee" and not methods:
-        return conditional_lee_bounds(data, design), {}
-    else:
+    # looked up on each call, so a wrapper bound to a name here is used
+    estimators = {
+        "lee": lee_bounds,
+        "conditional-lee": conditional_lee_bounds,
+        "lee-ipw": lee_ipw_bounds,
+    }
+    if name not in estimators or (name == "conditional-lee" and methods):
         raise ValueError(
             f"estimator must be one of {ESTIMATORS}, and conditional-lee "
             f"takes no variance method; got {name!r} with {methods}"
         )
+    estimate = estimators[name](data, design)
     if not methods:
         return estimate, {}
 
     kind = "lee" if name == "lee" else "ipw"
     stack, fits = fit_from_estimate(
-        data, design, (f"{kind}_lb", f"{kind}_ub"), estimate, components
+        data, design, (f"{kind}_lb", f"{kind}_ub"), estimate
     )
     breads = iter(differentiate([
         (fit.theta, fit.system, fit.matrix.contexts[0])

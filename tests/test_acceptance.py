@@ -16,6 +16,7 @@ from strata_bounds import (
     EstimationError,
     McConfig,
     TrimSpec,
+    always_observed_treat_prob,
     block_design,
     conditional_lee_bounds,
     fit_theta,
@@ -164,8 +165,9 @@ def test_criterion_3_equal_share_reduction_identity():
         data = random_equal_share_dataset(rng)
         design = block_design(data)
         pooled = lee_bounds(data, design)
-        weighted, comps = lee_ipw_bounds(data, design)
-        assert comps.delta_hat == design.eta_g[0]  # bit-exact
+        weighted = lee_ipw_bounds(data, design)
+        # bit-exact
+        assert always_observed_treat_prob(design) == design.eta_g[0]
         worst = max(
             worst,
             abs(weighted.delta_lb - pooled.delta_lb),

@@ -16,6 +16,7 @@ from strata_bounds import (
     block_design,
     fit_theta,
     jacobian,
+    lee_ipw_bounds,
     moment_matrix,
     silverman_bandwidth,
     solve_sandwich,
@@ -118,7 +119,7 @@ def test_fit_theta_hand_values_ipw(hand_dataset):
         delta=0.5, q=HAND_Q,
     )
     assert fit.matrix.ok
-    assert fit.components is not None
+    assert fit.estimate == lee_ipw_bounds(hand_dataset, design)
 
 
 def test_fit_theta_rejects_unknown_system(hand_dataset):

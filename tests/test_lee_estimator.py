@@ -175,10 +175,7 @@ def test_lee_bounds_hand_values_are_exact(hand_dataset):
     assert est.delta_ub == HAND_DELTA_UB
     assert est.cutoff_lb == HAND_CUT_LB
     assert est.cutoff_ub == HAND_CUT_UB
-    assert est.n_used == 14
-    assert est.counts.treated == 10 and est.counts.control == 10
-    assert est.counts.treated_observed == 8
-    assert est.counts.control_observed == 6
+    assert est.n_used == 8 + 6  # observed treated and observed controls
     assert est.flags == ()
     assert est.warnings == ()
 

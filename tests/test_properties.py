@@ -213,8 +213,7 @@ def _pooled_bounds(data):
     """(delta_lb, delta_ub) of lee and lee-ipw, or the error each raised."""
     design = block_design(data)
     out = []
-    for run in (lee_bounds, lambda *a: lee_ipw_bounds(*a)[0],
-                conditional_lee_bounds):
+    for run in (lee_bounds, lee_ipw_bounds, conditional_lee_bounds):
         try:
             est = run(data, design)
             out.append((est.delta_lb, est.delta_ub))

@@ -27,6 +27,7 @@ from strata_bounds import (
     moment_matrix,
     pair_blocks,
     simulation,
+    trimming_share_pooled,
     variance,
 )
 from strata_bounds.simulation import (
@@ -370,7 +371,8 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
     counts = count_calls(
         monkeypatch,
         [
-            lee_bounds, moment_matrix, gmm_core.differentiate, jacobian,
+            lee_bounds, trimming_share_pooled, moment_matrix,
+            gmm_core.differentiate, jacobian,
             gmm_core._big_phi, meat_iid, meat_design, variance._second_moments,
             pair_blocks,
         ],
@@ -387,7 +389,8 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
         estimators=("lee:iid", "lee:design"),
     )
     monte_carlo(config)
-    # one point estimate; one moment matrix for both bounds; both bounds
+    # one point estimate, whose share the fit does not form again; one
+    # moment matrix for both bounds; both bounds
     # differentiated in one pass with one normal-CDF kernel call, and each
     # Jacobian inverted once, its refusal read off that inverse; one meat
     # for the design method on both bounds' stacked moments, with one Gram
@@ -395,6 +398,7 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
     # pair is a singleton block in each
     assert counts == {
         "lee_bounds": 1,
+        "trimming_share_pooled": 1,
         "moment_matrix": 1,
         "differentiate": 1,
         "jacobian": 0,
