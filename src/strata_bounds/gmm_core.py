@@ -309,19 +309,18 @@ def fit_from_estimate(
     design: BlockDesign,
     systems: Sequence[str],
     estimate: BoundsEstimate,
-) -> tuple[MomentMatrix | None, tuple[FitResult | EstimationError, ...]]:
+) -> tuple[MomentMatrix, tuple[FitResult | EstimationError, ...]]:
     """fit_theta for several systems of one kind from a point estimate
     already in hand: lee_bounds' for the pooled systems, lee_ipw_bounds'
     for the weighted.
 
     The parameter the estimate does not carry comes from the design, exactly:
     the control observed-selection rate from the integers
-    trimming_share_pooled divides, or always_observed_treat_prob. The bounds
-    share every parameter that can stop a fit, so either all the systems
-    are fitted in one moment_matrix call, whose stacked matrix is returned,
-    or none is and None is returned with that error for each. Per system,
-    the result is its FitResult, whose matrix is its bound's block of the
-    stacked one, or the residual error that stopped it alone.
+    trimming_share_pooled divides, or always_observed_treat_prob. Every
+    system is fitted in one moment_matrix call, whose stacked matrix is
+    returned. Per system, the result is its FitResult, whose matrix is its
+    bound's block of the stacked one, or the residual error that stopped it
+    alone.
     """
     kinds, sides = zip(*map(_split_system, systems))
     if len(set(kinds)) != 1:
@@ -334,16 +333,13 @@ def fit_from_estimate(
         )
         for side in sides
     ]
-    try:
-        if kinds[0] == "lee":
-            control = int((design.n_g - design.t_g).sum())
-            alpha = int(design.n0s_g.sum()) / control
-            thetas = [LeeTheta(**b, p=estimate.q, alpha=alpha) for b in bounds]
-        else:
-            delta = always_observed_treat_prob(design)
-            thetas = [LeeIpwTheta(**b, delta=delta, q=estimate.q) for b in bounds]
-    except EstimationError as exc:
-        return None, (exc,) * len(systems)
+    if kinds[0] == "lee":
+        control = int((design.n_g - design.t_g).sum())
+        alpha = int(design.n0s_g.sum()) / control
+        thetas = [LeeTheta(**b, p=estimate.q, alpha=alpha) for b in bounds]
+    else:
+        delta = always_observed_treat_prob(design)
+        thetas = [LeeIpwTheta(**b, delta=delta, q=estimate.q) for b in bounds]
 
     stack = moment_matrix(
         data, design, thetas, systems,

@@ -1,10 +1,12 @@
 """Weighted trimming bounds for designs with heterogeneous treated shares.
 
 Block-level weights undo the share imbalance: controls are reweighted by
-(1 - p)/(1 - eta_g), the trimming share uses eta_g(1 - p)/((1 - eta_g) p) on
-observed controls, and treated outcomes are rescaled by delta/eta_g where
-delta is the control-observed-rate-weighted treated share. Under equal
-shares every weight is 1 and the estimator reduces to the pooled one.
+(1 - p)/(1 - eta_g), the trimming share keeps treated mass sum_g t_g m_g
+(the observed controls weighted by eta_g(1 - p)/((1 - eta_g) p), times
+p/(1 - p)), and treated outcomes are rescaled by delta/eta_g where delta is
+the control-observed-rate-weighted treated share. Under equal shares every
+weight is 1 and the estimator reduces to the pooled one, through the same
+trimming path.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .data_model import BlockDesign, Dataset
-from .errors import EstimationError, UndefinedTrimmingError
+from .errors import EstimationError
 from .lee_estimator import (
     METHOD_IPW,
     BoundsEstimate,
     TrimmingShare,
-    _trim_both_tails,
+    _pooled_bounds,
+    _trimming_share,
 )
 
 
@@ -69,55 +72,24 @@ def _per_unit_block_arrays(data: Dataset, design: BlockDesign):
     return eta_i, m_i, w_c, w_q
 
 
-def ipw_trimming_share(data: Dataset, design: BlockDesign) -> TrimmingShare:
-    """Weighted trimming share; negative raw values clamp to zero."""
-    _, _, _, w_q = _per_unit_block_arrays(data, design)
-    d, s = data.d, data.s
-    p = design.p_hat
-    num_treated = float((d * s).sum())
-    if num_treated == 0:
-        raise UndefinedTrimmingError("no observed treated outcomes")
-    weighted_controls = float(((1 - d) * s * w_q).sum())
-    q_raw = 1.0 - (p * weighted_controls) / ((1.0 - p) * num_treated)
-    clamped = q_raw < 0.0
-    return TrimmingShare(
-        q=max(q_raw, 0.0),
-        q_raw=q_raw,
-        clamped=clamped,
-        rate_treated=num_treated / float(d.sum()),
-        rate_control=float(((1 - d) * s).sum()) / float((1 - d).sum()),
-    )
+def ipw_trimming_share(design: BlockDesign) -> TrimmingShare:
+    """Weighted trimming share, which keeps treated mass sum_g t_g m_g;
+    negative raw values clamp to zero."""
+    kept, _ = _rate_sums(design)
+    return _trimming_share(design, kept)
 
 
 def lee_ipw_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     """Weighted trimming bounds."""
-    eta_i, _, w_c, _ = _per_unit_block_arrays(data, design)
-    share = ipw_trimming_share(data, design)
-    # kept, sum_g t_g m_g, is exactly the kept mass
     kept, den = _rate_sums(design)
+    share = _trimming_share(design, kept)
     delta = _treat_prob(kept, den)  # raises where no control is observed
 
     d, s, y = data.d, data.s, data.y
     obs_treated = (d == 1) & (s == 1)
     obs_control = (d == 0) & (s == 1)
-    y_tilde = (delta / eta_i[obs_treated]) * y[obs_treated]
-    keeps_unit = share.clamped or kept >= 1
-    lb, ub = _trim_both_tails(y_tilde, share.q, keeps_unit)
-
-    wc_obs = w_c[obs_control]
-    mu0 = float((wc_obs * y[obs_control]).sum() / wc_obs.sum())
-
-    flags = ("trimming_share_clamped",) if share.clamped else ()
-    return BoundsEstimate(
-        method=METHOD_IPW,
-        delta_lb=lb.mean - mu0,
-        delta_ub=ub.mean - mu0,
-        mu0=mu0,
-        mu1_lb=lb.mean,
-        mu1_ub=ub.mean,
-        q=share.q,
-        cutoff_lb=lb.cutoff,
-        cutoff_ub=ub.cutoff,
-        n_used=int(data.s.sum()),
-        flags=flags,
-    )
+    eta_g = design.eta_g
+    y_tilde = (delta / eta_g[design.codes[obs_treated]]) * y[obs_treated]
+    w_c = ((1.0 - design.p_hat) / (1.0 - eta_g))[design.codes[obs_control]]
+    mu0 = float((w_c * y[obs_control]).sum() / w_c.sum())
+    return _pooled_bounds(METHOD_IPW, design, share, y_tilde, mu0)

@@ -2,17 +2,19 @@
 
 The pooled estimator compares the observed-control mean with trimmed means of
 the observed-treated outcomes, where the trimming share is one minus the
-ratio of observed-selection rates. Trimming is fractional: the boundary order
-statistic receives partial weight so the retained mass is exact, and tied
-boundary values share that partial weight equally. The per-stratum variant
-applies the same construction inside each block and aggregates with block
-sizes as weights.
+ratio of observed-selection rates; it and the weighted estimator trim through
+one path, to a kept mass formed exactly from the block counts. Trimming is
+fractional: the boundary order statistic receives partial weight so the
+retained mass is exact, and tied boundary values share that partial weight
+equally. The per-stratum variant applies the same construction inside each
+block and aggregates with block sizes as weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,22 +76,6 @@ def trimmed_mean(values, spec: TrimSpec) -> TrimmedMeanResult:
     return _trim_sorted(np.sort(y), k, spec.side)
 
 
-def _trim_both_tails(values, q: float, keeps_unit: bool):
-    """Upper- and lower-trimmed means of values at trimming share q.
-
-    The kept mass (1-q)*m rounds to just below one unit where exactly one
-    unit is kept, so the caller tests it in exact arithmetic (keeps_unit)
-    and the float mass is raised to at least one.
-    """
-    m = values.size
-    k = (1.0 - q) * m
-    if not keeps_unit:
-        raise _degenerate_trim(q, k, m)
-    ys = np.sort(values)
-    k = max(k, 1.0)
-    return _trim_sorted(ys, k, "upper"), _trim_sorted(ys, k, "lower")
-
-
 def _degenerate_trim(q: float, k: float, m: int) -> DegenerateTrimError:
     return DegenerateTrimError(
         f"trimming share {q} retains mass {k:.6g} < 1 of {m} values"
@@ -127,42 +113,47 @@ def _trim_sorted(ys: np.ndarray, k: float, side: str) -> TrimmedMeanResult:
 
 @dataclass(frozen=True)
 class TrimmingShare:
-    """Trimming share with its raw (pre-clamp) value and the arm rates."""
+    """Trimming share with its raw (pre-clamp) value, the arm rates and the
+    exact kept treated mass (before the clamp)."""
 
     q: float
     q_raw: float
     clamped: bool
     rate_treated: float
     rate_control: float
+    kept: Fraction
 
 
-def trimming_share_pooled(data: Dataset) -> TrimmingShare:
-    """Pooled share: 1 - (observed-control rate)/(observed-treated rate).
+def _trimming_share(design: BlockDesign, kept: Fraction) -> TrimmingShare:
+    """The share that keeps treated mass kept of the n1s observed treated
+    outcomes: q_raw = 1 - kept/n1s, rounded once from the exact ratio.
 
     Negative raw values (an in-sample monotonicity violation) are clamped to
     zero with the clamped flag set.
     """
-    d = data.d
-    s = data.s
-    n1 = int(d.sum())
-    n0 = data.n - n1
-    n1s = int((d * s).sum())
-    n0s = int(((1 - d) * s).sum())
+    n1s = int(design.n1s_g.sum())
     if n1s == 0:
         raise UndefinedTrimmingError("no observed treated outcomes")
-    if n0s == 0:
-        raise UndefinedTrimmingError("no observed control outcomes")
-    # the rate ratio is a ratio of integer cross-products; dividing the
-    # exact integer products gives a correctly rounded result
-    q_raw = 1.0 - (n0s * n1) / (n1s * n0)
-    clamped = q_raw < 0.0
+    n1 = int(design.t_g.sum())
+    q_raw = 1.0 - float(kept / n1s)
     return TrimmingShare(
         q=max(q_raw, 0.0),
         q_raw=q_raw,
-        clamped=clamped,
+        clamped=q_raw < 0.0,
         rate_treated=n1s / n1,
-        rate_control=n0s / n0,
+        rate_control=int(design.n0s_g.sum()) / (int(design.n_g.sum()) - n1),
+        kept=kept,
     )
+
+
+def trimming_share_pooled(design: BlockDesign) -> TrimmingShare:
+    """Pooled share: 1 - (observed-control rate)/(observed-treated rate),
+    which keeps treated mass n0s n1 / n0."""
+    n1, n0s = int(design.t_g.sum()), int(design.n0s_g.sum())
+    share = _trimming_share(design, Fraction(n0s * n1, int(design.n_g.sum()) - n1))
+    if n0s == 0:  # checked second: a missing treated arm is named first
+        raise UndefinedTrimmingError("no observed control outcomes")
+    return share
 
 
 @dataclass(frozen=True)
@@ -198,33 +189,21 @@ def _heterogeneous_shares(design: BlockDesign) -> bool:
     return bool(np.any(t_g * n_g[0] != t_g[0] * n_g))
 
 
-def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
-    """Pooled trimming bounds.
+def _pooled_bounds(method, design, share, values, mu0, warnings=()) -> BoundsEstimate:
+    """Bounds of a pooled estimator (lee, lee_ipw): its trimming sample,
+    values, trimmed in either tail to the share's kept mass, against its
+    control mean mu0.
 
-    Valid as-is under a constant treated share across blocks; with
-    heterogeneous shares the estimate is still computed but carries a
-    warning (the weighted variant removes the imbalance).
+    The exact kept mass is rounded once, so a whole-number mass stays whole
+    and the cutoff takes its exact rank; a clamped share keeps every value.
     """
-    share = trimming_share_pooled(data)
-    obs_treated = (data.d == 1) & (data.s == 1)
-    obs_control = (data.d == 0) & (data.s == 1)
-    y1 = data.y[obs_treated]
-    y0 = data.y[obs_control]
-    mu0 = float(y0.mean())
-    # the kept mass is exactly n0s n1 / n0
-    n1 = int(design.t_g.sum())
-    keeps_unit = share.clamped or y0.size * n1 >= data.n - n1
-    lb, ub = _trim_both_tails(y1, share.q, keeps_unit)
-
-    flags = ("trimming_share_clamped",) if share.clamped else ()
-    warnings = ()
-    if _heterogeneous_shares(design):
-        warnings = (
-            "heterogeneous_treated_shares: pooled trimming is biased for the "
-            "always-observed effect; consider the weighted estimator",
-        )
+    if not (share.clamped or share.kept >= 1):
+        raise _degenerate_trim(share.q, float(share.kept), values.size)
+    k = float(values.size if share.clamped else share.kept)
+    ys = np.sort(values)
+    lb, ub = (_trim_sorted(ys, k, side) for side in ("upper", "lower"))
     return BoundsEstimate(
-        method=METHOD_LEE,
+        method=method,
         delta_lb=lb.mean - mu0,
         delta_ub=ub.mean - mu0,
         mu0=mu0,
@@ -233,9 +212,30 @@ def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
         q=share.q,
         cutoff_lb=lb.cutoff,
         cutoff_ub=ub.cutoff,
-        n_used=int(data.s.sum()),
-        flags=flags,
+        n_used=int(design.n1s_g.sum() + design.n0s_g.sum()),
+        flags=("trimming_share_clamped",) if share.clamped else (),
         warnings=warnings,
+    )
+
+
+def lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
+    """Pooled trimming bounds.
+
+    Valid as-is under a constant treated share across blocks; with
+    heterogeneous shares the estimate is still computed but carries a
+    warning (the weighted variant removes the imbalance).
+    """
+    share = trimming_share_pooled(design)
+    observed = data.s == 1
+    mu0 = float(data.y[observed & (data.d == 0)].mean())
+    warnings = ()
+    if _heterogeneous_shares(design):
+        warnings = (
+            "heterogeneous_treated_shares: pooled trimming is biased for the "
+            "always-observed effect; consider the weighted estimator",
+        )
+    return _pooled_bounds(
+        METHOD_LEE, design, share, data.y[observed & (data.d == 1)], mu0, warnings
     )
 
 
@@ -324,8 +324,9 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
             + _name_dropped(design, n1s, tau, dropped, "{}: {}")
         )
     m = n1s[g]
-    # (1 - tau) m rounds to just below one unit where exactly one unit is kept
-    k = np.maximum((1.0 - tau[g]) * m, 1.0)
+    # the kept mass n0s t_g / c_g, rounded once by the integer division, or
+    # every value where the stratum is clamped
+    k = np.where(clamped[g], m, (n0s[g] * t_g[g]) / c_g[g])
     rank = np.ceil(k).astype(np.int64)  # rank of the boundary value
     lo, hi = starts[g, 0], starts[g, 0] + m
     run_first, run_last = _tie_runs(y, key)

@@ -1,7 +1,5 @@
 """Weighted (share-imbalance-correcting) trimming bounds."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -52,7 +50,7 @@ def test_weighted_share_components_match_oracle():
     for _ in range(40):
         data = random_dataset(rng)
         design = block_design(data)
-        share = ipw_trimming_share(data, design)
+        share = ipw_trimming_share(design)
         n1s = int((data.s * data.d).sum())
         if (1.0 - share.q) * n1s < 1.0:
             continue  # the oracle refuses degenerate retained mass
@@ -103,20 +101,15 @@ def _se_identity_regime(data, design, estimate) -> bool:
     """Equal-share designs on which lee-ipw's design SEs equal lee's.
 
     Every arm has two units or more in every block, every block has an
-    observed control, and the observed outcomes' mean is within 10 spreads
-    of 0. Two more conditions keep both systems at one cutoff with every
-    moment row solved: the pooled share is not clamped, and the kept mass
-    n0s n1 / n0 is not a whole number, where (1 - q) m may round to either
-    side of it and each estimator's cutoff may take a different rank.
+    observed control, the observed outcomes' mean is within 10 spreads of
+    0, and the pooled share is not clamped, so both systems solve every
+    moment row.
     """
     c_g = design.n_g - design.t_g
     y = data.y[data.s == 1]
-    n1 = int(design.t_g.sum())
-    kept = Fraction(int(design.n0s_g.sum()) * n1, data.n - n1)
     return bool(
         design.t_g.min() >= 2 and c_g.min() >= 2 and design.n0s_g.min() > 0
-        and abs(y.mean()) <= 10 * y.std()
-        and not estimate.flags and kept.denominator != 1
+        and abs(y.mean()) <= 10 * y.std() and not estimate.flags
     )
 
 
@@ -128,11 +121,10 @@ def test_weighted_bounds_reduce_to_pooled_under_equal_shares():
         design = block_design(data)
         pooled = lee_bounds(data, design)
         weighted = lee_ipw_bounds(data, design)
-        # bit-exact
+        # bit-exact: both trim the same values to the same kept mass
         assert always_observed_treat_prob(design) == design.eta_g[0]
-        assert weighted.q == pytest.approx(pooled.q, abs=1e-12)
-        assert weighted.delta_lb == pytest.approx(pooled.delta_lb, abs=1e-10)
-        assert weighted.delta_ub == pytest.approx(pooled.delta_ub, abs=1e-10)
+        for field in ("q", "delta_lb", "delta_ub", "cutoff_lb", "cutoff_ub"):
+            assert getattr(weighted, field) == getattr(pooled, field), field
         if not _se_identity_regime(data, design, pooled):
             continue
         se_checked += 1
@@ -152,7 +144,7 @@ def test_weighted_bounds_propagate_clamp_flag():
         blocks=["a"] * 4 + ["b"] * 4,
     )
     design = block_design(data)
-    share = ipw_trimming_share(data, design)
+    share = ipw_trimming_share(design)
     assert share.clamped and share.q_raw < 0.0
     est = lee_ipw_bounds(data, design)
     assert est.q == 0.0
@@ -167,7 +159,7 @@ def test_weighted_share_undefined_without_treated_outcomes():
         blocks=["a", "a", "b", "b"],
     )
     with pytest.raises(EstimationError):
-        ipw_trimming_share(data, block_design(data))
+        ipw_trimming_share(block_design(data))
 
 
 def test_weighted_mu0_uses_control_weights():
@@ -187,8 +179,11 @@ def test_weighted_mu0_uses_control_weights():
 
 def test_weighted_fit_forms_the_rate_sums_once_in_each_step(monkeypatch):
     # the estimate reads delta and the kept mass off one pass, and the fit
-    # forms delta from the design once more
+    # forms delta from the design once more; only the moment pass gathers
+    # the per-unit block arrays
     data = random_dataset(np.random.default_rng(34), allow_clamp=False)
-    counts = count_calls(monkeypatch, [ipw_estimator._rate_sums])
+    counts = count_calls(
+        monkeypatch, [ipw_estimator._rate_sums, _per_unit_block_arrays]
+    )
     estimate_bounds(data, block_design(data), "lee-ipw", ("design",))
-    assert counts == {"_rate_sums": 2}
+    assert counts == {"_rate_sums": 2, "_per_unit_block_arrays": 1}

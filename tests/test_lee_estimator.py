@@ -13,7 +13,9 @@ from strata_bounds import (
     UndefinedTrimmingError,
     block_design,
     conditional_lee_bounds,
+    estimate_bounds,
     lee_bounds,
+    lee_ipw_bounds,
     trimmed_mean,
     trimming_share_pooled,
 )
@@ -126,12 +128,13 @@ def test_trim_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_pooled_share_is_exact_on_hand_data(hand_dataset):
-    share = trimming_share_pooled(hand_dataset)
+    share = trimming_share_pooled(block_design(hand_dataset))
     assert share.q == HAND_Q  # exact: 1 - (6*10)/(8*10)
     assert share.q_raw == HAND_Q
     assert not share.clamped
     assert share.rate_treated == 0.8
     assert share.rate_control == 0.6
+    assert share.kept == 6  # n0s n1 / n0 = 6 * 10 / 10, exactly
 
 
 def test_pooled_share_clamps_monotonicity_violation():
@@ -141,7 +144,7 @@ def test_pooled_share_clamps_monotonicity_violation():
         d=[1, 1, 1, 0, 0, 0],
         blocks=["a"] * 6,
     )
-    share = trimming_share_pooled(data)
+    share = trimming_share_pooled(block_design(data))
     assert share.q == 0.0
     assert share.q_raw < 0.0
     assert share.clamped
@@ -152,12 +155,12 @@ def test_pooled_share_undefined_without_observed_outcomes():
         y=[0.0, 0.0, 1.0, 2.0], s=[0, 0, 1, 1], d=[1, 1, 0, 0], blocks=["a"] * 4
     )
     with pytest.raises(UndefinedTrimmingError, match="treated"):
-        trimming_share_pooled(no_treated)
+        trimming_share_pooled(block_design(no_treated))
     no_control = build_dataset(
         y=[1.0, 2.0, 0.0, 0.0], s=[1, 1, 0, 0], d=[1, 1, 0, 0], blocks=["a"] * 4
     )
     with pytest.raises(UndefinedTrimmingError, match="control"):
-        trimming_share_pooled(no_control)
+        trimming_share_pooled(block_design(no_control))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,27 @@ def test_lee_bounds_match_oracle_on_random_datasets():
         assert est.cutoff_ub == cut_ub
         assert ("trimming_share_clamped" in est.flags) == clamped
     assert checked >= 40
+
+
+def test_whole_number_kept_mass_takes_its_exact_rank():
+    # one block: 10 treated, y = 1..10, all observed; 3 of 10 controls
+    # observed, so each estimator keeps exactly 3 units of treated mass,
+    # where (1 - q) m = (1 - 0.7) * 10 rounds above 3
+    y = [*range(1, 11), 0.0, 0.0, 0.0] + [0.0] * 7
+    s = [1] * 13 + [0] * 7
+    d = [1] * 10 + [0] * 10
+    data = build_dataset(y, s, d, ["a"] * 20)
+    design = block_design(data)
+    for name, estimator in (("lee", lee_bounds), ("lee-ipw", lee_ipw_bounds)):
+        est = estimator(data, design)
+        assert (est.cutoff_lb, est.cutoff_ub) == (3.0, 8.0), name
+        assert (est.mu1_lb, est.mu1_ub) == (2.0, 9.0), name
+        # the variance is taken at the cutoff of the exact rank
+        _, reports = estimate_bounds(data, design, name, ("iid",))
+        fit = reports["iid"].fit_lb
+        assert fit.theta.cutoff == 3.0 and fit.estimate == est, name
+    cond = conditional_lee_bounds(data, design)
+    assert (cond.mu1_lb, cond.mu1_ub) == (2.0, 9.0)
 
 
 # ---------------------------------------------------------------------------

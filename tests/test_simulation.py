@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from strata_bounds import (
+    DegenerateTrimError,
     EstimationError,
     McConfig,
     ValidationError,
@@ -165,6 +166,43 @@ def test_dgp2_is_reproducible_and_seed_sensitive():
     c = simulate_dgp2(4)
     assert_same_columns(a, b)
     assert not np.array_equal(a.y, c.y, equal_nan=True)
+
+
+def test_dgp2_quotas_flip_unobserved_units_up(monkeypatch):
+    # the selection uniforms (the second random() draw) at 0.999 select
+    # only the outlier units, so every stratum takes its quota flips; the
+    # draws themselves are still made, so the flips draw in frozen order
+    plain = simulate_dgp2(5)
+    philox = simulation.philox_generator
+
+    class HighSelectionUniforms:
+        def __init__(self, rng):
+            self._rng = rng
+            self._random_calls = 0
+
+        def random(self, *args, **kwargs):
+            self._random_calls += 1
+            draws = self._rng.random(*args, **kwargs)
+            return np.full_like(draws, 0.999) if self._random_calls == 2 else draws
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(
+        simulation, "philox_generator", lambda seed: HighSelectionUniforms(philox(seed))
+    )
+    data = simulate_dgp2(5)
+    design = block_design(data)
+    assert (design.n1s_g == 3).all() and (design.n0s_g == 2).all()
+    # the observed units of strata 0 and 99, treated then control, as the
+    # frozen draws pick them
+    for g, treated, control in ((0, [4, 8, 13], [5, 12]), (99, [14, 15, 16], [6, 7])):
+        s, d = data.s[20 * g : 20 * g + 20], data.d[20 * g : 20 * g + 20]
+        assert np.flatnonzero(s & d).tolist() == treated
+        assert np.flatnonzero(s & (1 - d)).tolist() == control
+    np.testing.assert_array_equal(data.d, plain.d)
+    both = (data.s == 1) & (plain.s == 1)
+    np.testing.assert_array_equal(data.y[both], plain.y[both])
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +403,33 @@ def test_monte_carlo_panel_composition_changes_no_row(tmp_path, token):
         assert all(row.endswith(",error:FeasibilityError") for row in rows)
     else:
         assert rows == _replication_rows(tmp_path / "alone", (token,))
+
+
+def test_monte_carlo_records_a_failed_point_estimate_in_each_of_its_rows(
+    monkeypatch, tmp_path
+):
+    tokens = ("lee:none", "lee:iid", "lee:design", "lee-ipw:design")
+    clean = _replication_rows(tmp_path / "clean", tokens)
+    failing_data = simulate_dgp1(child_seed(9, 1), 200)  # replication 1
+    lee = variance.lee_bounds
+
+    def lee_failing_once(data, design):
+        if np.array_equal(data.y, failing_data.y, equal_nan=True):
+            raise DegenerateTrimError("injected")
+        return lee(data, design)
+
+    monkeypatch.setattr(variance, "lee_bounds", lee_failing_once)
+    rows = _replication_rows(tmp_path / "failing", tokens)
+    assert len(rows) == len(clean) == 3 * len(tokens)
+    failed = 0
+    for row, clean_row in zip(rows, clean):
+        rep, token = row.split(",")[:2]
+        if rep == "1" and token.startswith("lee:"):
+            assert row.endswith(",error:DegenerateTrimError"), row
+            failed += 1
+        else:
+            assert row == clean_row
+    assert failed == 3
 
 
 def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
