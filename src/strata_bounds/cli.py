@@ -363,6 +363,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _echo(f"error: {exc}", err=True)
         return 1
+    except MemoryError as exc:  # an input too large to hold, such as --n
+        _echo(f"error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
+        return 1
     except EstimationError as exc:
         _echo(f"error: {exc}", err=True)
         return 2

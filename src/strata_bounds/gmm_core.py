@@ -7,10 +7,11 @@ and the control selection rate (pooled system) or the weighted analogues
 always-observed treated share parameter). Point estimates come from closed
 forms; the moment matrix evaluated at the fit certifies them via column-mean
 residuals. Both bounds of one estimate are fitted in one pass: moment_matrix
-fills one moment-major buffer, five rows per bound, from columns it computes
-once, and each bound's fit holds its five-column block. Standard errors use a
-smoothed analytic Jacobian: indicator terms are replaced by normal-kernel
-CDFs with a Silverman bandwidth, differentiated exactly in the parameters.
+fills one moment-major buffer from columns it computes once, with the rows
+the bounds share (control mean, selection rates) once: 7 rows, not 10.
+Standard errors use a smoothed analytic Jacobian: indicator terms are
+replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
+exactly in the parameters.
 The moment pass keeps what the Jacobian reads of the data (the trimming
 sample and a few sums, not the n-sized columns), so a fit is differentiated
 without building its columns again, both bounds in one normal-CDF kernel
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,20 +114,32 @@ class FitContext:
 class MomentMatrix:
     """Per-unit moment values of one or more bounds, with residual checks.
 
-    values is (n, 5k), five columns per bound: the Fortran-ordered view of
-    one (5k, n) moment-major buffer, so each column is contiguous. residuals
-    are the column means. Entries flagged in `checked` must satisfy
-    |residual| <= bound: rows solved exactly get 1e-8; the trimmed-mean and
-    tail-share rows get boundary-tie bounds; a clamped trimming share exempts
-    the selection-rate relation row (its mean is the monotonicity violation).
+    stacked is (n, c), the Fortran view of one (c, n) moment-major buffer;
+    columns[k] lists bound k's rows 1-5 in it (rows 2, 4 and 5 may be an
+    earlier bound's). values is stacked, or for one bound its five rows,
+    gathered on first read; residuals (the column means), bounds and checked
+    follow values. Entries flagged in `checked` must satisfy |residual| <=
+    bound: rows solved exactly get 1e-8; the trimmed-mean and tail-share
+    rows get boundary-tie bounds; a clamped trimming share exempts the
+    selection-rate relation row (its mean is the monotonicity violation).
     contexts holds per bound the FitContext its Jacobian reads.
     """
 
-    values: np.ndarray
+    stacked: np.ndarray
+    columns: tuple[tuple[int, ...], ...]
     residuals: np.ndarray
     bounds: np.ndarray
     checked: np.ndarray
     contexts: tuple[FitContext, ...]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        if len(self.columns) > 1:
+            return self.stacked
+        (cols,) = self.columns
+        if cols == tuple(range(cols[0], cols[0] + 5)):
+            return self.stacked[:, cols[0] : cols[0] + 5]
+        return self.stacked.T[list(cols)].T
 
     @property
     def bandwidths(self) -> tuple[float | None, ...]:
@@ -147,10 +161,11 @@ class MomentMatrix:
         )
 
     def bound(self, k: int) -> MomentMatrix:
-        """The k-th bound's five columns, as views."""
-        rows = slice(5 * k, 5 * k + 5)
+        """The k-th bound's matrix; its values are gathered when read."""
+        rows = list(self.columns[k])
         return MomentMatrix(
-            values=self.values[:, rows],
+            stacked=self.stacked,
+            columns=self.columns[k : k + 1],
             residuals=self.residuals[rows],
             bounds=self.bounds[rows],
             checked=self.checked[rows],
@@ -190,12 +205,12 @@ def moment_matrix(
     """Evaluate the unit moments of one or more bounds and check their means.
 
     thetas and systems hold one entry per bound, all of one kind (pooled or
-    weighted); bound k fills rows 5k..5k+4 of one (5k, n) moment-major
-    buffer. The columns every bound uses (filled outcome, s, d, their
-    products, the weighted system's per-unit block arrays and the
-    observed-treated trimming sample with its bandwidth) are computed once;
-    of them, only the sample and a few sums outlive the call, in each
-    bound's FitContext.
+    weighted), in one moment-major buffer: a bound adds its rows 1 and 3,
+    and rows 2, 4 and 5 unless an earlier bound's read the same mu0 and
+    alpha and p (delta and q). The columns every bound uses (filled outcome,
+    s, d, their products, the weighted system's per-unit block arrays and
+    the observed-treated trimming sample with its bandwidth) are computed
+    once; only the sample and a few sums outlive the call, in FitContexts.
     """
     if len(thetas) != len(systems) or not systems:
         raise ValueError("moment_matrix needs one theta per system")
@@ -220,19 +235,31 @@ def moment_matrix(
             control=float((s0d * w_c).sum()), m_sum=float(m_i.sum()), p_hat=p_hat
         )
 
+    # per bound, the buffer rows of its rows 1-5; rows 2, 4 and 5 by value
+    columns, shared, width = [], {}, 0
+    for theta in thetas:
+        key = (theta.mu0, *((theta.alpha, theta.p) if kind == "lee"
+                            else (theta.delta, theta.q)))
+        new = key not in shared
+        if new:
+            shared[key] = width + 1, width + 3, width + 4
+        r2, r4, r5 = shared[key]
+        columns.append((width, r2, width + 2 if new else width + 1, r4, r5))
+        width += 5 if new else 2
+
     # each row is written in place, so a bound adds no n-sized temporaries
     # beyond its kept indicator
-    buf = np.empty((5 * len(systems), n))
-    bounds = np.full(buf.shape[0], EXACT_ROW_TOL)
-    checked = np.ones(buf.shape[0], dtype=bool)
+    buf = np.empty((width, n))
+    bounds = np.full(width, EXACT_ROW_TOL)
+    checked = np.ones(width, dtype=bool)
     contexts = []
     # per rescaling of the treated outcome (delta; None for the pooled
     # system): the trimmed values, the FitContext of their observed-treated
     # sample and the sample's largest magnitude, which the bounds of one fit
     # share
     samples = {}
-    for k, (theta, side) in enumerate(zip(thetas, sides)):
-        rows = buf[5 * k : 5 * k + 5]
+    for theta, side, cols in zip(thetas, sides, columns):
+        rows = [buf[c] for c in cols]
         rescale = theta.delta if kind == "ipw" else None
         if rescale not in samples:
             trim_values = y0 if kind == "lee" else (theta.delta / eta_i) * y0
@@ -254,39 +281,38 @@ def moment_matrix(
         np.subtract(trim_values, theta.mu1, out=rows[0])
         rows[0] *= sd
         rows[0] *= kept
-        np.subtract(y0, theta.mu0, out=rows[1])
-        rows[1] *= s0d
         np.subtract(1.0, kept, out=rows[2])  # the trimmed tail
-        if kind == "lee":
-            assert isinstance(theta, LeeTheta)
-            rows[2] -= theta.p
-            rows[2] *= sd
-            np.subtract(s, theta.alpha / (1.0 - theta.p), out=rows[3])
-            rows[3] *= d
-            np.subtract(s, theta.alpha, out=rows[4])
-            rows[4] *= d0
-            rate_row = 3
-        else:
-            assert isinstance(theta, LeeIpwTheta)
-            rows[1] *= w_c
-            rows[2] -= theta.q
-            rows[2] *= sd
-            np.subtract(d, theta.delta, out=rows[3])
-            rows[3] *= m_i
-            np.multiply(sd, (1.0 - theta.q) / p_hat, out=rows[4])
-            rows[4] -= control_rate
-            rate_row = 4
+        rows[2] -= theta.p if kind == "lee" else theta.q
+        rows[2] *= sd
+        rate_row = 3 if kind == "lee" else 4
+        if cols[1] > cols[0]:  # rows 2, 4 and 5 are not an earlier bound's
+            np.subtract(y0, theta.mu0, out=rows[1])
+            rows[1] *= s0d
+            if kind == "lee":
+                assert isinstance(theta, LeeTheta)
+                np.subtract(s, theta.alpha / (1.0 - theta.p), out=rows[3])
+                rows[3] *= d
+                np.subtract(s, theta.alpha, out=rows[4])
+                rows[4] *= d0
+            else:
+                assert isinstance(theta, LeeIpwTheta)
+                rows[1] *= w_c
+                np.subtract(d, theta.delta, out=rows[3])
+                rows[3] *= m_i
+                np.multiply(sd, (1.0 - theta.q) / p_hat, out=rows[4])
+                rows[4] -= control_rate
 
         contexts.append(context)
         ties = int(np.count_nonzero(sample == theta.cutoff))
         slack = 1e-9 * (1.0 + max_abs)
-        bounds[5 * k] = (2.0 * ties * max_abs + slack) / n
-        bounds[5 * k + 2] = (ties + 1e-9) / n
+        bounds[cols[0]] = (2.0 * ties * max_abs + slack) / n
+        bounds[cols[2]] = (ties + 1e-9) / n
         if clamped:
-            checked[5 * k + rate_row] = False
+            checked[cols[rate_row]] = False
 
     return MomentMatrix(
-        values=buf.T,
+        stacked=buf.T,
+        columns=tuple(columns),
         residuals=buf.mean(axis=1),
         bounds=bounds,
         checked=checked,
@@ -318,9 +344,9 @@ def fit_from_estimate(
     the control observed-selection rate from the integers
     trimming_share_pooled divides, or always_observed_treat_prob. Every
     system is fitted in one moment_matrix call, whose stacked matrix is
-    returned. Per system, the result is its FitResult, whose matrix is its
-    bound's block of the stacked one, or the residual error that stopped it
-    alone.
+    returned; the systems share its rows 2, 4 and 5. Per system, the result
+    is its FitResult, whose matrix is its bound's (MomentMatrix.bound), or
+    the residual error that stopped it alone.
     """
     kinds, sides = zip(*map(_split_system, systems))
     if len(set(kinds)) != 1:

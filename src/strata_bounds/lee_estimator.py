@@ -7,7 +7,7 @@ one path, to a kept mass formed exactly from the block counts. Trimming is
 fractional: the boundary order statistic receives partial weight so the
 retained mass is exact, and tied boundary values share that partial weight
 equally. The per-stratum variant applies the same construction inside each
-block and aggregates with block sizes as weights.
+block, sorting only observed treated outcomes, and weights blocks by size.
 """
 
 from __future__ import annotations
@@ -293,17 +293,16 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     dropped from the aggregate and named in the warnings, the first
     LABELS_IN_MESSAGE of them with their reasons; if every stratum fails,
     estimation fails. All strata are trimmed at once, with the
-    fractional boundary mass of trimmed_mean.
+    fractional boundary mass of trimmed_mean, after one sort of the observed
+    treated outcomes by (block, value); controls are summed in dataset order.
     """
-    # one sort puts each block's observed treated outcomes in ascending
-    # order, then its observed control outcomes in dataset order, then its
-    # unobserved rows, in contiguous runs
-    cell = np.where(data.s == 1, 1 - data.d, 2)
-    key = design.codes * 3 + cell
-    order = np.lexsort((np.where(cell == 0, data.y, 0.0), key))
-    y, key = data.y[order], key[order]
-    sizes = np.bincount(key, minlength=3 * design.n_blocks)
-    starts = (np.cumsum(sizes) - sizes).reshape(-1, 3)
+    observed = data.s == 1
+    at = np.flatnonzero(observed & (data.d == 1))
+    codes1 = design.codes[at]
+    order = np.lexsort((data.y[at], codes1))
+    y1, codes1 = data.y[at[order]], codes1[order]
+    at = np.flatnonzero(observed & (data.d == 0))
+    y0 = data.y[at[np.argsort(design.codes[at], kind="stable")]]
     n1s, n0s = design.n1s_g, design.n0s_g
     t_g, c_g = design.t_g, design.n_g - design.t_g
 
@@ -328,8 +327,9 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     # every value where the stratum is clamped
     k = np.where(clamped[g], m, (n0s[g] * t_g[g]) / c_g[g])
     rank = np.ceil(k).astype(np.int64)  # rank of the boundary value
-    lo, hi = starts[g, 0], starts[g, 0] + m
-    run_first, run_last = _tie_runs(y, key)
+    hi = np.cumsum(n1s)[g]
+    lo = hi - m
+    run_first, run_last = _tie_runs(y1, codes1)
     # lower bound: keep the bottom mass k; the values below the cutoff count
     # fully and its tied run shares what is left
     cut_lb = lo + rank - 1
@@ -337,14 +337,14 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     # upper bound: keep the top mass k
     cut_ub = hi - rank
     inside_ub = run_last[cut_ub] + 1
-    lo0 = starts[g, 1]
+    hi0 = y1.size + np.cumsum(n0s)[g]
     sums = _segment_sums(
-        y,
-        np.concatenate((lo, inside_ub, lo, lo0)),
-        np.concatenate((inside_lb, hi, hi, lo0 + n0s[g])),
+        np.concatenate((y1, y0)),
+        np.concatenate((lo, inside_ub, lo, hi0 - n0s[g])),
+        np.concatenate((inside_lb, hi, hi, hi0)),
     ).reshape(4, -1)
-    total_lb = sums[0] + (k - (inside_lb - lo)) * y[cut_lb]
-    total_ub = sums[1] + (k - (hi - inside_ub)) * y[cut_ub]
+    total_lb = sums[0] + (k - (inside_lb - lo)) * y1[cut_lb]
+    total_ub = sums[1] + (k - (hi - inside_ub)) * y1[cut_ub]
     # nothing trimmed: both sides keep the whole sample, summed once
     whole = k == m
     total_lb[whole] = total_ub[whole] = sums[2][whole]

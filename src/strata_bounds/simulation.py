@@ -352,6 +352,8 @@ def _resolve_config(config: McConfig):
         n = config.n if config.n is not None else 10000
         if n < 4 or n % 2 != 0:
             raise ValidationError("matched_pairs needs an even n of at least 4")
+        if n > np.iinfo(np.intp).max:  # more units than numpy can index
+            raise ValidationError(f"matched_pairs n is too large, got {n}")
     tokens = config.estimators or _DEFAULT_PANEL[config.dgp]
     return tuple((t, *_parse_token(t)) for t in tokens), n
 

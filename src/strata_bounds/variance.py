@@ -13,13 +13,15 @@ identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits and differentiates both
 bounds in one pass, inverts each bound's Jacobian once for every method's
-sandwich, and forms each method's meat once, on both bounds' moments
-stacked side by side; each bound's meat is a diagonal block of it. The
-i.i.d. meat takes its Gram from a design meat formed for the same fit. The
-meat's design-only part, from each arm's units to the singleton pairings,
-is built on each call. An arm with one unit in every block, as each arm of
-matched pairs, lists its units in block order, so their rows are its block
-sums and means; arms with the same singleton blocks share one pairing.
+sandwich, and forms each method's meat once, on both bounds' stacked
+moments; each bound's meat is the block on its five columns. The i.i.d.
+meat takes its Gram from a design meat formed for the same fit. The design
+meat's block terms skip the columns that vanish on an arm (of a fit's 7,
+the pooled arms keep 5 and 2, the weighted 6 and 3). Its design-only part,
+from each arm's units to the singleton pairings, is built on each call. An
+arm with one unit in every block, as each arm of matched pairs, lists its
+units in block order, so their rows are its block sums and means; arms with
+the same singleton blocks share one pairing.
 Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
 takes its per-arm work arrays from one store per thread instead of fresh
 memory; the store keeps them after the context exits, for the next call.
@@ -118,8 +120,8 @@ class MeatReport:
     product of their means, formed as meat_iid forms them, so omega is the
     i.i.d. meat a - a3 plus the between-block correction b_n.
     singleton_treated / singleton_control hold the indices of blocks whose
-    arm had one unit (paired mode only); their labels are design.labels[g]. For moments of several stacked bounds, each
-    matrix is over all their columns and bound(k) gives one bound's block.
+    arm had one unit (paired mode only); their labels are design.labels[g].
+    For several bounds' moments, bound(columns) gives one bound's blocks.
     """
 
     a: np.ndarray
@@ -135,11 +137,11 @@ class MeatReport:
     involution_control: Involution | None
     mode: str
 
-    def bound(self, k: int) -> MeatReport:
-        """The report of the k-th bound: the diagonal 5x5 block of each matrix."""
-        block = slice(5 * k, 5 * k + 5)
+    def bound(self, columns) -> MeatReport:
+        """The 5x5 blocks of the bound whose rows are these moment columns."""
+        block = np.ix_(columns, columns)
         return replace(self, **{
-            name: getattr(self, name)[block, block]
+            name: getattr(self, name)[block]
             for name in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega")
         })
 
@@ -243,8 +245,9 @@ def meat_design(
     column on each call. An arm with one unit in every block takes its rows,
     gathered in block order, as its block sums, means and singleton rows;
     when both arms have the same singleton blocks, as in matched pairs,
-    pair_blocks runs once and both arms use its pairing. The Gram a and a3
-    are formed once, over all units, by meat_iid's operations.
+    pair_blocks runs once and both arms use its pairing. Each arm's block
+    terms skip the columns identically zero on it, as exact zeros. The Gram
+    a and a3 are formed once, over all units, by meat_iid's operations.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
@@ -270,23 +273,26 @@ def meat_design(
     a, a3 = _second_moments(moments)
     cols = moments.T  # (m, n), C-contiguous for Fortran moments
     m = cols.shape[0]
-    per_arm = []  # (zeta, means) of the treated, then the control arm
+    per_arm = []  # (live, zeta, means) of the treated, then the control arm
     for side, (arm, paired) in enumerate(zip(arms, pairing)):
-        # every gather's indices are valid by construction: mode="clip"
-        # lets take write straight into out, where "raise" would buffer it
-        rows = np.take(
-            cols, arm.units, axis=1, mode="clip",
-            out=_work_array(("rows", side), (m, arm.units.size)),
-        )
+        # a column's rows on the arm stay where they are not all zero; the
+        # indices are valid, and mode="clip" lets take write into out
+        rows = _work_array(("rows", side), (m, arm.units.size))
+        live = []
+        for j, col in enumerate(cols):
+            np.take(col, arm.units, mode="clip", out=rows[len(live)])
+            if rows[len(live)].any():
+                live.append(j)
+        rows = rows[: len(live)]
         # with one unit in every block, listed in block order, the rows are
         # the arm's block sums, its block means and its singleton rows
         one_each = arm.single.size == arm.counts.size
         sums = rows
         if not one_each:
-            sums = _work_array(("sums", side), (m, arm.counts.size))
+            sums = _work_array(("sums", side), (m, arm.counts.size))[: len(live)]
             for row, total in zip(rows, sums):
                 total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
-        zeta = np.zeros((m, m))
+        zeta = np.zeros((len(live), len(live)))
         if arm.within is not None:
             # sum_g w_g (S_g S_g' - sum_i r_i r_i') over blocks with two or
             # more units in the arm, one column at a time: Gram products of
@@ -308,20 +314,23 @@ def meat_design(
             shape = (m, arm.single.size)
             weighted = np.take(
                 means, partner, axis=1, mode="clip",
-                out=_work_array(("partner", side), shape),
+                out=_work_array(("partner", side), shape)[: len(live)],
             )
             weighted *= coef[arm.single]
             single = means if one_each else np.take(
                 means, arm.single, axis=1, mode="clip",
-                out=_work_array(("single", side), shape),
+                out=_work_array(("single", side), shape)[: len(live)],
             )
             cross = single @ weighted.T
             zeta = zeta + 0.5 * (cross + cross.T)
-        per_arm.append((zeta, means))
-    (zeta_11, mean1), (zeta_00, mean0) = per_arm
+        per_arm.append((live, zeta, means))
+    (live1, zeta1, mean1), (live0, zeta0, mean0) = per_arm
 
     mean0 *= coef  # in place: the control means are not needed any more
-    cross = mean1 @ mean0.T
+    zeta_11, zeta_00, cross = np.zeros((3, m, m))
+    zeta_11[np.ix_(live1, live1)] = zeta1
+    zeta_00[np.ix_(live0, live0)] = zeta0
+    cross[np.ix_(live1, live0)] = mean1 @ mean0.T
     zeta_10 = 0.5 * (cross + cross.T)
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
     omega = a + b_n - a3
@@ -617,17 +626,17 @@ def estimate_bounds(
     for method in methods:
         try:
             reports[method] = _variance_report(
-                data, sides, meats.get(method), method, alpha
+                data, sides, meats.get(method), stack.columns, method, alpha
             )
         except EstimationError as exc:
             reports[method] = exc
     return estimate, reports
 
 
-def _variance_report(data, sides, formed, method, alpha) -> VarianceReport:
+def _variance_report(data, sides, formed, columns, method, alpha) -> VarianceReport:
     """One method's sandwich per bound, lower bound first, from the meat
     formed on the stacked moments (its MeatReport or None, and omega), then
-    the intervals.
+    the intervals. columns[k] lists bound k's five columns of those moments.
 
     The errors come in the order a bound-by-bound pass would meet them: the
     lower bound's fit or Jacobian, the meat's design-only error, the upper
@@ -643,13 +652,13 @@ def _variance_report(data, sides, formed, method, alpha) -> VarianceReport:
         if isinstance(fitted, EstimationError):
             raise fitted
         fit, jac_inv = fitted
-        block = slice(5 * k, 5 * k + 5)
-        v_hat = _sandwich(jac_inv, omega[block, block])
+        v_hat = _sandwich(jac_inv, omega[np.ix_(columns[k], columns[k])])
         se, clip = bound_standard_error(v_hat, data.n)
         if clip:
             clipped.append(f"variance_clipped_{side}")
         fields.update({
-            f"fit_{side}": fit, f"meat_{side}": None if meat is None else meat.bound(k),
+            f"fit_{side}": fit,
+            f"meat_{side}": None if meat is None else meat.bound(columns[k]),
             f"v_hat_{side}": v_hat, f"se_{side}": se,
         })
 

@@ -18,7 +18,10 @@ from strata_bounds import (
     TrimSpec,
     always_observed_treat_prob,
     block_design,
+    child_seed,
     conditional_lee_bounds,
+    dataset_from_arrays,
+    estimate_bounds,
     fit_theta,
     jacobian,
     label_variance,
@@ -28,6 +31,7 @@ from strata_bounds import (
     meat_iid,
     monte_carlo,
     sandwich_report,
+    simulate_dgp1,
     trimmed_mean,
 )
 
@@ -115,6 +119,58 @@ def test_criterion_1_matched_pairs_moments_and_coverage(monkeypatch):
     )
     failing = [detail for ok, detail in checks if not ok]
     assert ok_all, "known honest deviations: " + "; ".join(failing)
+
+
+# ---------------------------------------------------------------------------
+# label-only matched pairs: strata defined by labels alone
+# ---------------------------------------------------------------------------
+
+def test_label_only_matched_pairs_design_variance():
+    # 100 seed-7 matched-pairs replications at n = 2000, lee with the design
+    # variance, three ways: with the covariate, which pairs the singleton
+    # blocks by covariate means; without it, labels in covariate order; and
+    # without it, labels shuffled, so the label-order pairing joins pairs
+    # that are not close. The thresholds are the Monte Carlo error fixed
+    # before the run: two standard errors of the empirical SD, SD /
+    # sqrt(2 (R - 1)) under normality.
+    reps = 100
+    shuffle = np.random.default_rng(7)
+    bounds, se = [], {"covariate": [], "label_order": [], "shuffled": []}
+    for rep in range(reps):
+        data = simulate_dgp1(child_seed(7, rep), 2000)
+        labels = data.labels
+        perm = shuffle.permutation(len(labels))
+        variants = {
+            "covariate": data,
+            "label_order": dataset_from_arrays(
+                data.y, data.s, data.d, [labels[g] for g in data.codes]
+            ),
+            "shuffled": dataset_from_arrays(
+                data.y, data.s, data.d, [labels[perm[g]] for g in data.codes]
+            ),
+        }
+        for name, variant in variants.items():
+            estimate, reports = estimate_bounds(
+                variant, block_design(variant), "lee", ("design",)
+            )
+            se[name].append((reports["design"].se_lb, reports["design"].se_ub))
+        bounds.append((estimate.delta_lb, estimate.delta_ub))
+    # labels in the covariate's order pair the blocks as the covariate does
+    assert se["label_order"] == se["covariate"]
+    sd = np.array(bounds).std(axis=0, ddof=1)
+    allowance = 2.0 * sd / np.sqrt(2.0 * (reps - 1))
+    mean_se = {name: np.array(v).mean(axis=0) for name, v in se.items()}
+    checks = [
+        (bool(np.all(np.abs(mean_se["covariate"] - sd) <= allowance)),
+         f"design SE {np.round(mean_se['covariate'], 4)} tracks SD {np.round(sd, 4)}"),
+        (bool(np.all(mean_se["shuffled"] >= mean_se["covariate"])),
+         f"shuffled-label SE {np.round(mean_se['shuffled'], 4)} at least the paired one"),
+        (bool(np.all(mean_se["shuffled"] >= sd - allowance)),
+         f"shuffled-label SE at least SD - {np.round(allowance, 4)}"),
+    ]
+    for ok, detail in checks:
+        _verdict("label-only matched pairs", ok, detail)
+    assert all(ok for ok, _ in checks)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from strata_bounds import (
     parse_csv,
     write_csv,
 )
+from strata_bounds import simulation
 from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, cli, main
 
 from conftest import build_dataset, count_calls, run_fresh_interpreter
@@ -615,6 +616,36 @@ def test_simulate_bad_thread_count_exits_one(capsys, monkeypatch, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: STRATA_BOUNDS_THREADS") and err.count("\n") == 1
+
+
+def test_simulate_refuses_an_n_numpy_cannot_index(capsys, tmp_path):
+    # 10^20 units fail before anything is allocated
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "1", "--n", str(10**20), "--reps", "1",
+        "--seed", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: matched_pairs n is too large, got {10**20}\n"
+
+
+def test_simulate_out_of_memory_is_one_line(capsys, monkeypatch, tmp_path):
+    # an n that fits numpy's index but not the machine fails allocating its
+    # first draw; the draw is replaced, so nothing that large is allocated
+    message = (
+        "Unable to allocate 14.9 GiB for an array with shape (2000000002,) "
+        "and data type float64"
+    )
+
+    def no_memory(seed, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(simulation, "simulate_dgp1", no_memory)
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "1", "--n", "2000000002", "--reps", "1",
+        "--seed", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: out of memory: {message}\n"
 
 
 def test_simulate_explicit_estimators_add_rows(capsys, tmp_path):

@@ -137,6 +137,19 @@ def test_shared_rows_are_identical_across_sides(hand_dataset):
             np.testing.assert_array_equal(
                 lb.matrix.values[:, col], ub.matrix.values[:, col]
             )
+        # one pass stores the shared rows once, unless a parameter they read
+        # differs; either way each bound's rows are its own pass's, bit for bit
+        systems = (f"{kind}_lb", f"{kind}_ub")
+        moved = replace(ub.theta, mu0=ub.theta.mu0 + 0.5)
+        for thetas, width in (((lb.theta, ub.theta), 7), ((lb.theta, moved), 10)):
+            stack = moment_matrix(hand_dataset, design, thetas, systems)
+            assert stack.values.shape == (hand_dataset.n, width)
+            for k, (theta, system) in enumerate(zip(thetas, systems)):
+                alone = moment_matrix(hand_dataset, design, (theta,), (system,))
+                for field in ("values", "residuals", "bounds", "checked"):
+                    np.testing.assert_array_equal(
+                        getattr(stack.bound(k), field), getattr(alone, field)
+                    )
 
 
 def test_moment_matrix_flags_wrong_parameters(hand_dataset):

@@ -471,6 +471,42 @@ def test_design_meat_is_the_iid_meat_plus_the_block_correction(
 
 @given(
     case=singleton_arms_strategy(),
+    width=st.sampled_from([5, 7, 10]),
+    mode=st.sampled_from(["paired", "label"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(**COMMON)
+def test_meat_of_columns_zero_on_an_arm_matches_the_oracle(case, width, mode, seed):
+    # the meat accumulates each arm's block terms on the columns not
+    # identically zero there, as moments of the pooled and weighted systems
+    # are; here random columns vanish on one arm, or on both, and others on
+    # some of an arm's units, as moments do on unobserved ones
+    data, design = case
+    rng = np.random.default_rng(seed)
+    moments = np.asfortranarray(rng.normal(size=(data.n, width)))
+    for arm in (0, 1):
+        zero = rng.random(width) < 0.4
+        moments[np.ix_(data.d == arm, zero)] = 0.0
+        sparse = rng.random(width) < 0.3
+        moments[np.ix_((data.d == arm) & (rng.random(data.n) < 0.7), sparse)] = 0.0
+    try:
+        expected = meat_design_oracle(data, design, moments, mode)
+    except (FeasibilityError, PairingError) as exc:
+        with pytest.raises(type(exc)):
+            meat_design(data, design, moments, mode)
+        return
+    meat = meat_design(data, design, moments, mode)
+    for field in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
+        assert_close_matrix(getattr(meat, field), expected[field], moments, field)
+    for arm in ("treated", "control"):
+        assert getattr(meat, f"singleton_{arm}").tolist() == expected[f"singleton_{arm}"]
+        inv = getattr(meat, f"involution_{arm}")
+        pairs = () if inv is None else tuple(map(tuple, inv.pairs.tolist()))
+        assert pairs == expected[f"pairs_{arm}"]
+
+
+@given(
+    case=singleton_arms_strategy(),
     name=st.sampled_from(["lee", "lee-ipw"]),
     panel=st.permutations(["iid", "design", "label"]),
 )
@@ -603,6 +639,35 @@ def test_conditional_bounds_match_the_per_stratum_oracle(parts):
     assert (detail.mu1_lb[kept] <= detail.mu1_ub[kept] + scale).all()
     dropped = int((~kept).sum())
     assert (f"strata_dropped:{dropped}" in est.flags) == (dropped > 0)
+
+
+@given(parts=strata_strategy(), seed=st.integers(0, 2**32 - 1))
+@settings(**COMMON)
+def test_conditional_bounds_do_not_depend_on_row_order(parts, seed):
+    # the observed treated outcomes are sorted by (block, value), so every
+    # treated cell keeps its bits; each block's controls are summed in
+    # dataset order, so the control means move by rounding only, bounded
+    # by 1e-12 of the outcomes' size, the terms summed (fixed beforehand)
+    y, s, d, blocks = parts
+    perm = np.random.default_rng(seed).permutation(y.size)
+    data = dataset_from_arrays(y, s, d, blocks)
+    moved = dataset_from_arrays(y[perm], s[perm], d[perm], [blocks[i] for i in perm])
+    try:
+        est = conditional_lee_bounds(data, block_design(data))
+    except EstimationError as exc:
+        with pytest.raises(type(exc)):
+            conditional_lee_bounds(moved, block_design(moved))
+        return
+    got = conditional_lee_bounds(moved, block_design(moved))
+    for name in ("tau", "clamped", "used", "mu1_lb", "mu1_ub"):
+        np.testing.assert_array_equal(
+            getattr(got.detail, name), getattr(est.detail, name), strict=True
+        )
+    tol = 1e-12 * max(1.0, float(np.abs(y[s == 1]).max()))
+    np.testing.assert_allclose(got.detail.mu0, est.detail.mu0, rtol=0, atol=tol)
+    for name in ("mu0", "mu1_lb", "mu1_ub", "delta_lb", "delta_ub", "q"):
+        assert getattr(got, name) == pytest.approx(getattr(est, name), rel=0, abs=tol)
+    assert (got.flags, got.warnings) == (est.flags, est.warnings)
 
 
 @given(

@@ -340,6 +340,37 @@ def test_meat_design_arms_with_one_singleton_set_share_its_pairs(case):
     )
 
 
+@pytest.mark.parametrize("name,live", [("lee", (5, 2)), ("lee-ipw", (6, 3))])
+def test_meat_design_sums_each_arm_on_its_live_columns(monkeypatch, name, live):
+    # a fit's 7 columns: the pooled system's rows vanish on one arm but for
+    # 5 treated and 2 control columns, the weighted system's for 6 and 3;
+    # each arm of these blocks of three sums its columns by bincount
+    rng = np.random.default_rng(13)
+    d = np.tile([1, 0, 0, 1, 1, 0], 20)
+    s = (rng.random(d.size) < 0.8).astype(int)
+    data = build_dataset(rng.normal(size=d.size), s, d, [f"b{i // 3:02d}" for i in range(d.size)])
+    design = block_design(data)
+    sums = []
+    bincount, meat = np.bincount, variance.meat_design
+
+    def counted(codes, weights=None, minlength=0):
+        if weights is not None:
+            sums.append(weights.size)
+        return bincount(codes, weights=weights, minlength=minlength)
+
+    def counting(*args, **kwargs):
+        monkeypatch.setattr(variance.np, "bincount", counted)
+        try:
+            return meat(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(variance.np, "bincount", bincount)
+
+    monkeypatch.setattr(variance, "meat_design", counting)
+    estimate_bounds(data, design, name, ("design",))
+    treated = int(d.sum())
+    assert sums == [treated] * live[0] + [d.size - treated] * live[1]
+
+
 def test_meat_design_bad_mode_rejected(hand_dataset):
     design = block_design(hand_dataset)
     with pytest.raises(ValueError, match="mode"):
@@ -612,12 +643,13 @@ def test_estimate_bounds_keeps_each_methods_error_order(
         else:
             assert isinstance(report, error), method
     # one meat per design or label method that got past the lower bound,
-    # over the bounds whose fit succeeded; the i.i.d. meat is the design
-    # meat's a - a3, so meat_iid is not called
+    # over the bounds whose fit succeeded (7 columns for both, which share
+    # three); the i.i.d. meat is the design meat's a - a3, so meat_iid is
+    # not called
     assert widths == {
         "lb": [],
         "ub": [("meat_design", 5)] * 2,
-        None: [("meat_design", 10)] * 2,
+        None: [("meat_design", 7)] * 2,
     }[failing]
 
 
@@ -688,7 +720,7 @@ def test_reused_work_arrays_give_what_a_fresh_process_gives():
              ("estimate", None)]
     here = [namespace["fingerprint"](*call) for call in calls]
     # the last Monte Carlo left its arrays, which estimate_bounds did not use
-    assert variance._work.arrays[("rows", 0)].shape == (10, 100)
+    assert variance._work.arrays[("rows", 0)].shape == (7, 100)
     fresh = {call: _fresh_fingerprint(*call) for call in dict.fromkeys(calls)}
     assert here == [fresh[call] for call in calls]
 
