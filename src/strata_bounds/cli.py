@@ -25,6 +25,7 @@ from .simulation import (
     DGP_HEAVY_TAILS,
     DGP_MATCHED_PAIRS,
     McConfig,
+    _resolve_config,
     format_number,
     monte_carlo,
 )
@@ -314,7 +315,6 @@ def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
             "--n applies to --dgp 1 only; the heavy-tails process is fixed "
             "at n = 2000"
         )
-    os.makedirs(out_dir, exist_ok=True)
     config = McConfig(
         dgp=DGP_MATCHED_PAIRS if dgp == "1" else DGP_HEAVY_TAILS,
         reps=reps,
@@ -323,6 +323,8 @@ def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
         estimators=tuple(estimators),
         alpha=alpha,
     )
+    _resolve_config(config)  # a refused config leaves no --out directory
+    os.makedirs(out_dir, exist_ok=True)
     summary = monte_carlo(config, out_dir=out_dir)
     _echo(
         f"process={summary.config.dgp} reps={summary.config.reps} "

@@ -115,7 +115,7 @@ class Dataset:
             codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(labels)
         ):
             raise ValidationError("block codes must index the block labels")
-        codes = codes.astype(np.int64)
+        codes = codes.astype(np.int64, copy=False)  # np.array copied it
         x = _covariates(self.x, n)
         if n < 2:
             raise ValidationError("dataset needs at least 2 units")
@@ -169,18 +169,36 @@ def _label_table(table) -> _LabelTable:
     return _LabelTable(labels)
 
 
-def _encode_labels(labels: list[str]) -> tuple[np.ndarray, _LabelTable]:
-    """Per-unit trimmed block labels as int64 codes into their sorted
-    distinct table."""
-    table = sorted(dict.fromkeys(labels))
+def _label_codes(labels: list[str], index: dict[str, int]) -> np.ndarray:
+    """Block labels as int64 codes in index, a label -> code table that a
+    label not in it joins with the next free code, in order of first
+    appearance (so a table read in sorted order stays sorted, and sorting it
+    is a single pass)."""
+    fresh = [label for label in dict.fromkeys(labels) if label not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(
+        map(index.__getitem__, labels), dtype=np.int64, count=len(labels)
+    )
+
+
+def _sorted_codes(
+    codes: np.ndarray, index: dict[str, int]
+) -> tuple[np.ndarray, _LabelTable]:
+    """Codes in index as codes into the sorted table of its labels."""
+    table = sorted(index)
     # sorted and distinct by construction, so an empty label comes first
     if table and not table[0]:
         raise ValidationError("block label must be a non-empty string")
-    lookup = dict(zip(table, range(len(table))))
-    codes = np.fromiter(
-        map(lookup.__getitem__, labels), dtype=np.int64, count=len(labels)
-    )
-    return codes, _LabelTable(table)
+    rank = np.empty(len(table), dtype=np.int64)  # per code, its label's rank
+    rank[[index[label] for label in table]] = np.arange(len(table))
+    return rank[codes], _LabelTable(table)
+
+
+def _encode_labels(labels: list[str]) -> tuple[np.ndarray, _LabelTable]:
+    """Per-unit trimmed block labels as int64 codes into their sorted
+    distinct table."""
+    index: dict[str, int] = {}
+    return _sorted_codes(_label_codes(labels, index), index)
 
 
 def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
@@ -329,6 +347,9 @@ def _parse_csv_stream(fh) -> Dataset:
     itself and the rest of the stream to csv.reader, which joins quoted
     lines into one record. Rows are counted by record and lines by line of
     text, both from the start of the stream, whichever path reads them.
+    Each chunk's block labels become codes as it is read, through one
+    label -> code table for the stream, remapped to sorted label order once
+    at the end, so no row's label string outlives its chunk.
     """
     lines = iter(fh)
     # drop the byte-order mark spreadsheet programs write
@@ -351,7 +372,10 @@ def _parse_csv_stream(fh) -> Dataset:
     x_at = tuple((name, header.index(name)) for name in _x_columns(header))
     layout = (width, at, x_at)
 
+    # per chunk, its columns, the block labels as codes in `index`, which
+    # every chunk extends, so no chunk's label strings outlive it
     chunks = []
+    index: dict[str, int] = {}
     offset = 0  # data rows read, by record
     line_num = reader.line_num  # lines read
     texts = _line_chunks(lines, line_num)
@@ -365,30 +389,35 @@ def _parse_csv_stream(fh) -> Dataset:
             rest = itertools.chain.from_iterable(later for later, _ in texts)
             reader = csv.reader(itertools.chain(chunk, rest))
             while rows := _read_rows(reader, line_num, CSV_CHUNK_ROWS):
-                chunks.append(
+                chunks.append(_coded(
                     _row_columns(rows, *layout)
-                    or _check_rows(rows, offset, *layout)
-                )
+                    or _check_rows(rows, offset, *layout), index
+                ))
                 offset += len(rows)
             break
-        chunks.append(
+        chunks.append(_coded(
             _split_columns(chunk, text, *layout)
             or _check_rows(
                 _read_rows(csv.reader(chunk), line_num), offset, *layout
-            )
-        )
+            ), index
+        ))
         offset += len(chunk)
         line_num += len(chunk)
 
-    ys, ss, ds, blocks, xs = zip(*chunks) if chunks else ((),) * 5
-    if not sum(map(len, ys)):
+    if not sum(len(chunk[0]) for chunk in chunks):
         raise ParseError("no data rows")
-    codes, labels = _encode_labels(list(itertools.chain.from_iterable(blocks)))
+    y, s, d, codes, x = (np.concatenate(column) for column in zip(*chunks))
+    del chunks  # Dataset copies the columns; the chunks' are freed first
+    codes, labels = _sorted_codes(codes, index)
     return Dataset(
-        y=np.concatenate(ys), s=np.concatenate(ss), d=np.concatenate(ds),
-        codes=codes, labels=labels,
-        x=np.concatenate(xs) if x_at else None,
+        y=y, s=s, d=d, codes=codes, labels=labels, x=x if x_at else None
     )
+
+
+def _coded(columns: tuple, index: dict[str, int]) -> tuple:
+    """A chunk's columns with its block labels as codes in index."""
+    y, s, d, blocks, x = columns
+    return y, s, d, _label_codes(blocks, index), x
 
 
 def _read_rows(reader, line_num: int, count: int | None = None) -> list:

@@ -6,9 +6,13 @@ and the control selection rate (pooled system) or the weighted analogues
 (weighted system, where the rescaled treated outcome depends on the
 always-observed treated share parameter). Point estimates come from closed
 forms; the moment matrix evaluated at the fit certifies them via column-mean
-residuals. Both bounds of one estimate are fitted in one pass: moment_matrix
-fills one moment-major buffer from columns it computes once, with the rows
-the bounds share (control mean, selection rates) once: 7 rows, not 10.
+residuals. Both bounds of one estimate are fitted in one pass, with the rows
+the bounds share (control mean, selection rates) once: 7 columns, not 10.
+moment_matrix writes them by arm. Each moment row is zero on one arm but
+for the weighted system's rows 4 and 5, so each arm gets the columns not
+zero on it (of 7, the pooled system's treated arm 5 and control arm 2, the
+weighted 6 and 3), over its units, in the order the design meat reads them;
+the dense n x 7 matrix is formed only when MomentMatrix.values is read.
 Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
 exactly in the parameters.
@@ -22,7 +26,9 @@ that bound. Point estimates are never smoothed.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,11 +42,7 @@ from .errors import (
     InternalConsistencyError,
     SingularJacobianError,
 )
-from .ipw_estimator import (
-    _per_unit_block_arrays,
-    always_observed_treat_prob,
-    lee_ipw_bounds,
-)
+from .ipw_estimator import _block_weights, always_observed_treat_prob, lee_ipw_bounds
 from .lee_estimator import BoundsEstimate, lee_bounds
 
 SYSTEMS = ("lee_lb", "lee_ub", "ipw_lb", "ipw_ub")
@@ -111,35 +113,103 @@ class FitContext:
 
 
 @dataclass(frozen=True, eq=False)
+class Arm:
+    """One arm's units and their blocks.
+
+    units lists the arm's unit indices in dataset order, or in block order
+    when every block has one (as in matched pairs), and codes their blocks;
+    counts[g] >= 1 is block g's size in the arm and single lists the blocks
+    where it is 1.
+    """
+
+    units: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+    single: np.ndarray
+
+    @property
+    def one_each(self) -> bool:
+        """Whether every block has one unit in the arm."""
+        return self.single.size == self.counts.size
+
+
+def _split_arms(data: Dataset, design: BlockDesign) -> tuple[Arm, Arm]:
+    """The treated arm, then the control arm."""
+    arms = []
+    for treated in (1, 0):
+        units = np.flatnonzero(data.d == treated)
+        codes = design.codes[units]
+        counts = np.bincount(codes, minlength=design.n_blocks)
+        single = np.flatnonzero(counts == 1)
+        if single.size == counts.size:
+            units[codes] = units.copy()  # one scatter puts them in block order
+            codes = single
+        arms.append(Arm(units=units, codes=codes, counts=counts, single=single))
+    return arms[0], arms[1]
+
+
+@dataclass(frozen=True, eq=False)
+class ArmRows:
+    """The moment columns that are not zero on one arm, over its units.
+
+    live lists those columns; rows is (len(live), arm.units.size), row i
+    holding column live[i] at arm.units. Every other column is zero on
+    the arm.
+    """
+
+    arm: Arm
+    live: tuple[int, ...]
+    rows: np.ndarray
+
+    def select(self, columns: Sequence[int]) -> ArmRows:
+        """The rows of these columns, live renumbered to their positions in
+        columns; a view where they are consecutive rows, as a fit's are."""
+        position = {c: i for i, c in enumerate(columns)}
+        at = [i for i, c in enumerate(self.live) if c in position]
+        if at and at == list(range(at[0], at[-1] + 1)):
+            rows = self.rows[at[0] : at[-1] + 1]
+        else:
+            rows = self.rows[at]
+        return ArmRows(self.arm, tuple(position[self.live[i]] for i in at), rows)
+
+
+@dataclass(frozen=True, eq=False)
 class MomentMatrix:
     """Per-unit moment values of one or more bounds, with residual checks.
 
-    stacked is (n, c), the Fortran view of one (c, n) moment-major buffer;
-    columns[k] lists bound k's rows 1-5 in it (rows 2, 4 and 5 may be an
-    earlier bound's). values is stacked, or for one bound its five rows,
-    gathered on first read; residuals (the column means), bounds and checked
-    follow values. Entries flagged in `checked` must satisfy |residual| <=
-    bound: rows solved exactly get 1e-8; the trimmed-mean and tail-share
-    rows get boundary-tie bounds; a clamped trimming share exempts the
-    selection-rate relation row (its mean is the monotonicity violation).
-    contexts holds per bound the FitContext its Jacobian reads.
+    The moments are stored by arm: arms holds the treated arm's rows, then
+    the control arm's, each on the columns not zero on that arm. For
+    several bounds the columns are one stack, where columns[k] lists bound
+    k's rows 1-5 (rows 2, 4 and 5 may be an earlier bound's); for one bound
+    they are its rows 1-5. values is the dense (n, width) matrix, formed on
+    first read. residuals (the column means), bounds and checked follow the
+    columns. Entries flagged in `checked` must satisfy |residual| <= bound:
+    rows solved exactly get 1e-8; the trimmed-mean and tail-share rows get
+    boundary-tie bounds; a clamped trimming share exempts the selection-rate
+    relation row (its mean is the monotonicity violation). contexts holds
+    per bound the FitContext its Jacobian reads.
     """
 
-    stacked: np.ndarray
+    n: int
+    arms: tuple[ArmRows, ArmRows]
     columns: tuple[tuple[int, ...], ...]
     residuals: np.ndarray
     bounds: np.ndarray
     checked: np.ndarray
     contexts: tuple[FitContext, ...]
 
+    @property
+    def width(self) -> int:
+        return self.residuals.size
+
     @cached_property
     def values(self) -> np.ndarray:
-        if len(self.columns) > 1:
-            return self.stacked
-        (cols,) = self.columns
-        if cols == tuple(range(cols[0], cols[0] + 5)):
-            return self.stacked[:, cols[0] : cols[0] + 5]
-        return self.stacked.T[list(cols)].T
+        """The (n, width) moments, Fortran-ordered."""
+        dense = np.zeros((self.width, self.n))
+        for part in self.arms:
+            for col, row in zip(part.live, part.rows):
+                dense[col, part.arm.units] = row
+        return dense.T
 
     @property
     def bandwidths(self) -> tuple[float | None, ...]:
@@ -161,14 +231,16 @@ class MomentMatrix:
         )
 
     def bound(self, k: int) -> MomentMatrix:
-        """The k-th bound's matrix; its values are gathered when read."""
-        rows = list(self.columns[k])
+        """The k-th bound's matrix, on its arm rows of these."""
+        cols = self.columns[k]
+        at = list(cols)
         return MomentMatrix(
-            stacked=self.stacked,
-            columns=self.columns[k : k + 1],
-            residuals=self.residuals[rows],
-            bounds=self.bounds[rows],
-            checked=self.checked[rows],
+            n=self.n,
+            arms=(self.arms[0].select(cols), self.arms[1].select(cols)),
+            columns=(tuple(range(len(cols))),),
+            residuals=self.residuals[at],
+            bounds=self.bounds[at],
+            checked=self.checked[at],
             contexts=self.contexts[k : k + 1],
         )
 
@@ -195,6 +267,53 @@ def _split_system(system: str) -> tuple[str, str]:
 # vectorized moment matrices with residual certification
 # ---------------------------------------------------------------------------
 
+# per thread: whether moment_matrix and meat_design reuse their work arrays
+# (set by _reusing_work_arrays), and the stored arrays themselves
+_work = threading.local()
+
+
+@contextlib.contextmanager
+def _reusing_work_arrays():
+    """Within the block, moment_matrix takes its per-arm moment rows and
+    meat_design its work arrays from this thread's store instead of fresh
+    memory; the store keeps them after the block, so the next replication
+    finds them, and is freed with its thread. A MomentMatrix made in the
+    block holds stored rows, so it is valid until this thread's next
+    moment_matrix call, or meat_design call on dense moments."""
+    previous = getattr(_work, "reusing", False)
+    _work.reusing = True
+    try:
+        yield
+    finally:
+        _work.reusing = previous
+
+
+def _work_array(
+    key: tuple[str, int], shape: tuple[int, int], used: int | None = None
+) -> np.ndarray:
+    """An uninitialized float array of its first `used` rows (all by
+    default): fresh, or inside _reusing_work_arrays the first rows of the
+    thread's stored one of this shape for key (a role and an arm), replaced
+    when the shape asked for changes. No meat may let it escape into its
+    result."""
+    used = shape[0] if used is None else used
+    if not getattr(_work, "reusing", False):
+        return np.empty((used, *shape[1:]))
+    store = _work.__dict__.setdefault("arrays", {})
+    if key not in store or store[key].shape != shape:
+        store.pop(key, None)  # free the old array before making the new one
+        store[key] = np.empty(shape)
+    return store[key][:used]
+
+
+# per system kind, the arms each of a bound's rows 1-5 is not zero on: 0
+# for the treated arm, 1 for the control arm
+_ROW_ARMS = {
+    "lee": ((0,), (1,), (0,), (0,), (1,)),
+    "ipw": ((0,), (1,), (0,), (0, 1), (0, 1)),
+}
+
+
 def moment_matrix(
     data: Dataset,
     design: BlockDesign,
@@ -205,12 +324,16 @@ def moment_matrix(
     """Evaluate the unit moments of one or more bounds and check their means.
 
     thetas and systems hold one entry per bound, all of one kind (pooled or
-    weighted), in one moment-major buffer: a bound adds its rows 1 and 3,
-    and rows 2, 4 and 5 unless an earlier bound's read the same mu0 and
-    alpha and p (delta and q). The columns every bound uses (filled outcome,
-    s, d, their products, the weighted system's per-unit block arrays and
-    the observed-treated trimming sample with its bandwidth) are computed
-    once; only the sample and a few sums outlive the call, in FitContexts.
+    weighted), in one stack of columns: a bound adds its rows 1 and 3, and
+    rows 2, 4 and 5 unless an earlier bound's read the same mu0 and alpha
+    and p (delta and q). Each arm's rows are written over its units on the
+    columns not zero there (of a two-bound stack's 7, the pooled system's
+    5 treated and 2 control, the weighted system's 6 and 3), in column
+    order. The per-unit inputs every bound uses (outcome, selection, the
+    weighted system's block weights) are gathered once per arm, and the
+    observed-treated trimming sample with its bandwidth once per rescaling;
+    only the sample and a few sums outlive the call, in FitContexts, beside
+    the rows.
     """
     if len(thetas) != len(systems) or not systems:
         raise ValueError("moment_matrix needs one theta per system")
@@ -219,24 +342,37 @@ def moment_matrix(
         raise ValueError(f"systems must share one kind, got {systems}")
     kind = kinds[0]
     n = data.n
-    y0 = np.nan_to_num(data.y, nan=0.0)  # zero where unobserved
-    s = data.s.astype(float)
-    d = data.d.astype(float)
-    d0 = 1.0 - d
-    sd = s * d
-    s0d = s * d0
-    treated = sd > 0
-    sums = dict(n_treated=float(d.sum()), control=float(s0d.sum()))
+    arms = treated, control = _split_arms(data, design)
+    # the observed treated units, in dataset order: the trimming sample's
+    observed = np.flatnonzero((data.d == 1) & (data.s == 1))
+    sums = dict(
+        n_treated=float(treated.units.size), control=float(design.n0s_g.sum())
+    )
+    # per arm: outcome (zero where unobserved) and selection over its units
+    y_t, y_c = (np.nan_to_num(data.y[arm.units], nan=0.0) for arm in arms)
+    s_t, s_c = (data.s[arm.units].astype(float) for arm in arms)
     if kind == "ipw":
-        eta_i, m_i, w_c, w_q = _per_unit_block_arrays(data, design)
         p_hat = design.p_hat
-        control_rate = (1.0 / (1.0 - p_hat)) * s0d * w_q
-        sums.update(  # the weighted system weights its controls by w_c
-            control=float((s0d * w_c).sum()), m_sum=float(m_i.sum()), p_hat=p_hat
+        eta_t = design.eta_g[treated.codes]
+        m_t, m_c = (design.m_g[arm.codes] for arm in arms)
+        w_c_g, w_q_g = _block_weights(design)
+        w_c = w_c_g[control.codes]
+        control_rate = (1.0 / (1.0 - p_hat)) * s_c * w_q_g[control.codes]
+        # the weighted system weights its controls by w_c; both sums run over
+        # every unit in dataset order
+        sums.update(
+            control=float(np.where(
+                (data.d == 0) & (data.s == 1), w_c_g[design.codes], 0.0
+            ).sum()),
+            m_sum=float(design.m_g[design.codes].sum()),
+            p_hat=p_hat,
         )
 
-    # per bound, the buffer rows of its rows 1-5; rows 2, 4 and 5 by value
-    columns, shared, width = [], {}, 0
+    # per bound, the stack's columns of its rows 1-5 (rows 2, 4 and 5 by
+    # value) and whether it writes its rows 2, 4 and 5; per arm, the columns
+    # not zero on it
+    columns, shared, width, fresh = [], {}, 0, []
+    live = ([], [])
     for theta in thetas:
         key = (theta.mu0, *((theta.alpha, theta.p) if kind == "lee"
                             else (theta.delta, theta.q)))
@@ -244,26 +380,41 @@ def moment_matrix(
         if new:
             shared[key] = width + 1, width + 3, width + 4
         r2, r4, r5 = shared[key]
-        columns.append((width, r2, width + 2 if new else width + 1, r4, r5))
+        cols = (width, r2, width + 2 if new else width + 1, r4, r5)
+        for r in (0, 1, 2, 3, 4) if new else (0, 2):
+            for side in _ROW_ARMS[kind][r]:
+                live[side].append(cols[r])
+        columns.append(cols)
+        fresh.append(new)
         width += 5 if new else 2
+    # per arm, its rows in column order; inside _reusing_work_arrays they
+    # are the first rows of a stored array with room for every column, so
+    # the store keeps one array per arm whatever the system
+    parts = []
+    for side, arm in enumerate(arms):
+        cols = tuple(sorted(live[side]))
+        rows = _work_array(("rows", side), (width, arm.units.size), len(cols))
+        parts.append(ArmRows(arm=arm, live=cols, rows=rows))
+    row_t, row_c = (dict(zip(part.live, part.rows)) for part in parts)
 
-    # each row is written in place, so a bound adds no n-sized temporaries
-    # beyond its kept indicator
-    buf = np.empty((width, n))
     bounds = np.full(width, EXACT_ROW_TOL)
     checked = np.ones(width, dtype=bool)
     contexts = []
     # per rescaling of the treated outcome (delta; None for the pooled
-    # system): the trimmed values, the FitContext of their observed-treated
-    # sample and the sample's largest magnitude, which the bounds of one fit
-    # share
+    # system): the trimmed values over the treated arm, the FitContext of
+    # the observed-treated sample, in dataset order, and the sample's
+    # largest magnitude, which the bounds of one fit share
     samples = {}
-    for theta, side, cols in zip(thetas, sides, columns):
-        rows = [buf[c] for c in cols]
+    for theta, side, cols, new in zip(thetas, sides, columns, fresh):
         rescale = theta.delta if kind == "ipw" else None
         if rescale not in samples:
-            trim_values = y0 if kind == "lee" else (theta.delta / eta_i) * y0
-            sample = trim_values[treated]
+            if kind == "lee":
+                trim_values, sample = y_t, data.y[observed]
+            else:
+                trim_values = (theta.delta / eta_t) * y_t
+                sample = (
+                    theta.delta / design.eta_g[design.codes[observed]]
+                ) * data.y[observed]
             sample.setflags(write=False)
             context = FitContext(
                 n=n, sample=sample,
@@ -278,29 +429,31 @@ def moment_matrix(
             kept = trim_values <= theta.cutoff
         else:
             kept = trim_values >= theta.cutoff
-        np.subtract(trim_values, theta.mu1, out=rows[0])
-        rows[0] *= sd
-        rows[0] *= kept
-        np.subtract(1.0, kept, out=rows[2])  # the trimmed tail
-        rows[2] -= theta.p if kind == "lee" else theta.q
-        rows[2] *= sd
+        # d = 1 and s(1 - d) = 0 on the treated arm, the reverse on the
+        # control arm: each row leaves out the factors that are 1 on its arm,
+        # and its values are the ones the full expression gives
+        np.subtract(trim_values, theta.mu1, out=row_t[cols[0]])
+        row_t[cols[0]] *= s_t
+        row_t[cols[0]] *= kept
+        np.subtract(1.0, kept, out=row_t[cols[2]])  # the trimmed tail
+        row_t[cols[2]] -= theta.p if kind == "lee" else theta.q
+        row_t[cols[2]] *= s_t
         rate_row = 3 if kind == "lee" else 4
-        if cols[1] > cols[0]:  # rows 2, 4 and 5 are not an earlier bound's
-            np.subtract(y0, theta.mu0, out=rows[1])
-            rows[1] *= s0d
+        if new:  # rows 2, 4 and 5 are not an earlier bound's
+            np.subtract(y_c, theta.mu0, out=row_c[cols[1]])
+            row_c[cols[1]] *= s_c
             if kind == "lee":
                 assert isinstance(theta, LeeTheta)
-                np.subtract(s, theta.alpha / (1.0 - theta.p), out=rows[3])
-                rows[3] *= d
-                np.subtract(s, theta.alpha, out=rows[4])
-                rows[4] *= d0
+                np.subtract(s_t, theta.alpha / (1.0 - theta.p), out=row_t[cols[3]])
+                np.subtract(s_c, theta.alpha, out=row_c[cols[4]])
             else:
                 assert isinstance(theta, LeeIpwTheta)
-                rows[1] *= w_c
-                np.subtract(d, theta.delta, out=rows[3])
-                rows[3] *= m_i
-                np.multiply(sd, (1.0 - theta.q) / p_hat, out=rows[4])
-                rows[4] -= control_rate
+                row_c[cols[1]] *= w_c
+                # (d - delta) m_i, and the selection-rate relation
+                np.multiply(m_t, 1.0 - theta.delta, out=row_t[cols[3]])
+                np.multiply(m_c, 0.0 - theta.delta, out=row_c[cols[3]])
+                np.multiply(s_t, (1.0 - theta.q) / p_hat, out=row_t[cols[4]])
+                np.subtract(0.0, control_rate, out=row_c[cols[4]])
 
         contexts.append(context)
         ties = int(np.count_nonzero(sample == theta.cutoff))
@@ -310,10 +463,14 @@ def moment_matrix(
         if clamped:
             checked[cols[rate_row]] = False
 
+    total = np.zeros(width)  # the column sums, arm by arm
+    for part in parts:
+        total[list(part.live)] += part.rows.sum(axis=1)
     return MomentMatrix(
-        stacked=buf.T,
+        n=n,
+        arms=(parts[0], parts[1]),
         columns=tuple(columns),
-        residuals=buf.mean(axis=1),
+        residuals=total / n,
         bounds=bounds,
         checked=checked,
         contexts=tuple(contexts),

@@ -62,14 +62,11 @@ def _treat_prob(num: Fraction, den: Fraction) -> float:
     return float(num / den)
 
 
-def _per_unit_block_arrays(data: Dataset, design: BlockDesign):
-    """(eta_i, m_i, w_c_i, w_q_i) aligned with the dataset."""
-    eta_i = design.eta_g[design.codes]
-    m_i = design.m_g[design.codes]
-    p = design.p_hat
-    w_c = (1.0 - p) / (1.0 - eta_i)
-    w_q = eta_i * (1.0 - p) / ((1.0 - eta_i) * p)
-    return eta_i, m_i, w_c, w_q
+def _block_weights(design: BlockDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Per block, the control weight w_c = (1 - p)/(1 - eta_g) and the
+    trimming-share weight w_q = eta_g (1 - p)/((1 - eta_g) p)."""
+    eta, p = design.eta_g, design.p_hat
+    return (1.0 - p) / (1.0 - eta), eta * (1.0 - p) / ((1.0 - eta) * p)
 
 
 def ipw_trimming_share(design: BlockDesign) -> TrimmingShare:

@@ -14,24 +14,26 @@ estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits and differentiates both
 bounds in one pass, inverts each bound's Jacobian once for every method's
 sandwich, and forms each method's meat once, on both bounds' stacked
-moments; each bound's meat is the block on its five columns. The i.i.d.
+moments; each bound's meat is the block on its five columns. Every meat
+reads the fit's moments as moment_matrix wrote them, by arm, on the columns
+not zero on each arm (of a fit's 7, the pooled arms keep 5 and 2, the
+weighted 6 and 3): the column means, the Gram and the block sums come from
+those arm rows, and no dense n x 7 matrix is formed. meat_design also takes
+dense moments, which it splits into the same arm rows first. The i.i.d.
 meat takes its Gram from a design meat formed for the same fit. The design
-meat's block terms skip the columns that vanish on an arm (of a fit's 7,
-the pooled arms keep 5 and 2, the weighted 6 and 3). Its design-only part,
-from each arm's units to the singleton pairings, is built on each call. An
-arm with one unit in every block, as each arm of matched pairs, lists its
-units in block order, so their rows are its block sums and means; arms with
-the same singleton blocks share one pairing.
-Inside _reusing_work_arrays, as each Monte Carlo replication runs, the meat
-takes its per-arm work arrays from one store per thread instead of fresh
-memory; the store keeps them after the context exits, for the next call.
+meat's weights and singleton pairings are built on each call. An arm with
+one unit in every block, as each arm of matched pairs, lists its units in
+block order, so their rows are its block sums and means; arms with the
+same singleton blocks share one pairing.
+Inside _reusing_work_arrays, as each Monte Carlo replication runs, the
+moment pass takes its arm rows, and the meat its work arrays, from one
+store per thread instead of fresh memory; the store keeps them after the
+context exits, for the next call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -39,7 +41,21 @@ import numpy as np
 
 from .data_model import BlockDesign, Dataset, _name_blocks
 from .errors import EstimationError, FeasibilityError, PairingError
-from .gmm_core import FitResult, _sandwich, differentiate, fit_from_estimate
+# _reusing_work_arrays and its store _work are entered through this module,
+# as the meat's, though the moment pass shares them
+from .gmm_core import (
+    Arm,
+    ArmRows,
+    FitResult,
+    MomentMatrix,
+    _reusing_work_arrays,
+    _sandwich,
+    _split_arms,
+    _work,
+    _work_array,
+    differentiate,
+    fit_from_estimate,
+)
 from .ipw_estimator import lee_ipw_bounds
 from .lee_estimator import BoundsEstimate, conditional_lee_bounds, lee_bounds
 
@@ -146,45 +162,20 @@ class MeatReport:
         })
 
 
-@dataclass(frozen=True, eq=False)
-class _Arm:
-    """One arm's units and the meat's design-only weights for them.
-
-    units lists the arm's unit indices in dataset order, or in block order
-    when every block has one (as in matched pairs), and codes their blocks;
-    counts[g] >= 1 is block g's size in the arm. within[g] =
-    coef_g / (c_g (c_g - 1)) weights the within-arm pair term, zero where
-    c_g < 2; it is None when no block has two units in the arm. single lists
-    the blocks with one.
-    """
-
-    units: np.ndarray
-    codes: np.ndarray
-    counts: np.ndarray
-    within: np.ndarray | None
-    single: np.ndarray
+def _within(arm: Arm, coef: np.ndarray) -> np.ndarray | None:
+    """Per block, coef_g / (c_g (c_g - 1)), which weights the arm's
+    within-block pair term, zero where the arm has c_g < 2 units; None when
+    no block has two."""
+    multi = arm.counts >= 2
+    if not multi.any():
+        return None
+    c = arm.counts[multi].astype(float)
+    within = np.zeros(arm.counts.size)
+    within[multi] = coef[multi] / (c * (c - 1.0))
+    return within
 
 
-def _arm(design: BlockDesign, in_arm: np.ndarray, coef: np.ndarray) -> _Arm:
-    units = np.flatnonzero(in_arm)
-    codes = design.codes[units]
-    counts = np.bincount(codes, minlength=design.n_blocks)
-    single = np.flatnonzero(counts == 1)
-    if single.size == counts.size:
-        units[codes] = units.copy()  # one scatter puts them in block order
-        codes = single
-    multi = counts >= 2
-    within = None
-    if multi.any():
-        c = counts[multi].astype(float)
-        within = np.zeros(counts.size)
-        within[multi] = coef[multi] / (c * (c - 1.0))
-    return _Arm(
-        units=units, codes=codes, counts=counts, within=within, single=single
-    )
-
-
-def _pairing(design: BlockDesign, arm: _Arm):
+def _pairing(design: BlockDesign, arm: Arm):
     """The arm's singleton blocks' involution and the partner block of each,
     or None when the arm has no singleton block."""
     if not arm.single.size:
@@ -196,41 +187,30 @@ def _pairing(design: BlockDesign, arm: _Arm):
     return inv, partner[arm.single]
 
 
-# per thread: whether meat_design reuses its work arrays (set by
-# _reusing_work_arrays), and the stored arrays themselves
-_work = threading.local()
-
-
-@contextlib.contextmanager
-def _reusing_work_arrays():
-    """Within the block, meat_design takes its work arrays from this thread's
-    store instead of fresh memory; the store keeps them after the block, so
-    the next replication finds them, and is freed with its thread."""
-    previous = getattr(_work, "reusing", False)
-    _work.reusing = True
-    try:
-        yield
-    finally:
-        _work.reusing = previous
-
-
-def _work_array(key: tuple[str, int], shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialized float array: fresh, or inside _reusing_work_arrays
-    the thread's stored one for key (a role and an arm), replaced when the
-    shape asked for changes. No caller may let it escape into a result."""
-    if not getattr(_work, "reusing", False):
-        return np.empty(shape)
-    store = _work.__dict__.setdefault("arrays", {})
-    if key not in store or store[key].shape != shape:
-        store.pop(key, None)  # free the old array before making the new one
-        store[key] = np.empty(shape)
-    return store[key]
+def _arm_rows(
+    data: Dataset, design: BlockDesign, moments: np.ndarray
+) -> tuple[ArmRows, ArmRows]:
+    """Dense (n, m) moments split by arm: each arm's rows of the columns not
+    identically zero on it, over its units in moment_matrix's order,
+    gathered into the work arrays."""
+    parts = []
+    for side, arm in enumerate(_split_arms(data, design)):
+        rows = _work_array(("rows", side), (moments.shape[1], arm.units.size))
+        live = []
+        # a column's rows stay where they are not all zero; the indices are
+        # valid, and mode="clip" lets take write into out
+        for j, col in enumerate(moments.T):
+            np.take(col, arm.units, mode="clip", out=rows[len(live)])
+            if rows[len(live)].any():
+                live.append(j)
+        parts.append(ArmRows(arm=arm, live=tuple(live), rows=rows[: len(live)]))
+    return parts[0], parts[1]
 
 
 def meat_design(
     data: Dataset,
     design: BlockDesign,
-    moments: np.ndarray,
+    moments: np.ndarray | MomentMatrix,
     mode: str = "paired",
 ) -> MeatReport:
     """Design-consistent meat: the i.i.d. meat a - a3 plus the
@@ -238,23 +218,25 @@ def meat_design(
 
     mode="paired" resolves singleton arms by pairing blocks; mode="label"
     requires at least two units per arm in every block and fails otherwise.
-    moments is (n, m): one bound's five columns or several bounds' stacked
-    side by side, best Fortran-ordered, since the meat works on columns.
-    The design-only part (each arm's units and their blocks, its weights,
-    singleton sets and pairings) is built from the design and the treatment
-    column on each call. An arm with one unit in every block takes its rows,
-    gathered in block order, as its block sums, means and singleton rows;
-    when both arms have the same singleton blocks, as in matched pairs,
-    pair_blocks runs once and both arms use its pairing. Each arm's block
-    terms skip the columns identically zero on it, as exact zeros. The Gram
-    a and a3 are formed once, over all units, by meat_iid's operations.
+    moments is a MomentMatrix, whose arm rows the meat reads as they are,
+    or dense (n, m), one bound's five columns or several bounds' side by
+    side, which it first splits into the same arm rows on the columns not
+    identically zero on each arm. The weights and singleton pairings are
+    built from the design on each call. An arm with one unit in every block
+    has its rows in block order, so they are its block sums, means and
+    singleton rows; when both arms have the same singleton blocks, as in
+    matched pairs, pair_blocks runs once and both arms use its pairing.
+    Each arm's block terms run on its rows alone, and the other entries are
+    exact zeros. a and a3 are _second_moments' of the moments.
     """
     if mode not in ("paired", "label"):
         raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
-    etas = design.eta_g
-    coef = (design.n_g / data.n) * etas * (1.0 - etas)
-    arms = _arm(design, data.d == 1, coef), _arm(design, data.d == 0, coef)
-    treated, control = arms
+    if isinstance(moments, MomentMatrix):
+        parts = moments.arms
+    else:
+        moments = np.asarray(moments, dtype=float)  # as the work arrays are
+        parts = _arm_rows(data, design, moments)
+    treated, control = (part.arm for part in parts)
     pairing = (None, None)
     if mode == "label":
         if treated.single.size or control.single.size:
@@ -269,43 +251,36 @@ def meat_design(
         same = np.array_equal(control.single, treated.single)
         pairing = first, first if same else _pairing(design, control)
 
-    moments = np.asarray(moments, dtype=float)  # as the work arrays are
     a, a3 = _second_moments(moments)
-    cols = moments.T  # (m, n), C-contiguous for Fortran moments
-    m = cols.shape[0]
-    per_arm = []  # (live, zeta, means) of the treated, then the control arm
-    for side, (arm, paired) in enumerate(zip(arms, pairing)):
-        # a column's rows on the arm stay where they are not all zero; the
-        # indices are valid, and mode="clip" lets take write into out
-        rows = _work_array(("rows", side), (m, arm.units.size))
-        live = []
-        for j, col in enumerate(cols):
-            np.take(col, arm.units, mode="clip", out=rows[len(live)])
-            if rows[len(live)].any():
-                live.append(j)
-        rows = rows[: len(live)]
+    m = a.shape[0]
+    etas = design.eta_g
+    coef = (design.n_g / data.n) * etas * (1.0 - etas)
+    per_arm = []  # (zeta, means) of the treated, then the control arm
+    for side, (part, paired) in enumerate(zip(parts, pairing)):
+        arm, rows = part.arm, part.rows
+        k = len(part.live)
         # with one unit in every block, listed in block order, the rows are
-        # the arm's block sums, its block means and its singleton rows
-        one_each = arm.single.size == arm.counts.size
+        # the arm's block sums, its block means and its singleton rows; they
+        # are only read, since a MomentMatrix's are the fit's own
         sums = rows
-        if not one_each:
-            sums = _work_array(("sums", side), (m, arm.counts.size))[: len(live)]
+        if not arm.one_each:
+            sums = _work_array(("sums", side), (m, arm.counts.size), k)
             for row, total in zip(rows, sums):
                 total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
-        zeta = np.zeros((len(live), len(live)))
-        if arm.within is not None:
+        zeta = np.zeros((k, k))
+        within = _within(arm, coef)
+        if within is not None:
             # sum_g w_g (S_g S_g' - sum_i r_i r_i') over blocks with two or
             # more units in the arm, one column at a time: Gram products of
             # the block sums S_g and of the rows r_i, so no per-block outer
             # products and no weighted copy of the rows are formed
-            w_unit = arm.within[arm.codes]
-            for k, (total, row) in enumerate(zip(sums, rows)):
-                zeta[:, k] = sums @ (arm.within * total) - rows @ (w_unit * row)
+            w_unit = within[arm.codes]
+            for j, (total, row) in enumerate(zip(sums, rows)):
+                zeta[:, j] = sums @ (within * total) - rows @ (w_unit * row)
             zeta = 0.5 * (zeta + zeta.T)
-        del rows  # unless they are the sums, the next arm's gather replaces them
-        means = sums  # in place: the sums are not needed any more
-        if not one_each:
-            means /= arm.counts
+        means = sums
+        if not arm.one_each:
+            means /= arm.counts  # in place: the sums are not needed any more
         if paired is not None:
             # a singleton arm's sum is its single row, which is also its
             # mean; its partner term is the arm mean of the block it is
@@ -314,23 +289,23 @@ def meat_design(
             shape = (m, arm.single.size)
             weighted = np.take(
                 means, partner, axis=1, mode="clip",
-                out=_work_array(("partner", side), shape)[: len(live)],
+                out=_work_array(("partner", side), shape, k),
             )
             weighted *= coef[arm.single]
-            single = means if one_each else np.take(
+            single = means if arm.one_each else np.take(
                 means, arm.single, axis=1, mode="clip",
-                out=_work_array(("single", side), shape)[: len(live)],
+                out=_work_array(("single", side), shape, k),
             )
             cross = single @ weighted.T
             zeta = zeta + 0.5 * (cross + cross.T)
-        per_arm.append((live, zeta, means))
-    (live1, zeta1, mean1), (live0, zeta0, mean0) = per_arm
+        per_arm.append((zeta, means))
+    (zeta1, mean1), (zeta0, mean0) = per_arm
+    live1, live0 = (part.live for part in parts)
 
-    mean0 *= coef  # in place: the control means are not needed any more
     zeta_11, zeta_00, cross = np.zeros((3, m, m))
     zeta_11[np.ix_(live1, live1)] = zeta1
     zeta_00[np.ix_(live0, live0)] = zeta0
-    cross[np.ix_(live1, live0)] = mean1 @ mean0.T
+    cross[np.ix_(live1, live0)] = mean1 @ (mean0 * coef).T
     zeta_10 = 0.5 * (cross + cross.T)
     b_n = -(zeta_11 + zeta_00 - 2.0 * zeta_10)
     omega = a + b_n - a3
@@ -350,20 +325,30 @@ def meat_design(
     )
 
 
-def _second_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _second_moments(
+    moments: np.ndarray | MomentMatrix,
+) -> tuple[np.ndarray, np.ndarray]:
     """The Gram a = M'M/n of (n, m) moments and the outer product a3 of
-    their column means."""
+    their column means. A MomentMatrix's Gram is the sum of its arms', each
+    on its rows, and its means are its residuals."""
+    if isinstance(moments, MomentMatrix):
+        a = np.zeros((moments.width, moments.width))
+        for part in moments.arms:
+            a[np.ix_(part.live, part.live)] += part.rows @ part.rows.T
+        a /= moments.n
+        mbar = moments.residuals
+        return a, np.outer(mbar, mbar)
     n = moments.shape[0]
     mbar = moments.mean(axis=0)
     return moments.T @ moments / n, np.outer(mbar, mbar)
 
 
-def meat_iid(moments: np.ndarray) -> np.ndarray:
+def meat_iid(moments: np.ndarray | MomentMatrix) -> np.ndarray:
     """Centered second-moment meat that ignores the block structure: a - a3.
 
-    moments is (n, m); for several bounds stacked side by side, each bound's
-    meat is a diagonal block of the result. A design meat on the same
-    moments holds the same a and a3, bit for bit.
+    moments is dense (n, m) or a MomentMatrix; for several bounds stacked
+    side by side, each bound's meat is a diagonal block of the result. A
+    design meat on the same moments holds the same a and a3, bit for bit.
     """
     a, a3 = _second_moments(moments)
     return a - a3
@@ -608,7 +593,7 @@ def estimate_bounds(
     meats = {}  # per method: (MeatReport or None, omega), or the meat's error
     if not isinstance(sides[0], EstimationError):
         fitted_ub = not isinstance(sides[1], EstimationError)
-        moments = stack.values if fitted_ub else stack.bound(0).values
+        moments = stack if fitted_ub else stack.bound(0)
         for method in methods:
             if method != "iid":
                 mode = "paired" if method == "design" else "label"

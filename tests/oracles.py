@@ -614,7 +614,8 @@ def meat_design_oracle(data, design, moments, mode="paired"):
     block pair_blocks_oracle pairs them with. Returns a dict of the
     MeatReport matrices plus the singleton blocks and pairs per arm; raises
     FeasibilityError in label mode where an arm has one unit, and
-    PairingError where pairing fails.
+    PairingError where pairing fails. mode="iid" pairs nothing and refuses
+    nothing, for its a and a3.
     """
     from strata_bounds import FeasibilityError
 

@@ -628,6 +628,28 @@ def test_simulate_refuses_an_n_numpy_cannot_index(capsys, tmp_path):
     assert err == f"error: matched_pairs n is too large, got {10**20}\n"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--n", "100", "--reps", "0"], "error: reps must be at least 1\n"),
+        (["--n", "100", "--reps", "1", "--estimator", "bogus:x"],
+         "error: bad estimator token 'bogus:x'; use <estimator>:<variance> "
+         "with estimator in ('lee', 'conditional-lee', 'lee-ipw') and "
+         "variance in ('design', 'iid', 'label', 'none')\n"),
+    ],
+    ids=["reps-0", "bogus-estimator"],
+)
+def test_refused_simulate_leaves_no_out_directory(capsys, tmp_path, args, message):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "1", "--seed", "1", "--out", str(out_dir),
+        *args,
+    )
+    assert code == 1 and out == ""
+    assert err == message
+    assert not out_dir.exists()
+
+
 def test_simulate_out_of_memory_is_one_line(capsys, monkeypatch, tmp_path):
     # an n that fits numpy's index but not the machine fails allocating its
     # first draw; the draw is replaced, so nothing that large is allocated

@@ -22,7 +22,7 @@ from strata_bounds import (
     solve_sandwich,
 )
 from strata_bounds import gmm_core, variance
-from strata_bounds.ipw_estimator import _per_unit_block_arrays
+from strata_bounds.ipw_estimator import _block_weights
 
 from conftest import build_dataset, random_dataset, random_equal_share_dataset
 
@@ -290,7 +290,8 @@ def _smoothed_means_lee(data, theta, side, h):
 
 
 def _smoothed_means_ipw(data, design, theta, side, h):
-    eta_i, m_i, w_c, w_q = _per_unit_block_arrays(data, design)
+    eta_i, m_i = design.eta_g[design.codes], design.m_g[design.codes]
+    w_c, w_q = (w[design.codes] for w in _block_weights(design))
     p_hat = design.p_hat
     y = _filled(data)
     s = data.s.astype(float)

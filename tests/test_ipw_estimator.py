@@ -15,7 +15,7 @@ from strata_bounds import (
 )
 from strata_bounds import ipw_estimator
 from strata_bounds.gmm_core import fit_from_estimate
-from strata_bounds.ipw_estimator import _per_unit_block_arrays
+from strata_bounds.ipw_estimator import _block_weights
 
 from conftest import (
     build_dataset,
@@ -85,7 +85,7 @@ def test_weighted_bounds_match_oracle_fieldwise():
         assert est.mu1_ub == pytest.approx(ref["mu1_ub"], abs=1e-9)
         assert est.cutoff_lb == pytest.approx(ref["cut_lb"], abs=1e-12)
         assert est.cutoff_ub == pytest.approx(ref["cut_ub"], abs=1e-12)
-        _, _, w_c, w_q = _per_unit_block_arrays(data, design)
+        w_c, w_q = (w[design.codes] for w in _block_weights(design))
         np.testing.assert_allclose(w_c, ref["w_c"], rtol=0, atol=1e-14)
         np.testing.assert_allclose(w_q, ref["w_q"], rtol=0, atol=1e-14)
         # the trimming sample of the fit: the rescaled observed-treated
@@ -179,11 +179,11 @@ def test_weighted_mu0_uses_control_weights():
 
 def test_weighted_fit_forms_the_rate_sums_once_in_each_step(monkeypatch):
     # the estimate reads delta and the kept mass off one pass, and the fit
-    # forms delta from the design once more; only the moment pass gathers
-    # the per-unit block arrays
+    # forms delta from the design once more; only the moment pass forms the
+    # block weights
     data = random_dataset(np.random.default_rng(34), allow_clamp=False)
     counts = count_calls(
-        monkeypatch, [ipw_estimator._rate_sums, _per_unit_block_arrays]
+        monkeypatch, [ipw_estimator._rate_sums, _block_weights]
     )
     estimate_bounds(data, block_design(data), "lee-ipw", ("design",))
-    assert counts == {"_rate_sums": 2, "_per_unit_block_arrays": 1}
+    assert counts == {"_rate_sums": 2, "_block_weights": 1}

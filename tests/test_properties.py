@@ -34,6 +34,7 @@ from strata_bounds import (
 from scipy.stats import norm
 
 from strata_bounds.cli import flip_treatment
+from strata_bounds.gmm_core import _sandwich, differentiate
 
 from conftest import (
     assert_close_matrix,
@@ -401,21 +402,41 @@ def _exact_zero_cross_term_case():
     return data, block_design(data)
 
 
+def _heterogeneous_share_case():
+    """Six blocks with treated shares from 1/5 to 2/3 and some controls
+    unobserved, so the weighted system's weights differ across blocks and
+    its rows 4 and 5 live on both arms; both arms have singleton blocks."""
+    shapes = [(4, 1), (5, 3), (6, 2), (3, 2), (4, 2), (5, 1)]
+    y = np.random.default_rng(4).normal(size=27).round(2)
+    d, s, blocks = [], [], []
+    for g, (n_g, t_g) in enumerate(shapes):
+        for i in range(n_g):
+            d.append(int(i < t_g))
+            s.append(1 if i < t_g or i % 3 else 0)
+            blocks.append(f"b{g}")
+    data = dataset_from_arrays(y, np.array(s), np.array(d), blocks)
+    return data, block_design(data)
+
+
 @given(
     case=singleton_arms_strategy(),
     name=st.sampled_from(["lee", "lee-ipw"]),
-    method=st.sampled_from(["design", "label"]),
+    method=st.sampled_from(["design", "label", "iid"]),
 )
 @example(case=_exact_zero_cross_term_case(), name="lee", method="design")
+@example(case=_heterogeneous_share_case(), name="lee-ipw", method="design")
+@example(case=_heterogeneous_share_case(), name="lee-ipw", method="iid")
 @settings(**COMMON)
 def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
+    # every meat the estimate path forms from the fit's arm rows, against
+    # the oracle on the fit's dense moments
     data, design = case
     try:
         _, reports = estimate_bounds(data, design, name, (method,))
     except EstimationError:
         return  # the point estimate itself is undefined on this draw
     report = reports[method]
-    mode = "paired" if method == "design" else "label"
+    mode = {"design": "paired", "label": "label", "iid": "iid"}[method]
     if isinstance(report, FeasibilityError):
         with pytest.raises(FeasibilityError):
             meat_design_oracle(data, design, np.zeros((data.n, 5)), mode)
@@ -427,6 +448,21 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
         fit = getattr(report, f"fit_{side}")
         moments = fit.matrix.values
         expected = meat_design_oracle(data, design, moments, mode)
+        if method == "iid":
+            # the i.i.d. meat a - a3 is reported through its sandwich, which
+            # scales the meat's rounding by at most the square of the
+            # inverse Jacobian's largest absolute row sum
+            ((_, inv),) = differentiate(
+                [(fit.theta, fit.system, fit.matrix.contexts[0])]
+            )
+            row_sum = float(np.abs(inv).sum(axis=1).max())
+            assert_close_matrix(
+                getattr(report, f"v_hat_{side}"),
+                _sandwich(inv, expected["a"] - expected["a3"]),
+                row_sum * moments, f"{side} v_hat",
+            )
+            assert meat is None
+            continue
         for field in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
             assert_close_matrix(
                 getattr(meat, field), expected[field], moments, f"{side} {field}"

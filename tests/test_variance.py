@@ -343,14 +343,15 @@ def test_meat_design_arms_with_one_singleton_set_share_its_pairs(case):
 @pytest.mark.parametrize("name,live", [("lee", (5, 2)), ("lee-ipw", (6, 3))])
 def test_meat_design_sums_each_arm_on_its_live_columns(monkeypatch, name, live):
     # a fit's 7 columns: the pooled system's rows vanish on one arm but for
-    # 5 treated and 2 control columns, the weighted system's for 6 and 3;
-    # each arm of these blocks of three sums its columns by bincount
+    # 5 treated and 2 control columns, the weighted system's for 6 and 3.
+    # The moment pass writes only those rows, over the arm's units, and
+    # each arm of these blocks of three sums its rows by bincount
     rng = np.random.default_rng(13)
     d = np.tile([1, 0, 0, 1, 1, 0], 20)
     s = (rng.random(d.size) < 0.8).astype(int)
     data = build_dataset(rng.normal(size=d.size), s, d, [f"b{i // 3:02d}" for i in range(d.size)])
     design = block_design(data)
-    sums = []
+    sums, read = [], []
     bincount, meat = np.bincount, variance.meat_design
 
     def counted(codes, weights=None, minlength=0):
@@ -359,6 +360,7 @@ def test_meat_design_sums_each_arm_on_its_live_columns(monkeypatch, name, live):
         return bincount(codes, weights=weights, minlength=minlength)
 
     def counting(*args, **kwargs):
+        read.extend(part.rows.shape for part in args[2].arms)
         monkeypatch.setattr(variance.np, "bincount", counted)
         try:
             return meat(*args, **kwargs)
@@ -368,6 +370,7 @@ def test_meat_design_sums_each_arm_on_its_live_columns(monkeypatch, name, live):
     monkeypatch.setattr(variance, "meat_design", counting)
     estimate_bounds(data, design, name, ("design",))
     treated = int(d.sum())
+    assert read == [(live[0], treated), (live[1], d.size - treated)]
     assert sums == [treated] * live[0] + [d.size - treated] * live[1]
 
 
@@ -619,11 +622,12 @@ def test_estimate_bounds_keeps_each_methods_error_order(
         ]
 
     monkeypatch.setattr(variance, "differentiate", failing_differentiate)
-    widths = []  # each meat function called, with the moment columns it saw
+    widths = []  # each meat function called, with the rows of each arm it saw
 
     def recording(meat, at):
         def recorded(*args, **kwargs):
-            widths.append((meat.__name__, args[at].shape[1]))
+            rows = tuple(part.rows.shape[0] for part in args[at].arms)
+            widths.append((meat.__name__, rows))
             return meat(*args, **kwargs)
 
         return recorded
@@ -643,13 +647,17 @@ def test_estimate_bounds_keeps_each_methods_error_order(
         else:
             assert isinstance(report, error), method
     # one meat per design or label method that got past the lower bound,
-    # over the bounds whose fit succeeded (7 columns for both, which share
-    # three); the i.i.d. meat is the design meat's a - a3, so meat_iid is
-    # not called
+    # over the bounds whose fit succeeded, on each arm's rows of the columns
+    # not zero there: of the lower bound's 5, the pooled system keeps 3
+    # treated and 2 control, the weighted 4 and 3; each further bound adds
+    # its rows 1 and 3, both treated. The i.i.d. meat is the design meat's
+    # a - a3, so meat_iid is not called
+    lower = (3, 2) if name == "lee" else (4, 3)
+    both = (lower[0] + 2, lower[1])
     assert widths == {
         "lb": [],
-        "ub": [("meat_design", 5)] * 2,
-        None: [("meat_design", 7)] * 2,
+        "ub": [("meat_design", lower)] * 2,
+        None: [("meat_design", both)] * 2,
     }[failing]
 
 
