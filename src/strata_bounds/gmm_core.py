@@ -1,27 +1,27 @@
 """Just-identified moment systems behind the bound estimators.
 
 Each bound is characterized by five stacked moments: the trimmed treated
-mean, the control mean, the trimmed tail share, a selection-rate relation,
-and the control selection rate (pooled system) or the weighted analogues
-(weighted system, where the rescaled treated outcome depends on the
-always-observed treated share parameter). Point estimates come from closed
-forms; the moment matrix evaluated at the fit certifies them via column-mean
-residuals. Both bounds of one estimate are fitted in one pass, with the rows
-the bounds share (control mean, selection rates) once: 7 columns, not 10.
-moment_matrix writes them by arm. Each moment row is zero on one arm but
-for the weighted system's rows 4 and 5, so each arm gets the columns not
-zero on it (of 7, the pooled system's treated arm 5 and control arm 2, the
-weighted 6 and 3), over its units, in the order the design meat reads them;
-the dense n x 7 matrix is formed only when MomentMatrix.values is read.
+mean, the control mean, the trimmed tail share, and two rows of its
+system's own. Each system is one MomentSystem value, POOLED (lee_bounds)
+or WEIGHTED (lee_ipw_bounds), which declares everything that differs: its
+theta, its per-arm inputs, its rows with the arms they are not zero on,
+and its Jacobian entries; fit_from_estimate, moment_matrix and
+differentiate run over what it declares. Point estimates come from closed
+forms; the moment matrix evaluated at the fit certifies them via
+column-mean residuals. Both bounds of one estimate are fitted in one pass,
+with the rows they share (rows 2, 4 and 5) once: 7 columns, not 10, which
+moment_matrix writes by arm, each arm's over its units on the columns not
+zero on it, in the order the design meat reads them; the dense n x 7
+matrix is formed only when MomentMatrix.values is read.
 Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
-exactly in the parameters.
-The moment pass keeps what the Jacobian reads of the data (the trimming
-sample and a few sums, not the n-sized columns), so a fit is differentiated
-without building its columns again, both bounds in one normal-CDF kernel
-call. Each Jacobian is inverted once: the inverse decides its refusal (the
-1-norm condition number) and serves every variance method's sandwich for
-that bound. Point estimates are never smoothed.
+exactly in the parameters. The moment pass keeps what the Jacobian reads
+of the data (the trimming sample and a few sums), so a fit is
+differentiated without building its columns again, both bounds in one
+normal-CDF kernel call. Each Jacobian is inverted once: the inverse
+decides its refusal (the 1-norm condition number) and serves every
+variance method's sandwich for that bound. Point estimates are never
+smoothed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,9 +99,9 @@ class FitContext:
 
     sample is the observed-treated trimming sample and bandwidth its
     Silverman bandwidth, or None where it is too small for one. n counts the
-    units and n_treated the treated ones. control is the sum of s(1 - d),
-    weighted by w_c in the weighted system, which also reads m_sum, the sum
-    of m_i, and the pooled treated share p_hat.
+    units and n_treated the treated ones. control is the sum of s(1 - d)
+    times row 2's weight; the weighted system also reads m_sum, the sum of
+    m_i, and the pooled treated share p_hat.
     """
 
     n: int
@@ -256,11 +257,148 @@ class FitResult:
     flags: tuple[str, ...] = ()
 
 
-def _split_system(system: str) -> tuple[str, str]:
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    kind, side = system.split("_")
-    return kind, side
+# ---------------------------------------------------------------------------
+# the two moment systems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class MomentSystem:
+    """What one moment system declares beyond rows 1-3 (the trimmed treated
+    mean, the control mean, the trimmed tail share) and Jacobian entries
+    (0, 0), (0, 2), (1, 1) and (2, 2), which have one form in every system.
+
+    kind names its bounds, kind_lb and kind_ub, and estimator its point
+    estimator in ESTIMATORS. row_arms holds per row 1-5 the arms the row is
+    not zero on (0 treated, 1 control); exempt is the row a clamped trimming
+    share exempts. Two bounds share rows 2, 4 and 5 where the parameters
+    named in shared agree, and one trimming sample where those named in
+    rescaling do; tail names the share row 3 trims. The methods give its
+    point estimate, its bounds' thetas, its per-arm inputs with its
+    FitContext sums, its trimming values over the treated arm with its
+    trimming sample, row 2's weight with rows 4 and 5, and its own Jacobian
+    entries.
+    """
+
+    kind: ClassVar[str]
+    estimator: ClassVar[str]
+    row_arms: ClassVar[tuple[tuple[int, ...], ...]]
+    exempt: ClassVar[int]
+    shared: ClassVar[tuple[str, ...]]
+    rescaling: ClassVar[tuple[str, ...]]
+    tail: ClassVar[str]
+
+
+@dataclass(frozen=True, eq=False)
+class _Pooled(MomentSystem):
+    """lee_bounds' system, at a LeeTheta: row 4 is the selection-rate
+    relation (s - alpha/(1 - p)) d, row 5 the control selection rate
+    (s - alpha)(1 - d)."""
+
+    kind, estimator, exempt, tail = "lee", "lee", 3, "p"
+    row_arms = ((0,), (1,), (0,), (0,), (1,))
+    shared, rescaling = ("mu0", "alpha", "p"), ()
+
+    def point_estimate(self, data, design):
+        return lee_bounds(data, design)
+
+    def thetas(self, estimate, design, bounds):
+        # alpha from the integers trimming_share_pooled divides
+        alpha = int(design.n0s_g.sum()) / int((design.n_g - design.t_g).sum())
+        return [LeeTheta(**b, p=estimate.q, alpha=alpha) for b in bounds]
+
+    def inputs(self, data, design, arms, observed, s_c):
+        return {}, dict(control=float(design.n0s_g.sum()))
+
+    def trimming(self, theta, y_t, y_obs, inputs):
+        return y_t, y_obs
+
+    def rows(self, theta, row_t, row_c, cols, s_t, s_c, inputs):
+        np.subtract(s_t, theta.alpha / (1.0 - theta.p), out=row_t[cols[3]])
+        np.subtract(s_c, theta.alpha, out=row_c[cols[4]])
+
+    def entries(self, jac, theta, context, sign, kept, small_phi, dev_phi):
+        n, n_treated = context.n, context.n_treated
+        jac[2, 3] = -float(context.sample.size) / n
+        jac[3, 3] = -theta.alpha * n_treated / ((1.0 - theta.p) ** 2 * n)
+        jac[3, 4] = -n_treated / ((1.0 - theta.p) * n)
+        jac[4, 4] = -float(n - n_treated) / n
+
+
+@dataclass(frozen=True, eq=False)
+class _Weighted(MomentSystem):
+    """lee_ipw_bounds' system, at a LeeIpwTheta: the treated outcome is
+    rescaled by delta/eta_g, row 2 is weighted by w_c, row 4 is
+    (d - delta) m_i and row 5 the selection-rate relation
+    ((1 - q)/p_hat) s d - s (1 - d) w_q/(1 - p_hat)."""
+
+    kind, estimator, exempt, tail = "ipw", "lee-ipw", 4, "q"
+    row_arms = ((0,), (1,), (0,), (0, 1), (0, 1))
+    shared, rescaling = ("mu0", "delta", "q"), ("delta",)
+
+    def point_estimate(self, data, design):
+        return lee_ipw_bounds(data, design)
+
+    def thetas(self, estimate, design, bounds):
+        delta = always_observed_treat_prob(design)
+        return [LeeIpwTheta(**b, delta=delta, q=estimate.q) for b in bounds]
+
+    def inputs(self, data, design, arms, observed, s_c):
+        (treated, control), p_hat = arms, design.p_hat
+        w_c_g, w_q_g = _block_weights(design)
+        inputs = dict(
+            p_hat=p_hat, w_c=w_c_g[control.codes],
+            m_t=design.m_g[treated.codes], m_c=design.m_g[control.codes],
+            eta_t=design.eta_g[treated.codes],
+            eta_obs=design.eta_g[design.codes[observed]],
+            control_rate=(1.0 / (1.0 - p_hat)) * s_c * w_q_g[control.codes],
+        )
+        # the controls weighted by w_c; both sums run over every unit in
+        # dataset order
+        return inputs, dict(
+            control=float(np.where(
+                (data.d == 0) & (data.s == 1), w_c_g[design.codes], 0.0
+            ).sum()),
+            m_sum=float(design.m_g[design.codes].sum()),
+            p_hat=p_hat,
+        )
+
+    def trimming(self, theta, y_t, y_obs, inputs):
+        delta = theta.delta
+        return (delta / inputs["eta_t"]) * y_t, (delta / inputs["eta_obs"]) * y_obs
+
+    def rows(self, theta, row_t, row_c, cols, s_t, s_c, inputs):
+        row_c[cols[1]] *= inputs["w_c"]
+        # (d - delta) m_i, and the selection-rate relation
+        np.multiply(inputs["m_t"], 1.0 - theta.delta, out=row_t[cols[3]])
+        np.multiply(inputs["m_c"], 0.0 - theta.delta, out=row_c[cols[3]])
+        np.multiply(s_t, (1.0 - theta.q) / inputs["p_hat"], out=row_t[cols[4]])
+        np.subtract(0.0, inputs["control_rate"], out=row_c[cols[4]])
+
+    def entries(self, jac, theta, context, sign, kept, small_phi, dev_phi):
+        n, sample = context.n, context.sample
+        n1 = float(sample.size)
+        v_over_delta = sample / theta.delta  # d(rescaled outcome)/d(delta)
+        jac[0, 3] = (v_over_delta * (kept - sign * dev_phi)).sum() / n
+        jac[2, 3] = sign * (v_over_delta * small_phi).sum() / n
+        jac[2, 4] = -n1 / n
+        jac[3, 3] = -context.m_sum / n
+        jac[4, 4] = -n1 / (context.p_hat * n)
+
+
+POOLED, WEIGHTED = _Pooled(), _Weighted()
+MOMENT_SYSTEMS = {system.kind: system for system in (POOLED, WEIGHTED)}
+
+
+def _split_systems(systems: Sequence[str]) -> tuple[MomentSystem, tuple[str, ...]]:
+    """The one moment system of these bounds' names (of SYSTEMS), and each
+    bound's side."""
+    for system in systems:
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    kinds, sides = zip(*(system.split("_") for system in systems))
+    if len(set(kinds)) != 1:
+        raise ValueError(f"systems must share one kind, got {systems}")
+    return MOMENT_SYSTEMS[kinds[0]], sides
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +444,10 @@ def _work_array(
     return store[key][:used]
 
 
-# per system kind, the arms each of a bound's rows 1-5 is not zero on: 0
-# for the treated arm, 1 for the control arm
-_ROW_ARMS = {
-    "lee": ((0,), (1,), (0,), (0,), (1,)),
-    "ipw": ((0,), (1,), (0,), (0, 1), (0, 1)),
-}
+def _kept(values: np.ndarray, cutoff: float, side: str) -> np.ndarray:
+    """Which values a bound keeps: those at or below its cutoff for the
+    lower bound, at or above it for the upper."""
+    return values <= cutoff if side == "lb" else values >= cutoff
 
 
 def moment_matrix(
@@ -323,66 +459,43 @@ def moment_matrix(
 ) -> MomentMatrix:
     """Evaluate the unit moments of one or more bounds and check their means.
 
-    thetas and systems hold one entry per bound, all of one kind (pooled or
-    weighted), in one stack of columns: a bound adds its rows 1 and 3, and
-    rows 2, 4 and 5 unless an earlier bound's read the same mu0 and alpha
-    and p (delta and q). Each arm's rows are written over its units on the
-    columns not zero there (of a two-bound stack's 7, the pooled system's
-    5 treated and 2 control, the weighted system's 6 and 3), in column
-    order. The per-unit inputs every bound uses (outcome, selection, the
-    weighted system's block weights) are gathered once per arm, and the
-    observed-treated trimming sample with its bandwidth once per rescaling;
-    only the sample and a few sums outlive the call, in FitContexts, beside
-    the rows.
+    thetas and systems hold one entry per bound, all of one MomentSystem, in
+    one stack of columns: a bound adds its rows 1 and 3, and rows 2, 4 and 5
+    unless an earlier bound's agree on the system's shared parameters. Each
+    arm's rows are written over its units on the columns the system's
+    row_arms put there, in column order. The per-unit inputs every bound
+    uses are gathered once per arm, and the observed-treated trimming sample
+    with its bandwidth once per rescaling; only the sample and a few sums
+    outlive the call, in FitContexts, beside the rows.
     """
     if len(thetas) != len(systems) or not systems:
         raise ValueError("moment_matrix needs one theta per system")
-    kinds, sides = zip(*map(_split_system, systems))
-    if len(set(kinds)) != 1:
-        raise ValueError(f"systems must share one kind, got {systems}")
-    kind = kinds[0]
+    system, sides = _split_systems(systems)
     n = data.n
-    arms = treated, control = _split_arms(data, design)
+    arms = _split_arms(data, design)
     # the observed treated units, in dataset order: the trimming sample's
     observed = np.flatnonzero((data.d == 1) & (data.s == 1))
-    sums = dict(
-        n_treated=float(treated.units.size), control=float(design.n0s_g.sum())
-    )
     # per arm: outcome (zero where unobserved) and selection over its units
     y_t, y_c = (np.nan_to_num(data.y[arm.units], nan=0.0) for arm in arms)
     s_t, s_c = (data.s[arm.units].astype(float) for arm in arms)
-    if kind == "ipw":
-        p_hat = design.p_hat
-        eta_t = design.eta_g[treated.codes]
-        m_t, m_c = (design.m_g[arm.codes] for arm in arms)
-        w_c_g, w_q_g = _block_weights(design)
-        w_c = w_c_g[control.codes]
-        control_rate = (1.0 / (1.0 - p_hat)) * s_c * w_q_g[control.codes]
-        # the weighted system weights its controls by w_c; both sums run over
-        # every unit in dataset order
-        sums.update(
-            control=float(np.where(
-                (data.d == 0) & (data.s == 1), w_c_g[design.codes], 0.0
-            ).sum()),
-            m_sum=float(design.m_g[design.codes].sum()),
-            p_hat=p_hat,
-        )
+    inputs, sums = system.inputs(data, design, arms, observed, s_c)
+    sums.update(n_treated=float(arms[0].units.size))
+    y_obs = data.y[observed]
 
     # per bound, the stack's columns of its rows 1-5 (rows 2, 4 and 5 by
-    # value) and whether it writes its rows 2, 4 and 5; per arm, the columns
-    # not zero on it
+    # the system's shared key) and whether it writes its rows 2, 4 and 5;
+    # per arm, the columns not zero on it
     columns, shared, width, fresh = [], {}, 0, []
     live = ([], [])
     for theta in thetas:
-        key = (theta.mu0, *((theta.alpha, theta.p) if kind == "lee"
-                            else (theta.delta, theta.q)))
+        key = tuple(getattr(theta, name) for name in system.shared)
         new = key not in shared
         if new:
             shared[key] = width + 1, width + 3, width + 4
         r2, r4, r5 = shared[key]
         cols = (width, r2, width + 2 if new else width + 1, r4, r5)
         for r in (0, 1, 2, 3, 4) if new else (0, 2):
-            for side in _ROW_ARMS[kind][r]:
+            for side in system.row_arms[r]:
                 live[side].append(cols[r])
         columns.append(cols)
         fresh.append(new)
@@ -400,21 +513,15 @@ def moment_matrix(
     bounds = np.full(width, EXACT_ROW_TOL)
     checked = np.ones(width, dtype=bool)
     contexts = []
-    # per rescaling of the treated outcome (delta; None for the pooled
-    # system): the trimmed values over the treated arm, the FitContext of
-    # the observed-treated sample, in dataset order, and the sample's
-    # largest magnitude, which the bounds of one fit share
+    # per rescaling of the treated outcome: the trimmed values over the
+    # treated arm, the FitContext of the observed-treated sample, in dataset
+    # order, and the sample's largest magnitude, which the bounds of one fit
+    # share
     samples = {}
     for theta, side, cols, new in zip(thetas, sides, columns, fresh):
-        rescale = theta.delta if kind == "ipw" else None
+        rescale = tuple(getattr(theta, name) for name in system.rescaling)
         if rescale not in samples:
-            if kind == "lee":
-                trim_values, sample = y_t, data.y[observed]
-            else:
-                trim_values = (theta.delta / eta_t) * y_t
-                sample = (
-                    theta.delta / design.eta_g[design.codes[observed]]
-                ) * data.y[observed]
+            trim_values, sample = system.trimming(theta, y_t, y_obs, inputs)
             sample.setflags(write=False)
             context = FitContext(
                 n=n, sample=sample,
@@ -425,10 +532,7 @@ def moment_matrix(
             samples[rescale] = (trim_values, context, max_abs)
         trim_values, context, max_abs = samples[rescale]
         sample = context.sample
-        if side == "lb":
-            kept = trim_values <= theta.cutoff
-        else:
-            kept = trim_values >= theta.cutoff
+        kept = _kept(trim_values, theta.cutoff, side)
         # d = 1 and s(1 - d) = 0 on the treated arm, the reverse on the
         # control arm: each row leaves out the factors that are 1 on its arm,
         # and its values are the ones the full expression gives
@@ -436,24 +540,12 @@ def moment_matrix(
         row_t[cols[0]] *= s_t
         row_t[cols[0]] *= kept
         np.subtract(1.0, kept, out=row_t[cols[2]])  # the trimmed tail
-        row_t[cols[2]] -= theta.p if kind == "lee" else theta.q
+        row_t[cols[2]] -= getattr(theta, system.tail)
         row_t[cols[2]] *= s_t
-        rate_row = 3 if kind == "lee" else 4
         if new:  # rows 2, 4 and 5 are not an earlier bound's
             np.subtract(y_c, theta.mu0, out=row_c[cols[1]])
             row_c[cols[1]] *= s_c
-            if kind == "lee":
-                assert isinstance(theta, LeeTheta)
-                np.subtract(s_t, theta.alpha / (1.0 - theta.p), out=row_t[cols[3]])
-                np.subtract(s_c, theta.alpha, out=row_c[cols[4]])
-            else:
-                assert isinstance(theta, LeeIpwTheta)
-                row_c[cols[1]] *= w_c
-                # (d - delta) m_i, and the selection-rate relation
-                np.multiply(m_t, 1.0 - theta.delta, out=row_t[cols[3]])
-                np.multiply(m_c, 0.0 - theta.delta, out=row_c[cols[3]])
-                np.multiply(s_t, (1.0 - theta.q) / p_hat, out=row_t[cols[4]])
-                np.subtract(0.0, control_rate, out=row_c[cols[4]])
+            system.rows(theta, row_t, row_c, cols, s_t, s_c, inputs)
 
         contexts.append(context)
         ties = int(np.count_nonzero(sample == theta.cutoff))
@@ -461,7 +553,7 @@ def moment_matrix(
         bounds[cols[0]] = (2.0 * ties * max_abs + slack) / n
         bounds[cols[2]] = (ties + 1e-9) / n
         if clamped:
-            checked[cols[rate_row]] = False
+            checked[cols[system.exempt]] = False
 
     total = np.zeros(width)  # the column sums, arm by arm
     for part in parts:
@@ -479,9 +571,8 @@ def moment_matrix(
 
 def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
     """Closed-form fit of one system, certified by its moment residuals."""
-    kind, _ = _split_system(system)
-    estimator = lee_bounds if kind == "lee" else lee_ipw_bounds
-    _, (fit,) = fit_from_estimate(data, design, (system,), estimator(data, design))
+    estimate = _split_systems((system,))[0].point_estimate(data, design)
+    _, (fit,) = fit_from_estimate(data, design, (system,), estimate)
     if isinstance(fit, EstimationError):
         raise fit
     return fit
@@ -493,21 +584,15 @@ def fit_from_estimate(
     systems: Sequence[str],
     estimate: BoundsEstimate,
 ) -> tuple[MomentMatrix, tuple[FitResult | EstimationError, ...]]:
-    """fit_theta for several systems of one kind from a point estimate
-    already in hand: lee_bounds' for the pooled systems, lee_ipw_bounds'
-    for the weighted.
-
-    The parameter the estimate does not carry comes from the design, exactly:
-    the control observed-selection rate from the integers
-    trimming_share_pooled divides, or always_observed_treat_prob. Every
-    system is fitted in one moment_matrix call, whose stacked matrix is
-    returned; the systems share its rows 2, 4 and 5. Per system, the result
+    """fit_theta for several bounds of one moment system from its point
+    estimate, already in hand; the system forms their thetas from it and
+    the design. Every bound is fitted in one moment_matrix call, whose
+    stacked matrix is
+    returned; the bounds share its rows 2, 4 and 5. Per bound, the result
     is its FitResult, whose matrix is its bound's (MomentMatrix.bound), or
     the residual error that stopped it alone.
     """
-    kinds, sides = zip(*map(_split_system, systems))
-    if len(set(kinds)) != 1:
-        raise ValueError(f"systems must share one kind, got {systems}")
+    system, sides = _split_systems(systems)
     bounds = [
         dict(
             mu1=estimate.mu1_lb if side == "lb" else estimate.mu1_ub,
@@ -516,24 +601,17 @@ def fit_from_estimate(
         )
         for side in sides
     ]
-    if kinds[0] == "lee":
-        control = int((design.n_g - design.t_g).sum())
-        alpha = int(design.n0s_g.sum()) / control
-        thetas = [LeeTheta(**b, p=estimate.q, alpha=alpha) for b in bounds]
-    else:
-        delta = always_observed_treat_prob(design)
-        thetas = [LeeIpwTheta(**b, delta=delta, q=estimate.q) for b in bounds]
-
+    thetas = system.thetas(estimate, design, bounds)
     stack = moment_matrix(
         data, design, thetas, systems,
         clamped="trimming_share_clamped" in estimate.flags,
     )
     results = []
-    for k, (system, theta) in enumerate(zip(systems, thetas)):
+    for k, (name, theta) in enumerate(zip(systems, thetas)):
         matrix = stack.bound(k)
         if matrix.ok:
             results.append(FitResult(
-                system=system,
+                system=name,
                 theta=theta,
                 matrix=matrix,
                 estimate=estimate,
@@ -546,7 +624,7 @@ def fit_from_estimate(
             if matrix.checked[r] and abs(matrix.residuals[r]) > matrix.bounds[r]
         ]
         results.append(InternalConsistencyError(
-            f"moment residuals violated for {system}: " + "; ".join(bad)
+            f"moment residuals violated for {name}: " + "; ".join(bad)
         ))
     return stack, tuple(results)
 
@@ -680,9 +758,9 @@ def differentiate(
     a bandwidth, or a Jacobian that is not finite or numerically singular
     (1-norm condition > 1e12), decided from its one inverse.
     """
-    staged = []  # per bound: (kind, sign, h, u), or the error that stopped it
-    for theta, system, context in bounds:
-        kind, side = _split_system(system)
+    staged = []  # per bound: (system, sign, h, u), or the error that stopped it
+    for theta, name, context in bounds:
+        system, (side,) = _split_systems((name,))
         h = bandwidth if bandwidth is not None else context.bandwidth
         if h is None:
             try:
@@ -692,7 +770,7 @@ def differentiate(
                 continue
         sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
         u = (theta.cutoff - context.sample) / h  # positive inside the kept lower tail
-        staged.append((kind, sign, h, u))
+        staged.append((system, sign, h, u))
     # one kernel call on every bound's arguments; each reads its own slice
     ready = [stage for stage in staged if isinstance(stage, tuple)]
     args = [sign * u for _, sign, _, u in ready]
@@ -703,43 +781,27 @@ def differentiate(
         kept = (big_phi[end - arg.size : end] for arg, end in zip(args, ends))
 
     results = []
-    for (theta, system, context), stage in zip(bounds, staged):
+    for (theta, name, context), stage in zip(bounds, staged):
         if not isinstance(stage, tuple):
             results.append(stage)
             continue
-        kind, sign, h, u = stage
+        system, sign, h, u = stage
         n = context.n
-        sample = context.sample
         big_phi_kept = next(kept)
         small_phi = _phi(u) / h
-        dev_phi = (sample - theta.mu1) * small_phi
-        n1 = float(sample.size)
+        dev_phi = (context.sample - theta.mu1) * small_phi
 
         jac = np.zeros((5, 5))
         jac[0, 0] = -big_phi_kept.sum() / n
         jac[0, 2] = sign * dev_phi.sum() / n
         jac[1, 1] = -context.control / n
         jac[2, 2] = -sign * small_phi.sum() / n
-        if kind == "lee":
-            assert isinstance(theta, LeeTheta)
-            jac[2, 3] = -n1 / n
-            n_treated = context.n_treated
-            jac[3, 3] = -theta.alpha * n_treated / ((1.0 - theta.p) ** 2 * n)
-            jac[3, 4] = -n_treated / ((1.0 - theta.p) * n)
-            jac[4, 4] = -float(n - n_treated) / n
-        else:
-            assert isinstance(theta, LeeIpwTheta)
-            v_over_delta = sample / theta.delta  # d(rescaled outcome)/d(delta)
-            jac[0, 3] = (v_over_delta * (big_phi_kept - sign * dev_phi)).sum() / n
-            jac[2, 3] = sign * (v_over_delta * small_phi).sum() / n
-            jac[2, 4] = -n1 / n
-            jac[3, 3] = -context.m_sum / n
-            jac[4, 4] = -n1 / (context.p_hat * n)
+        system.entries(jac, theta, context, sign, big_phi_kept, small_phi, dev_phi)
 
         jac_inv = _inverse(jac)
         if jac_inv is None:
             results.append(SingularJacobianError(
-                f"moment Jacobian for {system} is numerically singular "
+                f"moment Jacobian for {name} is numerically singular "
                 f"(1-norm condition above {CONDITION_LIMIT:.0e})"
             ))
             continue

@@ -298,9 +298,13 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     """
     observed = data.s == 1
     at = np.flatnonzero(observed & (data.d == 1))
-    codes1 = design.codes[at]
-    order = np.lexsort((data.y[at], codes1))
-    y1, codes1 = data.y[at[order]], codes1[order]
+    codes1, y1 = design.codes[at], data.y[at]
+    # one sort by (block, value), on the key codes1 * m + the value's rank,
+    # which is unique and below n^2 < 2^63
+    rank = np.empty(at.size, dtype=np.int64)
+    rank[np.argsort(y1)] = np.arange(at.size)
+    order = np.argsort(codes1 * at.size + rank)
+    y1, codes1 = y1[order], codes1[order]
     at = np.flatnonzero(observed & (data.d == 0))
     y0 = data.y[at[np.argsort(design.codes[at], kind="stable")]]
     n1s, n0s = design.n1s_g, design.n0s_g

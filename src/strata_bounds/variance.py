@@ -44,6 +44,9 @@ from .errors import EstimationError, FeasibilityError, PairingError
 # _reusing_work_arrays and its store _work are entered through this module,
 # as the meat's, though the moment pass shares them
 from .gmm_core import (
+    MOMENT_SYSTEMS,
+    POOLED,
+    WEIGHTED,
     Arm,
     ArmRows,
     FitResult,
@@ -525,7 +528,8 @@ def sandwich_report(
 
     kind is "lee" or "ipw"; method is "design", "iid", or "label".
     """
-    name = "lee-ipw" if kind == "ipw" else kind
+    system = MOMENT_SYSTEMS.get(kind)
+    name = kind if system is None else system.estimator
     _, reports = estimate_bounds(data, design, name, (method,), alpha)
     report = reports[method]
     if isinstance(report, EstimationError):
@@ -557,24 +561,26 @@ def estimate_bounds(
             raise ValueError(
                 f"method must be one of {VARIANCE_METHODS}, got {method!r}"
             )
-    # looked up on each call, so a wrapper bound to a name here is used
+    # per estimator, its point estimator and the moment system that
+    # certifies it; looked up on each call, so a wrapper bound to a name here
+    # is used
     estimators = {
-        "lee": lee_bounds,
-        "conditional-lee": conditional_lee_bounds,
-        "lee-ipw": lee_ipw_bounds,
+        "lee": (lee_bounds, POOLED),
+        "conditional-lee": (conditional_lee_bounds, None),
+        "lee-ipw": (lee_ipw_bounds, WEIGHTED),
     }
-    if name not in estimators or (name == "conditional-lee" and methods):
+    if name not in estimators or (estimators[name][1] is None and methods):
         raise ValueError(
             f"estimator must be one of {ESTIMATORS}, and conditional-lee "
             f"takes no variance method; got {name!r} with {methods}"
         )
-    estimate = estimators[name](data, design)
+    estimator, system = estimators[name]
+    estimate = estimator(data, design)
     if not methods:
         return estimate, {}
 
-    kind = "lee" if name == "lee" else "ipw"
     stack, fits = fit_from_estimate(
-        data, design, (f"{kind}_lb", f"{kind}_ub"), estimate
+        data, design, (f"{system.kind}_lb", f"{system.kind}_ub"), estimate
     )
     breads = iter(differentiate([
         (fit.theta, fit.system, fit.matrix.contexts[0])

@@ -1,5 +1,6 @@
 """Moment systems, closed-form fits, smoothed Jacobians, linear algebra."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -357,6 +358,51 @@ def test_jacobian_matches_finite_differences(system):
         except SingularJacobianError:
             continue
         fd = _fd_jacobian(fit.theta, fields, fun)
+        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=5e-8)
+        checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("side", ["lb", "ub"])
+@pytest.mark.parametrize(
+    "system", [gmm_core.POOLED, gmm_core.WEIGHTED], ids=["pooled", "weighted"]
+)
+def test_system_jacobian_matches_finite_differences_of_its_moments(
+    monkeypatch, system, side
+):
+    # each system's analytic Jacobian against central differences of its own
+    # mean moments: moment_matrix's column means, with the kept indicator
+    # replaced by the normal CDF at the Jacobian's bandwidth
+    h, step = 0.5, 1e-5
+    name = f"{system.kind}_{side}"
+
+    def smoothed(values, cutoff, side):
+        sign = 1.0 if side == "lb" else -1.0
+        return gmm_core._big_phi(sign * (cutoff - values) / h)
+
+    def means(theta):
+        return moment_matrix(data, design, (theta,), (name,)).residuals
+
+    rng = np.random.default_rng(int.from_bytes(name.encode(), "big") % 2**32)
+    checked = 0
+    for _ in range(20):
+        data = random_dataset(rng, min_block=3)
+        design = block_design(data)
+        try:
+            fit = fit_theta(data, design, name)
+            analytic = jacobian(data, design, fit.theta, name, bandwidth=h)
+        except EstimationError:
+            continue
+        fields = [field.name for field in dataclasses.fields(fit.theta)]
+        # keep the probes inside the weighted system's (q, delta) domain
+        if any(
+            not step < getattr(fit.theta, field) < 1.0 - step
+            for field in ("q", "delta") if field in fields
+        ):
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(gmm_core, "_kept", smoothed)
+            fd = _fd_jacobian(fit.theta, fields, means, step)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=5e-8)
         checked += 1
     assert checked >= 8
