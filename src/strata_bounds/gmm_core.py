@@ -15,13 +15,13 @@ zero on it, in the order the design meat reads them; the dense n x 7
 matrix is formed only when MomentMatrix.values is read.
 Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
-exactly in the parameters. The moment pass keeps what the Jacobian reads
-of the data (the trimming sample and a few sums), so a fit is
-differentiated without building its columns again, both bounds in one
-normal-CDF kernel call. Each Jacobian is inverted once: the inverse
-decides its refusal (the 1-norm condition number) and serves every
-variance method's sandwich for that bound. Point estimates are never
-smoothed.
+exactly in the parameters.
+The moment pass keeps what the Jacobian reads of the data (the trimming
+sample and a few sums, not the n-sized columns), so a fit is differentiated
+without building its columns again, both bounds in one normal-CDF kernel
+call. Each Jacobian is inverted once: the inverse decides its refusal (the
+1-norm condition number) and serves every variance method's sandwich for
+that bound. Point estimates are never smoothed.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ Randomness uses the Philox counter-based generator (4x64) keyed by
 r as (seed mod 2^64, r + 1), so output is identical across runs and across
 thread counts. Each process documents its draw order, which is frozen:
 changing it would silently change every seeded result. Each replication's
-moment pass and design meat reuse the previous replication's arm rows and
-work arrays on its thread, from gmm_core's store (gmm_core.
-_reusing_work_arrays, entered through variance).
+moment pass and design meat reuse the previous one's arm rows and work
+arrays on its thread, from gmm_core's store (gmm_core._reusing_work_arrays).
 
 matched_pairs: units sorted by a standard-normal covariate form consecutive
 pairs; one unit per pair is treated; outcomes are 2X + 2 + noise; selection

@@ -561,9 +561,8 @@ def estimate_bounds(
             raise ValueError(
                 f"method must be one of {VARIANCE_METHODS}, got {method!r}"
             )
-    # per estimator, its point estimator and the moment system that
-    # certifies it; looked up on each call, so a wrapper bound to a name here
-    # is used
+    # per estimator, its point estimator and moment system; looked up on each
+    # call, so a wrapper bound to a name here is used
     estimators = {
         "lee": (lee_bounds, POOLED),
         "conditional-lee": (conditional_lee_bounds, None),
