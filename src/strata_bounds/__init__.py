@@ -8,146 +8,72 @@ inverse-propensity-weighted version robust to heterogeneous treated shares,
 design-consistent sandwich standard errors with an i.i.d. comparator and a
 label-based variance, per-bound and identified-set confidence intervals,
 and a seeded Monte Carlo harness.
+
+Each public name, and each submodule, loads on first use (PEP 562), so
+``import strata_bounds.cli`` runs only the modules a command needs: an
+``estimate`` call never loads the Monte Carlo code in ``simulation``.
 """
 
-from .data_model import (
-    BlockDesign,
-    Dataset,
-    block_design,
-    dataset_from_arrays,
-    dataset_to_csv_text,
-    parse_csv,
-    write_csv,
-)
-from .errors import (
-    DegenerateTrimError,
-    DesignError,
-    EstimationError,
-    FeasibilityError,
-    InternalConsistencyError,
-    PairingError,
-    ParseError,
-    SingularJacobianError,
-    StrataBoundsError,
-    UndefinedTrimmingError,
-    ValidationError,
-)
-from .gmm_core import (
-    FitResult,
-    LeeIpwTheta,
-    LeeTheta,
-    MomentMatrix,
-    fit_theta,
-    jacobian,
-    moment_matrix,
-    silverman_bandwidth,
-    solve_sandwich,
-)
-from .ipw_estimator import (
-    always_observed_treat_prob,
-    ipw_trimming_share,
-    lee_ipw_bounds,
-)
-from .lee_estimator import (
-    BoundsEstimate,
-    TrimmedMeanResult,
-    TrimmingShare,
-    TrimSpec,
-    conditional_lee_bounds,
-    lee_bounds,
-    trimmed_mean,
-    trimming_share_pooled,
-)
-from .simulation import (
-    DGP_HEAVY_TAILS,
-    DGP_MATCHED_PAIRS,
-    EstimatorSummary,
-    McConfig,
-    MonteCarloSummary,
-    child_seed,
-    dgp1_truth,
-    monte_carlo,
-    philox_generator,
-    simulate_dgp1,
-    simulate_dgp2,
-)
-from .variance import (
-    IntervalReport,
-    Involution,
-    MeatReport,
-    VarianceReport,
-    confidence_intervals,
-    estimate_bounds,
-    label_variance,
-    meat_design,
-    meat_iid,
-    pair_blocks,
-    sandwich_report,
-    set_critical_value,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDesign",
-    "BoundsEstimate",
-    "Dataset",
-    "DegenerateTrimError",
-    "DesignError",
-    "DGP_HEAVY_TAILS",
-    "DGP_MATCHED_PAIRS",
-    "EstimationError",
-    "EstimatorSummary",
-    "FeasibilityError",
-    "FitResult",
-    "IntervalReport",
-    "InternalConsistencyError",
-    "Involution",
-    "LeeIpwTheta",
-    "LeeTheta",
-    "McConfig",
-    "MeatReport",
-    "MomentMatrix",
-    "MonteCarloSummary",
-    "PairingError",
-    "ParseError",
-    "SingularJacobianError",
-    "StrataBoundsError",
-    "TrimmedMeanResult",
-    "TrimmingShare",
-    "TrimSpec",
-    "UndefinedTrimmingError",
-    "ValidationError",
-    "VarianceReport",
-    "always_observed_treat_prob",
-    "block_design",
-    "child_seed",
-    "conditional_lee_bounds",
-    "confidence_intervals",
-    "dataset_from_arrays",
-    "dataset_to_csv_text",
-    "dgp1_truth",
-    "estimate_bounds",
-    "fit_theta",
-    "ipw_trimming_share",
-    "jacobian",
-    "label_variance",
-    "lee_bounds",
-    "lee_ipw_bounds",
-    "meat_design",
-    "meat_iid",
-    "moment_matrix",
-    "monte_carlo",
-    "pair_blocks",
-    "parse_csv",
-    "philox_generator",
-    "sandwich_report",
-    "set_critical_value",
-    "silverman_bandwidth",
-    "simulate_dgp1",
-    "simulate_dgp2",
-    "solve_sandwich",
-    "trimmed_mean",
-    "trimming_share_pooled",
-    "write_csv",
-]
+# the submodule that defines each public name
+_SUBMODULE_NAMES = {
+    "data_model": (
+        "BlockDesign", "Dataset", "block_design", "dataset_from_arrays",
+        "dataset_to_csv_text", "parse_csv", "write_csv",
+    ),
+    "errors": (
+        "DegenerateTrimError", "DesignError", "EstimationError",
+        "FeasibilityError", "InternalConsistencyError", "PairingError",
+        "ParseError", "SingularJacobianError", "StrataBoundsError",
+        "UndefinedTrimmingError", "ValidationError",
+    ),
+    "gmm_core": (
+        "FitResult", "LeeIpwTheta", "LeeTheta", "MomentMatrix", "fit_theta",
+        "jacobian", "moment_matrix", "silverman_bandwidth", "solve_sandwich",
+    ),
+    "ipw_estimator": (
+        "always_observed_treat_prob", "ipw_trimming_share", "lee_ipw_bounds",
+    ),
+    "lee_estimator": (
+        "BoundsEstimate", "TrimmedMeanResult", "TrimmingShare", "TrimSpec",
+        "conditional_lee_bounds", "lee_bounds", "trimmed_mean",
+        "trimming_share_pooled",
+    ),
+    "simulation": (
+        "DGP_HEAVY_TAILS", "DGP_MATCHED_PAIRS", "EstimatorSummary", "McConfig",
+        "MonteCarloSummary", "child_seed", "dgp1_truth", "monte_carlo",
+        "philox_generator", "simulate_dgp1", "simulate_dgp2",
+    ),
+    "variance": (
+        "IntervalReport", "Involution", "MeatReport", "VarianceReport",
+        "confidence_intervals", "estimate_bounds", "label_variance",
+        "meat_design", "meat_iid", "pair_blocks", "sandwich_report",
+        "set_critical_value",
+    ),
+}
+_SUBMODULES = (*_SUBMODULE_NAMES, "cli")
+_EXPORTS = {
+    name: module for module, names in _SUBMODULE_NAMES.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule, on first use, and
+    keep the result in the package namespace."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -19,16 +19,8 @@ from dataclasses import replace
 
 import click
 
-from .data_model import Dataset, block_design, parse_csv
+from .data_model import Dataset, block_design, format_number, parse_csv
 from .errors import EstimationError, ValidationError
-from .simulation import (
-    DGP_HEAVY_TAILS,
-    DGP_MATCHED_PAIRS,
-    McConfig,
-    _resolve_config,
-    format_number,
-    monte_carlo,
-)
 from .variance import ESTIMATORS, VARIANCE_CHOICES, estimate_bounds
 
 ESTIMATOR_CHOICES = ESTIMATORS + ("all",)
@@ -310,6 +302,11 @@ def estimate(input_path, estimator, variance, alpha, reverse_monotonicity, fmt):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
     """Run a seeded Monte Carlo study and write its CSV outputs."""
+    # imported here, so that estimate never loads the Monte Carlo code
+    from .simulation import (
+        DGP_HEAVY_TAILS, DGP_MATCHED_PAIRS, McConfig, _resolve_config, monte_carlo,
+    )
+
     if dgp == "2" and n is not None:
         raise ValidationError(
             "--n applies to --dgp 1 only; the heavy-tails process is fixed "

@@ -633,6 +633,14 @@ def write_csv(data: Dataset, target) -> None:
     os.replace(tmp, target)
 
 
+def format_number(value) -> str:
+    """Numeric cell: 12 significant digits; nan stays literal."""
+    v = float(value)
+    if math.isnan(v):
+        return "nan"
+    return f"{v:.12g}"
+
+
 def dataset_to_csv_text(data: Dataset) -> str:
     """Serialize to a CSV string (same format as write_csv)."""
     buf = io.StringIO()

@@ -261,7 +261,6 @@ class FitResult:
 # the two moment systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class MomentSystem:
     """What one moment system declares beyond rows 1-3 (the trimmed treated
     mean, the control mean, the trimmed tail share) and Jacobian entries
@@ -276,9 +275,11 @@ class MomentSystem:
     point estimate, its bounds' thetas, its per-arm inputs with its
     FitContext sums, its trimming values over the treated arm with its
     trimming sample, row 2's weight with rows 4 and 5, and its own Jacobian
-    entries.
+    entries. A system holds no state of its own: its instances take no
+    attribute.
     """
 
+    __slots__ = ()
     kind: ClassVar[str]
     estimator: ClassVar[str]
     row_arms: ClassVar[tuple[tuple[int, ...], ...]]
@@ -288,12 +289,12 @@ class MomentSystem:
     tail: ClassVar[str]
 
 
-@dataclass(frozen=True, eq=False)
 class _Pooled(MomentSystem):
     """lee_bounds' system, at a LeeTheta: row 4 is the selection-rate
     relation (s - alpha/(1 - p)) d, row 5 the control selection rate
     (s - alpha)(1 - d)."""
 
+    __slots__ = ()
     kind, estimator, exempt, tail = "lee", "lee", 3, "p"
     row_arms = ((0,), (1,), (0,), (0,), (1,))
     shared, rescaling = ("mu0", "alpha", "p"), ()
@@ -324,13 +325,13 @@ class _Pooled(MomentSystem):
         jac[4, 4] = -float(n - n_treated) / n
 
 
-@dataclass(frozen=True, eq=False)
 class _Weighted(MomentSystem):
     """lee_ipw_bounds' system, at a LeeIpwTheta: the treated outcome is
     rescaled by delta/eta_g, row 2 is weighted by w_c, row 4 is
     (d - delta) m_i and row 5 the selection-rate relation
     ((1 - q)/p_hat) s d - s (1 - d) w_q/(1 - p_hat)."""
 
+    __slots__ = ()
     kind, estimator, exempt, tail = "ipw", "lee-ipw", 4, "q"
     row_arms = ((0,), (1,), (0,), (0, 1), (0, 1))
     shared, rescaling = ("mu0", "delta", "q"), ("delta",)

@@ -32,12 +32,11 @@ import functools
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, _label_table, block_design
+from .data_model import Dataset, _label_table, block_design, format_number
 from .errors import EstimationError, ValidationError
 from .variance import (
     ESTIMATORS, VARIANCE_CHOICES, _normal_cdf, _reusing_work_arrays,
@@ -442,6 +441,8 @@ def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSumma
 
     run = functools.partial(_run_replication, config, tokens, n, truth)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(run, range(config.reps)))
     else:
@@ -493,14 +494,6 @@ def _mean_or_nan(arr: np.ndarray) -> float:
 def _sd_or_nan(arr: np.ndarray) -> float:
     # empirical SD needs two replications; a single one yields the sentinel
     return float(arr.std(ddof=1)) if arr.size >= 2 else float("nan")
-
-
-def format_number(value) -> str:
-    """Numeric cell: 12 significant digits; nan stays literal."""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
 
 
 def _atomic_csv(path: str, header, rows_of_cells) -> None:

@@ -22,6 +22,10 @@ def count_calls(monkeypatch, functions):
         importlib.import_module(f"strata_bounds.{info.name}")
         for info in pkgutil.iter_modules(strata_bounds.__path__)
     ]
+    # bind every lazily loaded name first, so the package's own binding is
+    # patched, and restored, with the others
+    for name in strata_bounds.__all__:
+        getattr(strata_bounds, name)
     counts = {fn.__name__: 0 for fn in functions}
     for fn in functions:
         def counted(*args, _fn=fn, **kwargs):

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import importlib
 import io
 import json
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import strata_bounds
 from strata_bounds import (
     dataset_to_csv_text,
     meat_design,
@@ -703,6 +705,44 @@ def test_commands_run_without_scipy(tmp_path):
         f"print([cli.main(argv) for argv in {runs!r}])\n"
     )
     assert run_fresh_interpreter(script).splitlines()[-1] == "[0, 0, 0]"
+
+
+def test_estimate_loads_no_monte_carlo_code(tmp_path):
+    # the Monte Carlo driver, its thread pool and what the pool pulls in
+    # load only when simulate runs
+    path = tmp_path / "hand.csv"
+    path.write_text(ESTIMATE_INPUT_CSV)
+    unused = ("strata_bounds.simulation", "concurrent.futures", "logging")
+    script = (
+        "import sys\n"
+        "import strata_bounds.cli\n"
+        f"print([m for m in {unused!r} if m in sys.modules])\n"
+        f"code = strata_bounds.cli.main(['estimate', '--input', {str(path)!r}])\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules])\n"
+    )
+    lines = run_fresh_interpreter(script).splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
+def test_package_names_resolve_to_their_submodules():
+    for name in strata_bounds.__all__:
+        module = importlib.import_module(
+            f"strata_bounds.{strata_bounds._EXPORTS[name]}"
+        )
+        value = getattr(strata_bounds, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+    star = {}
+    exec("from strata_bounds import *", star)
+    assert set(strata_bounds.__all__) <= star.keys()
+    assert set(strata_bounds.__all__) <= set(dir(strata_bounds))
+    assert strata_bounds.simulation is importlib.import_module(
+        "strata_bounds.simulation"
+    )
+    with pytest.raises(AttributeError, match="no_such_name"):
+        strata_bounds.no_such_name
 
 
 def test_console_entry_point_runs(capsys):

@@ -129,6 +129,14 @@ def test_fit_theta_rejects_unknown_system(hand_dataset):
         fit_theta(hand_dataset, design, "lee_mid")
 
 
+def test_moment_systems_are_immutable():
+    with pytest.raises(AttributeError):
+        gmm_core.POOLED.kind = "ipw"
+    with pytest.raises(AttributeError):
+        gmm_core.WEIGHTED.scale = 2.0
+    assert (gmm_core.POOLED.kind, gmm_core.WEIGHTED.kind) == ("lee", "ipw")
+
+
 def test_shared_rows_are_identical_across_sides(hand_dataset):
     design = block_design(hand_dataset)
     for kind in ("lee", "ipw"):

@@ -305,7 +305,8 @@ def test_monte_carlo_caps_threads_at_replications(monkeypatch):
             requested.append(max_workers)
             super().__init__(max_workers=min(max_workers, 2))
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingExecutor)
+    # monte_carlo imports the pool when it starts one
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setenv("STRATA_BOUNDS_THREADS", "64")
     monte_carlo(McConfig(dgp="heavy_tails", reps=2, seed=1))
     assert requested == [2]
