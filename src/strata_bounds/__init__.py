@@ -6,7 +6,7 @@ with block-stratified assignment and monotone selection. It provides the
 pooled trimming estimator, its per-stratum (conditional) version, an
 inverse-propensity-weighted version robust to heterogeneous treated shares,
 design-consistent sandwich standard errors with an i.i.d. comparator and a
-label-based variance, per-bound and identified-set confidence intervals,
+label-mode meat, per-bound and identified-set confidence intervals,
 and a seeded Monte Carlo harness.
 
 Each public name, and each submodule, loads on first use (PEP 562), so
@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 # the submodule that defines each public name
 _SUBMODULE_NAMES = {
     "data_model": (
-        "BlockDesign", "Dataset", "block_design", "dataset_from_arrays",
-        "dataset_to_csv_text", "parse_csv", "write_csv",
+        "BlockDesign", "Dataset", "block_design", "dataset_from_arrays", "parse_csv",
     ),
     "errors": (
         "DegenerateTrimError", "DesignError", "EstimationError",
@@ -49,9 +48,8 @@ _SUBMODULE_NAMES = {
     ),
     "variance": (
         "IntervalReport", "Involution", "MeatReport", "VarianceReport",
-        "confidence_intervals", "estimate_bounds", "label_variance",
-        "meat_design", "meat_iid", "pair_blocks", "sandwich_report",
-        "set_critical_value",
+        "confidence_intervals", "estimate_bounds", "meat_design", "meat_iid",
+        "pair_blocks", "sandwich_report", "set_critical_value",
     ),
 }
 _SUBMODULES = (*_SUBMODULE_NAMES, "cli")

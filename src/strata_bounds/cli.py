@@ -9,6 +9,7 @@ on valid input.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -280,6 +281,30 @@ def estimate(input_path, estimator, variance, alpha, reverse_monotonicity, fmt):
         _echo(_estimate_table(records))
 
 
+@contextlib.contextmanager
+def _new_out_dir(path: str):
+    """Make the --out directory and its missing parents for the block, and
+    remove those, where still empty, if the block fails; a path that cannot
+    be made a directory is a ValidationError."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)  # the innermost first
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot make --out directory {path!r}: {exc.strerror}"
+        ) from None
+    try:
+        yield
+    except BaseException:
+        for new in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(new)
+        raise
+
+
 @cli.command()
 @click.option(
     "--dgp", type=click.Choice(["1", "2"]), required=True,
@@ -321,8 +346,8 @@ def simulate(dgp, reps, seed, n, out_dir, estimators, alpha):
         alpha=alpha,
     )
     _resolve_config(config)  # a refused config leaves no --out directory
-    os.makedirs(out_dir, exist_ok=True)
-    summary = monte_carlo(config, out_dir=out_dir)
+    with _new_out_dir(out_dir):
+        summary = monte_carlo(config, out_dir=out_dir)
     _echo(
         f"process={summary.config.dgp} reps={summary.config.reps} "
         f"seed={summary.config.seed} truth_lb={format_number(summary.truth_lb)} "

@@ -1,4 +1,4 @@
-"""Data containers, CSV parsing/serialization, and block summaries.
+"""Data containers, CSV parsing, and block summaries.
 
 A dataset is a set of validated, read-only columns: the observed outcome
 (present only when selected), the selection and treatment indicators, an
@@ -10,11 +10,9 @@ estimators.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,13 +192,6 @@ def _sorted_codes(
     return rank[codes], _LabelTable(table)
 
 
-def _encode_labels(labels: list[str]) -> tuple[np.ndarray, _LabelTable]:
-    """Per-unit trimmed block labels as int64 codes into their sorted
-    distinct table."""
-    index: dict[str, int] = {}
-    return _sorted_codes(_label_codes(labels, index), index)
-
-
 def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
     """Build a Dataset from parallel columns, with one block label per unit;
     y is ignored where s = 0."""
@@ -208,7 +199,9 @@ def dataset_from_arrays(y, s, d, block, x=None) -> Dataset:
     y = np.asarray(y, dtype=float)
     if y.shape == s_col.shape:  # Dataset reports a mismatch
         y = np.where(s_col == 1, y, np.nan)
-    codes, labels = _encode_labels(list(map(str.strip, map(str, block))))
+    index: dict[str, int] = {}  # the trimmed labels, coded, then sorted
+    codes = _label_codes(list(map(str.strip, map(str, block))), index)
+    codes, labels = _sorted_codes(codes, index)
     return Dataset(y=y, s=s_col, d=d, codes=codes, labels=labels, x=x)
 
 
@@ -291,7 +284,7 @@ def block_design(data: Dataset) -> BlockDesign:
 
 
 # ---------------------------------------------------------------------------
-# CSV input / output
+# CSV input
 # ---------------------------------------------------------------------------
 
 def _x_columns(header: list[str]) -> list[str]:
@@ -606,43 +599,9 @@ def _check_rows(rows: list[list[str]], offset: int, width: int, at, x_at):
             np.array(ds, dtype=np.int64), blocks, x)
 
 
-def write_csv(data: Dataset, target) -> None:
-    """Serialize a dataset so parse_csv reads back identical columns.
-
-    Floats are written with shortest round-trip repr; a missing outcome is an
-    empty cell. Writing to a path goes through a temp file + atomic rename.
-    """
-    arity = 0 if data.x is None else data.x.shape[1]
-    header = list(REQUIRED_COLUMNS) + [f"x{j}" for j in range(1, arity + 1)]
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        x_rows = data.x.tolist() if arity else itertools.repeat(())
-        rows = zip(data.y.tolist(), data.s.tolist(), data.d.tolist(), data.blocks, x_rows)
-        for y, s, d, block, x in rows:
-            writer.writerow(["" if s == 0 else repr(y), str(s), str(d), block,
-                             *map(repr, x)])
-
-    if hasattr(target, "write"):
-        emit(target)
-        return
-    tmp = f"{target}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        emit(fh)
-    os.replace(tmp, target)
-
-
 def format_number(value) -> str:
     """Numeric cell: 12 significant digits; nan stays literal."""
     v = float(value)
     if math.isnan(v):
         return "nan"
     return f"{v:.12g}"
-
-
-def dataset_to_csv_text(data: Dataset) -> str:
-    """Serialize to a CSV string (same format as write_csv)."""
-    buf = io.StringIO()
-    write_csv(data, buf)
-    return buf.getvalue()

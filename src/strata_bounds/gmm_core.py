@@ -9,10 +9,10 @@ and its Jacobian entries; fit_from_estimate, moment_matrix and
 differentiate run over what it declares. Point estimates come from closed
 forms; the moment matrix evaluated at the fit certifies them via
 column-mean residuals. Both bounds of one estimate are fitted in one pass,
-with the rows they share (rows 2, 4 and 5) once: 7 columns, not 10, which
-moment_matrix writes by arm, each arm's over its units on the columns not
-zero on it, in the order the design meat reads them; the dense n x 7
-matrix is formed only when MomentMatrix.values is read.
+on one trimming sample, with the rows they share (rows 2, 4 and 5) once: 7
+columns, which moment_matrix writes by arm, each arm's over its units on
+the columns not zero on it; the dense n x 7 matrix is formed only when
+MomentMatrix.values is read.
 Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
 exactly in the parameters.
@@ -30,7 +30,7 @@ import contextlib
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar
 
@@ -94,8 +94,8 @@ class LeeIpwTheta:
 
 @dataclass(frozen=True, eq=False)
 class FitContext:
-    """What jacobian reads of the data at one rescaling of the treated
-    outcome; the moment pass keeps one, shared by the bounds it fits.
+    """What jacobian reads of the data at one fit's trimming; the moment
+    pass keeps one, shared by the bounds it fits.
 
     sample is the observed-treated trimming sample and bandwidth its
     Silverman bandwidth, or None where it is too small for one. n counts the
@@ -181,14 +181,14 @@ class MomentMatrix:
     The moments are stored by arm: arms holds the treated arm's rows, then
     the control arm's, each on the columns not zero on that arm. For
     several bounds the columns are one stack, where columns[k] lists bound
-    k's rows 1-5 (rows 2, 4 and 5 may be an earlier bound's); for one bound
+    k's rows 1-5 (rows 2, 4 and 5 are the first bound's); for one bound
     they are its rows 1-5. values is the dense (n, width) matrix, formed on
     first read. residuals (the column means), bounds and checked follow the
     columns. Entries flagged in `checked` must satisfy |residual| <= bound:
     rows solved exactly get 1e-8; the trimmed-mean and tail-share rows get
     boundary-tie bounds; a clamped trimming share exempts the selection-rate
-    relation row (its mean is the monotonicity violation). contexts holds
-    per bound the FitContext its Jacobian reads.
+    relation row (its mean is the monotonicity violation). context is the
+    FitContext every bound's Jacobian reads.
     """
 
     n: int
@@ -197,7 +197,7 @@ class MomentMatrix:
     residuals: np.ndarray
     bounds: np.ndarray
     checked: np.ndarray
-    contexts: tuple[FitContext, ...]
+    context: FitContext
 
     @property
     def width(self) -> int:
@@ -211,12 +211,6 @@ class MomentMatrix:
             for col, row in zip(part.live, part.rows):
                 dense[col, part.arm.units] = row
         return dense.T
-
-    @property
-    def bandwidths(self) -> tuple[float | None, ...]:
-        """Per bound, the Silverman bandwidth of its observed-treated
-        trimming sample, or None where that sample is too small for one."""
-        return tuple(context.bandwidth for context in self.contexts)
 
     @property
     def ok(self) -> bool:
@@ -242,7 +236,7 @@ class MomentMatrix:
             residuals=self.residuals[at],
             bounds=self.bounds[at],
             checked=self.checked[at],
-            contexts=self.contexts[k : k + 1],
+            context=self.context,
         )
 
 
@@ -254,7 +248,6 @@ class FitResult:
     theta: LeeTheta | LeeIpwTheta
     matrix: MomentMatrix
     estimate: BoundsEstimate
-    flags: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +262,7 @@ class MomentSystem:
     kind names its bounds, kind_lb and kind_ub, and estimator its point
     estimator in ESTIMATORS. row_arms holds per row 1-5 the arms the row is
     not zero on (0 treated, 1 control); exempt is the row a clamped trimming
-    share exempts. Two bounds share rows 2, 4 and 5 where the parameters
-    named in shared agree, and one trimming sample where those named in
-    rescaling do; tail names the share row 3 trims. The methods give its
+    share exempts, and tail names the share row 3 trims. The methods give its
     point estimate, its bounds' thetas, its per-arm inputs with its
     FitContext sums, its trimming values over the treated arm with its
     trimming sample, row 2's weight with rows 4 and 5, and its own Jacobian
@@ -284,8 +275,6 @@ class MomentSystem:
     estimator: ClassVar[str]
     row_arms: ClassVar[tuple[tuple[int, ...], ...]]
     exempt: ClassVar[int]
-    shared: ClassVar[tuple[str, ...]]
-    rescaling: ClassVar[tuple[str, ...]]
     tail: ClassVar[str]
 
 
@@ -297,7 +286,6 @@ class _Pooled(MomentSystem):
     __slots__ = ()
     kind, estimator, exempt, tail = "lee", "lee", 3, "p"
     row_arms = ((0,), (1,), (0,), (0,), (1,))
-    shared, rescaling = ("mu0", "alpha", "p"), ()
 
     def point_estimate(self, data, design):
         return lee_bounds(data, design)
@@ -334,7 +322,6 @@ class _Weighted(MomentSystem):
     __slots__ = ()
     kind, estimator, exempt, tail = "ipw", "lee-ipw", 4, "q"
     row_arms = ((0,), (1,), (0,), (0, 1), (0, 1))
-    shared, rescaling = ("mu0", "delta", "q"), ("delta",)
 
     def point_estimate(self, data, design):
         return lee_ipw_bounds(data, design)
@@ -460,18 +447,28 @@ def moment_matrix(
 ) -> MomentMatrix:
     """Evaluate the unit moments of one or more bounds and check their means.
 
-    thetas and systems hold one entry per bound, all of one MomentSystem, in
-    one stack of columns: a bound adds its rows 1 and 3, and rows 2, 4 and 5
-    unless an earlier bound's agree on the system's shared parameters. Each
-    arm's rows are written over its units on the columns the system's
-    row_arms put there, in column order. The per-unit inputs every bound
-    uses are gathered once per arm, and the observed-treated trimming sample
-    with its bandwidth once per rescaling; only the sample and a few sums
-    outlive the call, in FitContexts, beside the rows.
+    thetas and systems hold one entry per bound, all of one MomentSystem and
+    one estimate: the thetas may differ in mu1 and cutoff only, else the
+    call raises ValueError. The bounds form one stack of columns: the first
+    bound's rows 1-5, then each later bound's rows 1 and 3. Each arm's rows
+    are written over its units on the columns the system's row_arms put
+    there, in column order. The per-unit inputs, and the observed-treated
+    trimming sample with its bandwidth, are formed once for every bound;
+    only the sample and a few sums outlive the call, in a FitContext, beside
+    the rows.
     """
     if len(thetas) != len(systems) or not systems:
         raise ValueError("moment_matrix needs one theta per system")
     system, sides = _split_systems(systems)
+    first = thetas[0]
+    shared = [f.name for f in fields(first) if f.name not in ("mu1", "cutoff")]
+    # tuples compare items by identity first, so one estimate's nan agrees
+    key = [tuple(getattr(theta, name) for name in shared) for theta in thetas]
+    if any(other != key[0] for other in key[1:]):
+        raise ValueError(
+            "moment_matrix fits the bounds of one estimate: their thetas "
+            f"may differ in mu1 and cutoff only, got {thetas}"
+        )
     n = data.n
     arms = _split_arms(data, design)
     # the observed treated units, in dataset order: the trimming sample's
@@ -481,26 +478,17 @@ def moment_matrix(
     s_t, s_c = (data.s[arm.units].astype(float) for arm in arms)
     inputs, sums = system.inputs(data, design, arms, observed, s_c)
     sums.update(n_treated=float(arms[0].units.size))
-    y_obs = data.y[observed]
 
-    # per bound, the stack's columns of its rows 1-5 (rows 2, 4 and 5 by
-    # the system's shared key) and whether it writes its rows 2, 4 and 5;
-    # per arm, the columns not zero on it
-    columns, shared, width, fresh = [], {}, 0, []
+    # per bound, the stack's columns of its rows 1-5; per arm, the columns
+    # not zero on it
+    width = 3 + 2 * len(thetas)
+    columns = [(0, 1, 2, 3, 4)]
+    columns += [(w, 1, w + 1, 3, 4) for w in range(5, width, 2)]
     live = ([], [])
-    for theta in thetas:
-        key = tuple(getattr(theta, name) for name in system.shared)
-        new = key not in shared
-        if new:
-            shared[key] = width + 1, width + 3, width + 4
-        r2, r4, r5 = shared[key]
-        cols = (width, r2, width + 2 if new else width + 1, r4, r5)
-        for r in (0, 1, 2, 3, 4) if new else (0, 2):
+    for k, cols in enumerate(columns):
+        for r in (0, 2) if k else (0, 1, 2, 3, 4):
             for side in system.row_arms[r]:
                 live[side].append(cols[r])
-        columns.append(cols)
-        fresh.append(new)
-        width += 5 if new else 2
     # per arm, its rows in column order; inside _reusing_work_arrays they
     # are the first rows of a stored array with room for every column, so
     # the store keeps one array per arm whatever the system
@@ -511,28 +499,19 @@ def moment_matrix(
         parts.append(ArmRows(arm=arm, live=cols, rows=rows))
     row_t, row_c = (dict(zip(part.live, part.rows)) for part in parts)
 
+    # the trimmed values over the treated arm, and the observed-treated
+    # sample, in dataset order, with its largest magnitude
+    trim_values, sample = system.trimming(first, y_t, data.y[observed], inputs)
+    sample.setflags(write=False)
+    context = FitContext(
+        n=n, sample=sample,
+        bandwidth=silverman_bandwidth(sample) if sample.size >= 2 else None,
+        **sums,
+    )
+    max_abs = float(np.max(np.abs(sample))) if sample.size else 0.0
     bounds = np.full(width, EXACT_ROW_TOL)
     checked = np.ones(width, dtype=bool)
-    contexts = []
-    # per rescaling of the treated outcome: the trimmed values over the
-    # treated arm, the FitContext of the observed-treated sample, in dataset
-    # order, and the sample's largest magnitude, which the bounds of one fit
-    # share
-    samples = {}
-    for theta, side, cols, new in zip(thetas, sides, columns, fresh):
-        rescale = tuple(getattr(theta, name) for name in system.rescaling)
-        if rescale not in samples:
-            trim_values, sample = system.trimming(theta, y_t, y_obs, inputs)
-            sample.setflags(write=False)
-            context = FitContext(
-                n=n, sample=sample,
-                bandwidth=silverman_bandwidth(sample) if sample.size >= 2 else None,
-                **sums,
-            )
-            max_abs = float(np.max(np.abs(sample))) if sample.size else 0.0
-            samples[rescale] = (trim_values, context, max_abs)
-        trim_values, context, max_abs = samples[rescale]
-        sample = context.sample
+    for k, (theta, side, cols) in enumerate(zip(thetas, sides, columns)):
         kept = _kept(trim_values, theta.cutoff, side)
         # d = 1 and s(1 - d) = 0 on the treated arm, the reverse on the
         # control arm: each row leaves out the factors that are 1 on its arm,
@@ -543,12 +522,11 @@ def moment_matrix(
         np.subtract(1.0, kept, out=row_t[cols[2]])  # the trimmed tail
         row_t[cols[2]] -= getattr(theta, system.tail)
         row_t[cols[2]] *= s_t
-        if new:  # rows 2, 4 and 5 are not an earlier bound's
+        if not k:  # rows 2, 4 and 5, which every bound shares
             np.subtract(y_c, theta.mu0, out=row_c[cols[1]])
             row_c[cols[1]] *= s_c
             system.rows(theta, row_t, row_c, cols, s_t, s_c, inputs)
 
-        contexts.append(context)
         ties = int(np.count_nonzero(sample == theta.cutoff))
         slack = 1e-9 * (1.0 + max_abs)
         bounds[cols[0]] = (2.0 * ties * max_abs + slack) / n
@@ -566,7 +544,7 @@ def moment_matrix(
         residuals=total / n,
         bounds=bounds,
         checked=checked,
-        contexts=tuple(contexts),
+        context=context,
     )
 
 
@@ -616,7 +594,6 @@ def fit_from_estimate(
                 theta=theta,
                 matrix=matrix,
                 estimate=estimate,
-                flags=tuple(estimate.flags),
             ))
             continue
         bad = [
@@ -816,20 +793,17 @@ def jacobian(
     theta: LeeTheta | LeeIpwTheta,
     system: str,
     bandwidth: float | None = None,
-    context: FitContext | None = None,
 ) -> np.ndarray:
     """Mean derivative matrix of the smoothed system at theta.
 
     Indicators 1{v <= c} / 1{v >= c} become normal CDFs at bandwidth h; every
-    entry is the exact derivative of the smoothed column mean. context is
-    what the moment pass of a fit at theta kept (FitResult.matrix.contexts);
-    without it, one is built from data and design. bandwidth defaults to the
-    Silverman bandwidth of its sample. Raises if the result is not finite or
-    numerically singular (1-norm condition > 1e12); differentiate gives the
-    inverse the decision was read from, with the matrix.
+    entry is the exact derivative of the smoothed column mean. bandwidth
+    defaults to the Silverman bandwidth of the trimming sample of a moment
+    pass at theta. Raises if the result is not finite or numerically
+    singular (1-norm condition > 1e12); differentiate gives the inverse the
+    decision was read from, with the matrix.
     """
-    if context is None:
-        (context,) = moment_matrix(data, design, (theta,), (system,)).contexts
+    context = moment_matrix(data, design, (theta,), (system,)).context
     (result,) = differentiate(((theta, system, context),), bandwidth)
     if isinstance(result, EstimationError):
         raise result

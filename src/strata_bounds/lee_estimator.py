@@ -64,9 +64,7 @@ def trimmed_mean(values, spec: TrimSpec) -> TrimmedMeanResult:
     everything beyond is dropped. Raises DegenerateTrimError if less than one
     unit of mass would remain.
     """
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        y = y.ravel()
+    y = np.asarray(values, dtype=float).ravel()
     m = y.size
     if m == 0:
         raise DegenerateTrimError("no values to trim")

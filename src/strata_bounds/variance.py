@@ -6,8 +6,7 @@ from within-block cross products. Blocks where an arm has a single unit
 cannot form within-arm products, so such blocks are paired (by covariate
 means, then labels) and borrow the partner's unit; the label-mode
 variant refuses singleton arms instead, and an i.i.d.-style meat that drops
-the block correction is available as a conservative comparator. A scalar
-label-based estimator of the squared between-arm mean gap is also provided.
+the block correction is available as a conservative comparator.
 Standard errors, per-bound confidence intervals, and the width-adjusted
 identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
@@ -18,21 +17,14 @@ moments; each bound's meat is the block on its five columns. Every meat
 reads the fit's moments as moment_matrix wrote them, by arm, on the columns
 not zero on each arm (of a fit's 7, the pooled arms keep 5 and 2, the
 weighted 6 and 3): the column means, the Gram and the block sums come from
-those arm rows, and no dense n x 7 matrix is formed. meat_design also takes
-dense moments, which it splits into the same arm rows first. The i.i.d.
-meat takes its Gram from a design meat formed for the same fit. The design
-meat's weights and singleton pairings are built on each call. An arm with
-one unit in every block, as each arm of matched pairs, lists its units in
-block order, so their rows are its block sums and means; arms with the
-same singleton blocks share one pairing.
-Inside _reusing_work_arrays, as each Monte Carlo replication runs, the
-moment pass takes its arm rows, and the meat its work arrays, from one
-store per thread instead of fresh memory; the store keeps them after the
-context exits, for the next call.
+those arm rows, and no dense n x 7 matrix is formed. Inside
+_reusing_work_arrays, as each Monte Carlo replication runs, the moment pass
+and the meat take their work arrays from one store per thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -358,42 +350,6 @@ def meat_iid(moments: np.ndarray | MomentMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar label-based variance of the between-arm mean gap
-# ---------------------------------------------------------------------------
-
-def label_variance(data: Dataset, design: BlockDesign) -> float:
-    """Size-weighted estimator of E[(mean gap between arms given block)^2].
-
-    Works on the per-unit value Y*S (observed outcome, zero when missing).
-    Every block needs at least two treated and two control units.
-    """
-    n_g, t1 = design.n_g, design.t_g
-    t0 = n_g - t1
-    bad = np.flatnonzero((t1 < 2) | (t0 < 2)).tolist()
-    if bad:
-        raise FeasibilityError(
-            "label-based variance needs at least 2 treated and 2 control "
-            f"units per block; violated by: {_name_blocks(design.labels, bad)}"
-        )
-    codes = design.codes
-    d = data.d
-    v = np.where(data.s == 1, np.nan_to_num(data.y, nan=0.0), 0.0)
-    n_blocks = design.n_blocks
-    n = data.n
-
-    sum1 = np.bincount(codes[d == 1], weights=v[d == 1], minlength=n_blocks)
-    sum0 = np.bincount(codes[d == 0], weights=v[d == 0], minlength=n_blocks)
-    ss1 = np.bincount(codes[d == 1], weights=v[d == 1] ** 2, minlength=n_blocks)
-    ss0 = np.bincount(codes[d == 0], weights=v[d == 0] ** 2, minlength=n_blocks)
-
-    w = n_g / n
-    rho_11 = float((w * (sum1**2 - ss1) / (t1 * (t1 - 1.0))).sum())
-    rho_00 = float((w * (sum0**2 - ss0) / (t0 * (t0 - 1.0))).sum())
-    rho_10 = float((w * (sum1 / t1) * (sum0 / t0)).sum())
-    return rho_11 + rho_00 - 2.0 * rho_10
-
-
-# ---------------------------------------------------------------------------
 # standard errors and confidence intervals
 # ---------------------------------------------------------------------------
 
@@ -537,6 +493,18 @@ def sandwich_report(
     return report
 
 
+@contextlib.contextmanager
+def _float_errors_refused():
+    """Within the block, a float overflow or invalid operation raises
+    EstimationError instead of warning and carrying inf or nan on."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise EstimationError(f"values out of floating-point range ({exc})") from None
+
+
+@_float_errors_refused()
 def estimate_bounds(
     data: Dataset,
     design: BlockDesign,
@@ -554,7 +522,8 @@ def estimate_bounds(
     both bounds' stacked moments, leaving out a bound whose fit failed; the
     i.i.d. meat is a - a3 of a design meat formed for another method, when
     there is one, else meat_iid's. The dict maps each method to its report,
-    or to the EstimationError that stopped it alone.
+    or to the EstimationError that stopped it alone. A float overflow or
+    invalid operation anywhere stops the call with an EstimationError.
     """
     for method in methods:
         if method not in VARIANCE_METHODS:
@@ -582,7 +551,7 @@ def estimate_bounds(
         data, design, (f"{system.kind}_lb", f"{system.kind}_ub"), estimate
     )
     breads = iter(differentiate([
-        (fit.theta, fit.system, fit.matrix.contexts[0])
+        (fit.theta, fit.system, fit.matrix.context)
         for fit in fits if not isinstance(fit, EstimationError)
     ]))
     sides = []  # per bound: (fit, inverse Jacobian), or the error that stopped it
@@ -657,7 +626,7 @@ def _variance_report(data, sides, formed, columns, method, alpha) -> VarianceRep
         fit_lb.estimate.delta_lb, fields["fit_ub"].estimate.delta_ub,
         fields["se_lb"], fields["se_ub"], alpha,
     )
-    flags = [*fit_lb.flags, *clipped]
+    flags = [*fit_lb.estimate.flags, *clipped]
     if intervals.degenerate:
         flags.append("degenerate_ci")
     return VarianceReport(

@@ -1,7 +1,9 @@
 """Shared dataset builders for the test suite."""
 
+import csv
 import importlib
 import io
+import itertools
 import os
 import pkgutil
 import subprocess
@@ -55,6 +57,20 @@ def build_dataset(y, s, d, blocks, x=None):
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=np.int64)
     return dataset_from_arrays(np.where(s == 1, y, np.nan), s, d, blocks, x=x)
+
+
+def dataset_to_csv_text(data):
+    """A dataset as CSV text that parse_csv reads back to identical columns:
+    floats in shortest round-trip repr, an empty cell for a missing outcome."""
+    arity = 0 if data.x is None else data.x.shape[1]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["y", "s", "d", "block", *(f"x{j}" for j in range(1, arity + 1))])
+    x_rows = data.x.tolist() if arity else itertools.repeat(())
+    rows = zip(data.y.tolist(), data.s.tolist(), data.d.tolist(), data.blocks, x_rows)
+    for y, s, d, block, x in rows:
+        writer.writerow(["" if s == 0 else repr(y), s, d, block, *map(repr, x)])
+    return buf.getvalue()
 
 
 def assert_close_matrix(actual, expected, moments, what):

@@ -396,6 +396,39 @@ def rhs_label_pairs(yvals):
     return (y.sum() ** 2 - np.dot(y, y)) / (n * (n - 1))
 
 
+def label_variance(data, design):
+    """Size-weighted estimator of E[(mean gap between arms given block)^2].
+
+    Works on the per-unit value Y*S (observed outcome, zero when missing).
+    Every block needs at least two treated and two control units.
+    """
+    from strata_bounds import FeasibilityError
+
+    n_g, t1 = design.n_g, design.t_g
+    t0 = n_g - t1
+    bad = np.flatnonzero((t1 < 2) | (t0 < 2)).tolist()
+    if bad:
+        raise FeasibilityError(
+            "label-based variance needs at least 2 treated and 2 control "
+            "units per block; violated by: "
+            + ", ".join(design.labels[g] for g in bad)
+        )
+    codes, d = design.codes, data.d
+    v = np.where(data.s == 1, np.nan_to_num(data.y, nan=0.0), 0.0)
+    n_blocks = design.n_blocks
+
+    sum1 = np.bincount(codes[d == 1], weights=v[d == 1], minlength=n_blocks)
+    sum0 = np.bincount(codes[d == 0], weights=v[d == 0], minlength=n_blocks)
+    ss1 = np.bincount(codes[d == 1], weights=v[d == 1] ** 2, minlength=n_blocks)
+    ss0 = np.bincount(codes[d == 0], weights=v[d == 0] ** 2, minlength=n_blocks)
+
+    w = n_g / data.n
+    rho_11 = float((w * (sum1**2 - ss1) / (t1 * (t1 - 1.0))).sum())
+    rho_00 = float((w * (sum0**2 - ss0) / (t0 * (t0 - 1.0))).sum())
+    rho_10 = float((w * (sum1 / t1) * (sum0 / t0)).sum())
+    return rho_11 + rho_00 - 2.0 * rho_10
+
+
 def pair_probability(n_units, n_treated, arm_i, arm_k):
     """Pr(D_i = arm_i, D_k = arm_k) for i != k under complete randomization."""
     t = n_treated if arm_i == 1 else n_units - n_treated

@@ -24,7 +24,6 @@ from strata_bounds import (
     estimate_bounds,
     fit_theta,
     jacobian,
-    label_variance,
     lee_bounds,
     lee_ipw_bounds,
     meat_design,
@@ -44,6 +43,7 @@ from conftest import (
 )
 from oracles import (
     assignments,
+    label_variance,
     oracle_conditional_lee,
     oracle_lee,
     oracle_population_jacobian_ipw,

@@ -11,17 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 import strata_bounds
-from strata_bounds import (
-    dataset_to_csv_text,
-    meat_design,
-    pair_blocks,
-    parse_csv,
-    write_csv,
-)
+from strata_bounds import meat_design, pair_blocks, parse_csv
 from strata_bounds import simulation
 from strata_bounds.cli import ESTIMATE_CSV_COLUMNS, cli, main
 
-from conftest import build_dataset, count_calls, run_fresh_interpreter
+from conftest import (
+    build_dataset, count_calls, dataset_to_csv_text, run_fresh_interpreter,
+)
 from oracles import oracle_ipw, oracle_lee
 
 from frozen_values import (
@@ -48,7 +44,7 @@ from frozen_values import (
 @pytest.fixture
 def hand_csv(tmp_path, hand_dataset):
     path = tmp_path / "hand.csv"
-    write_csv(hand_dataset, str(path))
+    path.write_text(dataset_to_csv_text(hand_dataset))
     return str(path)
 
 
@@ -164,7 +160,7 @@ def test_estimate_twelve_significant_digit_json(capsys, tmp_path):
         blocks=["a"] * 6,
     )
     path = tmp_path / "thirds.csv"
-    write_csv(data, str(path))
+    path.write_text(dataset_to_csv_text(data))
     code, out, _ = run_cli(
         capsys, "estimate", "--input", str(path), "--variance", "none"
     )
@@ -188,7 +184,7 @@ def test_estimate_reverse_monotonicity_maps_bounds_back(capsys, tmp_path, hand_d
         blocks=list(hand_dataset.blocks),
     )
     path = tmp_path / "flipped.csv"
-    write_csv(flipped, str(path))
+    path.write_text(dataset_to_csv_text(flipped))
     code, out, _ = run_cli(
         capsys, "estimate", "--input", str(path), "--reverse-monotonicity"
     )
@@ -222,7 +218,7 @@ def test_reverse_monotonicity_round_trip_is_identity(capsys, hand_csv, tmp_path)
         blocks=list(data.blocks),
     )
     path = tmp_path / "again.csv"
-    write_csv(flipped, str(path))
+    path.write_text(dataset_to_csv_text(flipped))
     code, out, _ = run_cli(
         capsys, "estimate", "--input", str(path), "--reverse-monotonicity"
     )
@@ -373,6 +369,23 @@ def test_all_treated_block_exits_one_naming_block(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--input", str(path))
     assert code == 1
     assert "solo" in err
+
+
+@pytest.mark.parametrize("estimator", ["lee", "conditional-lee", "lee-ipw"])
+def test_estimate_overflow_exits_two_with_one_line(capsys, tmp_path, estimator):
+    # the largest float as one treated outcome: its square, and the block
+    # weights times it, overflow; no warning and no Infinity reach the output
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "y,s,d,block\n1.7976931348623157e308,1,1,a\n1,1,1,a\n2,1,0,a\n"
+        "3,1,0,a\n4,1,1,b\n5,1,1,b\n6,1,0,b\n7,1,0,b\n"
+    )
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", estimator
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: values out of floating-point range (overflow")
+    assert err.count("\n") == 1
 
 
 def test_label_variance_with_single_control_exits_two(capsys, tmp_path):
@@ -650,6 +663,41 @@ def test_refused_simulate_leaves_no_out_directory(capsys, tmp_path, args, messag
     assert code == 1 and out == ""
     assert err == message
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "under,reason", [("", "File exists"), ("sub", "Not a directory")],
+    ids=["file", "under-a-file"],
+)
+def test_simulate_out_that_cannot_be_a_directory_exits_one(
+    capsys, monkeypatch, tmp_path, under, reason
+):
+    target = tmp_path / "f"
+    target.write_text("kept\n")
+    out_dir = target / under if under else target
+    draws = []
+    monkeypatch.setattr(simulation, "simulate_dgp1", lambda *a: draws.append(a))
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "1", "--n", "100", "--reps", "1",
+        "--seed", "1", "--out", str(out_dir),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: cannot make --out directory {str(out_dir)!r}: {reason}\n"
+    assert draws == []  # refused before any replication runs
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept\n"
+
+
+def test_simulate_with_every_replication_failed_leaves_no_out_directory(
+    capsys, tmp_path
+):
+    # the parent of --out is new too, and goes with it
+    code, out, err = run_cli(
+        capsys, "simulate", "--dgp", "1", "--n", "4", "--reps", "1",
+        "--seed", "6", "--out", str(tmp_path / "new" / "o"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: every replication failed; no summary to report\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_out_of_memory_is_one_line(capsys, monkeypatch, tmp_path):

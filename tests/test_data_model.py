@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 import re
 
 import numpy as np
@@ -16,10 +15,8 @@ from strata_bounds import (
     ValidationError,
     block_design,
     dataset_from_arrays,
-    dataset_to_csv_text,
     parse_csv,
     simulate_dgp1,
-    write_csv,
 )
 
 from strata_bounds.cli import flip_treatment
@@ -29,6 +26,7 @@ from conftest import (
     assert_same_columns,
     build_dataset,
     count_calls,
+    dataset_to_csv_text,
     hand_arrays,
 )
 
@@ -617,23 +615,6 @@ def test_csv_round_trip_preserves_records_exactly():
     data = build_dataset(y, s, d, ["a"] * 4 + ["b"] * 4, x=x)
     back = parse_csv(io.StringIO(dataset_to_csv_text(data)))
     assert_same_columns(back, data)
-
-
-def test_write_csv_to_path_is_atomic(tmp_path, hand_dataset):
-    path = tmp_path / "data.csv"
-    write_csv(hand_dataset, str(path))
-    assert_same_columns(parse_csv(str(path)), hand_dataset)
-    leftovers = [p for p in os.listdir(tmp_path) if ".tmp." in p]
-    assert leftovers == []
-
-
-def test_write_csv_header_includes_covariates():
-    data = build_dataset(
-        y=[1.0, 2.0], s=[1, 1], d=[1, 0], blocks=["a", "a"],
-        x=np.array([[1.0, 2.0], [3.0, 4.0]]),
-    )
-    text = dataset_to_csv_text(data)
-    assert text.splitlines()[0] == "y,s,d,block,x1,x2"
 
 
 def test_hand_arrays_agree_with_hand_fixture(hand_dataset):

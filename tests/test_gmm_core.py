@@ -146,19 +146,22 @@ def test_shared_rows_are_identical_across_sides(hand_dataset):
             np.testing.assert_array_equal(
                 lb.matrix.values[:, col], ub.matrix.values[:, col]
             )
-        # one pass stores the shared rows once, unless a parameter they read
-        # differs; either way each bound's rows are its own pass's, bit for bit
+        # one pass stores the shared rows once, and each bound's rows are its
+        # own pass's, bit for bit
         systems = (f"{kind}_lb", f"{kind}_ub")
+        thetas = (lb.theta, ub.theta)
+        stack = moment_matrix(hand_dataset, design, thetas, systems)
+        assert stack.values.shape == (hand_dataset.n, 7)
+        for k, (theta, system) in enumerate(zip(thetas, systems)):
+            alone = moment_matrix(hand_dataset, design, (theta,), (system,))
+            for field in ("values", "residuals", "bounds", "checked"):
+                np.testing.assert_array_equal(
+                    getattr(stack.bound(k), field), getattr(alone, field)
+                )
+        # the bounds of one estimate differ in mu1 and cutoff alone
         moved = replace(ub.theta, mu0=ub.theta.mu0 + 0.5)
-        for thetas, width in (((lb.theta, ub.theta), 7), ((lb.theta, moved), 10)):
-            stack = moment_matrix(hand_dataset, design, thetas, systems)
-            assert stack.values.shape == (hand_dataset.n, width)
-            for k, (theta, system) in enumerate(zip(thetas, systems)):
-                alone = moment_matrix(hand_dataset, design, (theta,), (system,))
-                for field in ("values", "residuals", "bounds", "checked"):
-                    np.testing.assert_array_equal(
-                        getattr(stack.bound(k), field), getattr(alone, field)
-                    )
+        with pytest.raises(ValueError, match="one estimate"):
+            moment_matrix(hand_dataset, design, (lb.theta, moved), systems)
 
 
 def test_moment_matrix_flags_wrong_parameters(hand_dataset):
@@ -178,7 +181,7 @@ def test_moment_matrix_exempts_rate_row_when_clamped():
     )
     design = block_design(data)
     fit = fit_theta(data, design, "lee_lb")
-    assert "trimming_share_clamped" in fit.flags
+    assert "trimming_share_clamped" in fit.estimate.flags
     assert not fit.matrix.checked[3]  # the selection-rate relation row
     assert fit.matrix.notes and "clamped" in fit.matrix.notes[0]
     assert fit.matrix.ok  # the exemption is what keeps the fit consistent
@@ -483,7 +486,7 @@ def test_estimate_bounds_differentiates_each_fit_like_jacobian(monkeypatch, make
         for fit, (jac, jac_inv) in zip((report.fit_lb, report.fit_ub), used, strict=True):
             expect = jacobian(
                 data, design, fit.theta, fit.system,
-                bandwidth=fit.matrix.bandwidths[0],
+                bandwidth=fit.matrix.context.bandwidth,
             )
             assert np.array_equal(jac, expect), fit.system
             assert np.array_equal(jac_inv, np.linalg.inv(jac)), fit.system

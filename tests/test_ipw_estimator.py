@@ -92,7 +92,7 @@ def test_weighted_bounds_match_oracle_fieldwise():
         # outcomes, in dataset order
         stack, _ = fit_from_estimate(data, design, ("ipw_lb",), est)
         np.testing.assert_allclose(
-            stack.contexts[0].sample, ref["y_tilde"], rtol=0, atol=1e-12
+            stack.context.sample, ref["y_tilde"], rtol=0, atol=1e-12
         )
     assert checked >= 20
 

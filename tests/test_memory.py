@@ -19,8 +19,9 @@ from strata_bounds import (
     dataset_from_arrays,
     estimate_bounds,
     parse_csv,
-    write_csv,
 )
+
+from conftest import dataset_to_csv_text
 
 PEAK_BYTES_PER_UNIT = {"parse_csv": 177, "lee": 126, "lee-ipw": 138}
 
@@ -57,7 +58,7 @@ def _peak_per_unit(call, n: int) -> float:
 def strata_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("memory") / "strata.csv"
     data = _strata_dataset(20, 4500)  # 20 188 units
-    write_csv(data, str(path))
+    path.write_text(dataset_to_csv_text(data))
     return str(path), data.n
 
 

@@ -19,7 +19,6 @@ from strata_bounds import (
     block_design,
     conditional_lee_bounds,
     dataset_from_arrays,
-    dataset_to_csv_text,
     estimate_bounds,
     lee_bounds,
     lee_ipw_bounds,
@@ -40,6 +39,7 @@ from conftest import (
     assert_close_matrix,
     assert_parses_like_oracle,
     assert_same_columns,
+    dataset_to_csv_text,
 )
 from oracles import (
     always_observed_treat_prob_oracle,
@@ -453,7 +453,7 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
             # scales the meat's rounding by at most the square of the
             # inverse Jacobian's largest absolute row sum
             ((_, inv),) = differentiate(
-                [(fit.theta, fit.system, fit.matrix.contexts[0])]
+                [(fit.theta, fit.system, fit.matrix.context)]
             )
             row_sum = float(np.abs(inv).sum(axis=1).max())
             assert_close_matrix(

@@ -20,7 +20,6 @@ from strata_bounds import (
     dataset_from_arrays,
     estimate_bounds,
     fit_theta,
-    label_variance,
     lee_bounds,
     meat_design,
     meat_iid,
@@ -44,6 +43,7 @@ from oracles import (
     enum_mean_cross_term,
     enum_mean_label_within,
     enum_mean_within_arm,
+    label_variance,
     meat_design_oracle,
     oracle_set_critical,
     pair_probability,
@@ -674,8 +674,8 @@ import io
 import numpy as np
 
 from strata_bounds import (
-    DGP_MATCHED_PAIRS, McConfig, block_design, dataset_from_arrays,
-    dataset_to_csv_text, estimate_bounds, monte_carlo, parse_csv,
+    DGP_MATCHED_PAIRS, McConfig, block_design, estimate_bounds, monte_carlo,
+    parse_csv,
 )
 
 
@@ -687,9 +687,11 @@ def csv_text():
     s = np.where(d, rng.random(d.size) < 0.85, rng.random(d.size) < 0.65)
     y = np.where(s, rng.normal(size=d.size), np.nan)
     blocks = [f"b{g:02d}" for g, n in enumerate(sizes) for _ in range(n)]
-    return dataset_to_csv_text(
-        dataset_from_arrays(y, s.astype(int), d.astype(int), blocks)
+    rows = (
+        f"{repr(float(v)) if o else ''},{int(o)},{int(t)},{b}\\n"
+        for v, o, t, b in zip(y, s, d, blocks)
     )
+    return "y,s,d,block\\n" + "".join(rows)
 
 
 def fingerprint(kind, arg):
