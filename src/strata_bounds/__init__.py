@@ -6,7 +6,7 @@ with block-stratified assignment and monotone selection. It provides the
 pooled trimming estimator, its per-stratum (conditional) version, an
 inverse-propensity-weighted version robust to heterogeneous treated shares,
 design-consistent sandwich standard errors with an i.i.d. comparator and a
-label-mode meat, per-bound and identified-set confidence intervals,
+label variance, per-bound and identified-set confidence intervals,
 and a seeded Monte Carlo harness.
 
 Each public name, and each submodule, loads on first use (PEP 562), so

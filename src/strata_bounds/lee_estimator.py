@@ -2,12 +2,15 @@
 
 The pooled estimator compares the observed-control mean with trimmed means of
 the observed-treated outcomes, where the trimming share is one minus the
-ratio of observed-selection rates; it and the weighted estimator trim through
-one path, to a kept mass formed exactly from the block counts. Trimming is
-fractional: the boundary order statistic receives partial weight so the
-retained mass is exact, and tied boundary values share that partial weight
-equally. The per-stratum variant applies the same construction inside each
-block, sorting only observed treated outcomes, and weights blocks by size.
+ratio of observed-selection rates; the weighted estimator trims reweighted
+outcomes the same way. The per-stratum estimator trims inside each block and
+weights blocks by size. All of them trim through one kernel, _trim_segments:
+values sorted by (segment, value), each segment trimmed in both tails to a
+kept mass formed exactly from the block counts and rounded once. The pooled
+estimators and trimmed_mean pass one segment, the per-stratum estimator one
+per used block. Trimming is fractional: the boundary order statistic
+receives partial weight so the retained mass is exact, and tied boundary
+values share that partial weight equally.
 """
 
 from __future__ import annotations
@@ -71,7 +74,10 @@ def trimmed_mean(values, spec: TrimSpec) -> TrimmedMeanResult:
     k = (1.0 - spec.q) * m
     if k < 1.0:
         raise _degenerate_trim(spec.q, k, m)
-    return _trim_sorted(np.sort(y), k, spec.side)
+    side = 0 if spec.side == "upper" else 1  # "upper" keeps the bottom mass
+    trim = _trim_segments(np.sort(y), np.array([0]), np.array([m]), np.array([k]))
+    mean, cutoff, ties, deficit = (part[side, 0].item() for part in trim)
+    return TrimmedMeanResult(mean, cutoff, float(k), deficit, ties, m)
 
 
 def _degenerate_trim(q: float, k: float, m: int) -> DegenerateTrimError:
@@ -80,33 +86,52 @@ def _degenerate_trim(q: float, k: float, m: int) -> DegenerateTrimError:
     )
 
 
-def _trim_sorted(ys: np.ndarray, k: float, side: str) -> TrimmedMeanResult:
-    """trimmed_mean on ascending values ys, keeping mass k in [1, m]."""
-    m = ys.size
-    boundary_rank = math.ceil(k)
-    if side == "upper":
-        cutoff = ys[boundary_rank - 1]
-        inside = int(ys.searchsorted(cutoff, side="left"))
-        ties = int(ys.searchsorted(cutoff, side="right")) - inside
-        total = float(ys[:inside].sum()) + (k - inside) * cutoff
-    else:
-        cutoff = ys[m - boundary_rank]
-        beyond = int(ys.searchsorted(cutoff, side="right"))
-        inside = m - beyond
-        ties = beyond - int(ys.searchsorted(cutoff, side="left"))
-        total = float(ys[m - inside :].sum()) + (k - inside) * cutoff
-    if k == m:
-        # Nothing is trimmed, so both sides retain the whole sample; one
-        # summation order keeps the two means bit-identical.
-        total = float(ys.sum())
-    return TrimmedMeanResult(
-        mean=float(total / k),
-        cutoff=float(cutoff),
-        kept_mass=float(k),
-        boundary_deficit=float(inside + ties - k),
-        ties_at_cutoff=ties,
-        n_values=m,
-    )
+def _segment_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of values[lo[i]:hi[i]] for each i; an empty segment sums to 0.
+
+    Each segment is summed on its own, so no sum cancels against another.
+    """
+    padded = np.append(values, 0.0)  # a segment may end at values.size
+    sums = np.add.reduceat(padded, np.column_stack((lo, hi)).ravel())[::2]
+    sums[lo == hi] = 0.0
+    return sums
+
+
+def _trim_segments(ys, lo, hi, kept) -> tuple[np.ndarray, ...]:
+    """Fractionally trimmed means of the segments ys[lo[i]:hi[i]], each
+    trimmed in either tail to keep mass k = min(kept[i], m) of its m values.
+
+    ys is sorted by (segment, value); each segment holds a value and
+    kept >= 1, rounded once by the caller, so a whole-number mass takes its
+    exact rank. The cutoff is the value at rank ceil(k) from the kept end;
+    the values before its run of ties count fully and the run shares the
+    mass left. Where nothing is trimmed, k = m, one sum serves both sides,
+    so their means are bit-identical. Returns the means, the cutoffs, the
+    ties at each cutoff and the boundary deficits (the mass the whole run
+    adds beyond k), each (2, segments): row 0 keeps the bottom mass, which
+    gives the lower bound, and row 1 the top mass.
+    """
+    m = hi - lo
+    k = np.minimum(kept, m)
+    rank = np.ceil(k).astype(np.int64)
+    # a run of ties starts where the value changes and at each segment bound
+    starts = np.ones(ys.size + 1, dtype=bool)
+    starts[1:-1] = ys[1:] != ys[:-1]
+    starts[lo] = starts[hi] = True
+    starts = np.flatnonzero(starts)
+    cut = np.stack((lo + rank - 1, hi - rank))
+    at = starts.searchsorted(cut, side="right")
+    first, end = starts[at - 1], starts[at]  # the run of the cutoff
+    inside = np.stack((first[0] - lo, hi - end[1]))
+    sums = _segment_sums(
+        ys, np.concatenate((lo, end[1], lo)), np.concatenate((first[0], hi, hi))
+    ).reshape(3, -1)
+    cutoff = ys[cut]
+    total = sums[:2] + (k - inside) * cutoff
+    whole = k == m
+    total[:, whole] = sums[2, whole]
+    ties = end - first
+    return total / k, cutoff, ties, inside + ties - k
 
 
 @dataclass(frozen=True)
@@ -180,6 +205,14 @@ class BoundsEstimate:
     warnings: tuple[str, ...] = ()
     detail: StrataDetail | None = None
 
+    def __post_init__(self):
+        # Python floats overflow to inf, and inf - inf is nan, without raising
+        for name in ("delta_lb", "delta_ub", "mu0", "mu1_lb", "mu1_ub"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise EstimationError(
+                    f"values out of floating-point range ({name} is {value})"
+                )
+
 
 def _heterogeneous_shares(design: BlockDesign) -> bool:
     """Exact check (integer cross-products) that treated shares differ."""
@@ -189,27 +222,26 @@ def _heterogeneous_shares(design: BlockDesign) -> bool:
 
 def _pooled_bounds(method, design, share, values, mu0, warnings=()) -> BoundsEstimate:
     """Bounds of a pooled estimator (lee, lee_ipw): its trimming sample,
-    values, trimmed in either tail to the share's kept mass, against its
-    control mean mu0.
-
-    The exact kept mass is rounded once, so a whole-number mass stays whole
-    and the cutoff takes its exact rank; a clamped share keeps every value.
-    """
+    values, trimmed in either tail to the share's exact kept mass, rounded
+    once, against its control mean mu0."""
     if not (share.clamped or share.kept >= 1):
         raise _degenerate_trim(share.q, float(share.kept), values.size)
-    k = float(values.size if share.clamped else share.kept)
-    ys = np.sort(values)
-    lb, ub = (_trim_sorted(ys, k, side) for side in ("upper", "lower"))
+    means, cutoffs, _, _ = _trim_segments(
+        np.sort(values), np.array([0]), np.array([values.size]),
+        np.array([float(share.kept)]),
+    )
+    (mu1_lb,), (mu1_ub,) = means.tolist()
+    (cutoff_lb,), (cutoff_ub,) = cutoffs.tolist()
     return BoundsEstimate(
         method=method,
-        delta_lb=lb.mean - mu0,
-        delta_ub=ub.mean - mu0,
+        delta_lb=mu1_lb - mu0,
+        delta_ub=mu1_ub - mu0,
         mu0=mu0,
-        mu1_lb=lb.mean,
-        mu1_ub=ub.mean,
+        mu1_lb=mu1_lb,
+        mu1_ub=mu1_ub,
         q=share.q,
-        cutoff_lb=lb.cutoff,
-        cutoff_ub=ub.cutoff,
+        cutoff_lb=cutoff_lb,
+        cutoff_ub=cutoff_ub,
         n_used=int(design.n1s_g.sum() + design.n0s_g.sum()),
         flags=("trimming_share_clamped",) if share.clamped else (),
         warnings=warnings,
@@ -260,28 +292,6 @@ class StrataDetail:
             getattr(self, name).setflags(write=False)
 
 
-def _segment_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sum of values[lo[i]:hi[i]] for each i; an empty segment sums to 0.
-
-    Each segment is summed on its own, so no sum cancels against another.
-    """
-    padded = np.append(values, 0.0)  # a segment may end at values.size
-    sums = np.add.reduceat(padded, np.column_stack((lo, hi)).ravel())[::2]
-    sums[lo == hi] = 0.0
-    return sums
-
-
-def _tie_runs(y: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of the run of equal (key, y) that holds each
-    position of the sorted arrays."""
-    n = y.size
-    idx = np.arange(n)
-    tied = (key[1:] == key[:-1]) & (y[1:] == y[:-1])  # position i+1 ties i
-    first = np.maximum.accumulate(np.where(np.append(False, tied), 0, idx))
-    last = np.minimum.accumulate(np.where(np.append(tied, False), n, idx)[::-1])
-    return first, last[::-1]
-
-
 def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     """Per-stratum trimming bounds aggregated with block-size weights.
 
@@ -290,9 +300,9 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     outcome, or a trim that keeps less than one unit of treated mass) are
     dropped from the aggregate and named in the warnings, the first
     LABELS_IN_MESSAGE of them with their reasons; if every stratum fails,
-    estimation fails. All strata are trimmed at once, with the
-    fractional boundary mass of trimmed_mean, after one sort of the observed
-    treated outcomes by (block, value); controls are summed in dataset order.
+    estimation fails. All strata are trimmed in one _trim_segments call,
+    after one sort of the observed treated outcomes by (block, value), one
+    segment per used stratum; controls are summed in dataset order.
     """
     observed = data.s == 1
     at = np.flatnonzero(observed & (data.d == 1))
@@ -302,7 +312,7 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
     rank = np.empty(at.size, dtype=np.int64)
     rank[np.argsort(y1)] = np.arange(at.size)
     order = np.argsort(codes1 * at.size + rank)
-    y1, codes1 = y1[order], codes1[order]
+    y1 = y1[order]
     at = np.flatnonzero(observed & (data.d == 0))
     y0 = data.y[at[np.argsort(design.codes[at], kind="stable")]]
     n1s, n0s = design.n1s_g, design.n0s_g
@@ -324,39 +334,13 @@ def conditional_lee_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate
             "conditional bounds undefined in every stratum: "
             + _name_dropped(design, n1s, tau, dropped, "{}: {}")
         )
-    m = n1s[g]
-    # the kept mass n0s t_g / c_g, rounded once by the integer division, or
-    # every value where the stratum is clamped
-    k = np.where(clamped[g], m, (n0s[g] * t_g[g]) / c_g[g])
-    rank = np.ceil(k).astype(np.int64)  # rank of the boundary value
     hi = np.cumsum(n1s)[g]
-    lo = hi - m
-    run_first, run_last = _tie_runs(y1, codes1)
-    # lower bound: keep the bottom mass k; the values below the cutoff count
-    # fully and its tied run shares what is left
-    cut_lb = lo + rank - 1
-    inside_lb = run_first[cut_lb]
-    # upper bound: keep the top mass k
-    cut_ub = hi - rank
-    inside_ub = run_last[cut_ub] + 1
-    hi0 = y1.size + np.cumsum(n0s)[g]
-    sums = _segment_sums(
-        np.concatenate((y1, y0)),
-        np.concatenate((lo, inside_ub, lo, hi0 - n0s[g])),
-        np.concatenate((inside_lb, hi, hi, hi0)),
-    ).reshape(4, -1)
-    total_lb = sums[0] + (k - (inside_lb - lo)) * y1[cut_lb]
-    total_ub = sums[1] + (k - (hi - inside_ub)) * y1[cut_ub]
-    # nothing trimmed: both sides keep the whole sample, summed once
-    whole = k == m
-    total_lb[whole] = total_ub[whole] = sums[2][whole]
-
-    mu0_g = np.full(design.n_blocks, np.nan)
-    mu1_lb_g = np.full(design.n_blocks, np.nan)
-    mu1_ub_g = np.full(design.n_blocks, np.nan)
-    mu0_g[g] = sums[3] / n0s[g]
-    mu1_lb_g[g] = total_lb / k
-    mu1_ub_g[g] = total_ub / k
+    # the kept mass n0s t_g / c_g, rounded once by the division
+    means, _, _, _ = _trim_segments(y1, hi - n1s[g], hi, (n0s[g] * t_g[g]) / c_g[g])
+    hi0 = np.cumsum(n0s)[g]
+    mu0_g, mu1_lb_g, mu1_ub_g = np.full((3, design.n_blocks), np.nan)
+    mu0_g[g] = _segment_sums(y0, hi0 - n0s[g], hi0) / n0s[g]
+    mu1_lb_g[g], mu1_ub_g[g] = means
 
     # block-size weights; np.cumsum adds left to right
     w = design.n_g[g]

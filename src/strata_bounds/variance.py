@@ -4,15 +4,16 @@ The meat matrix is the i.i.d. meat, the moments' Gram a = M'M/n less the
 outer product a3 of their means, plus a between-block correction b_n built
 from within-block cross products. Blocks where an arm has a single unit
 cannot form within-arm products, so such blocks are paired (by covariate
-means, then labels) and borrow the partner's unit; the label-mode
-variant refuses singleton arms instead, and an i.i.d.-style meat that drops
-the block correction is available as a conservative comparator.
+means, then labels) and borrow the partner's unit; the label variance
+refuses singleton arms instead, and where it does not it is this meat,
+which then pairs nothing. An i.i.d.-style meat that drops the block
+correction is available as a conservative comparator.
 Standard errors, per-bound confidence intervals, and the width-adjusted
 identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits and differentiates both
 bounds in one pass, inverts each bound's Jacobian once for every method's
-sandwich, and forms each method's meat once, on both bounds' stacked
+sandwich, and forms one meat for design and label, on both bounds' stacked
 moments; each bound's meat is the block on its five columns. Every meat
 reads the fit's moments as moment_matrix wrote them, by arm, on the columns
 not zero on each arm (of a fit's 7, the pooled arms keep 5 and 2, the
@@ -131,7 +132,7 @@ class MeatReport:
     product of their means, formed as meat_iid forms them, so omega is the
     i.i.d. meat a - a3 plus the between-block correction b_n.
     singleton_treated / singleton_control hold the indices of blocks whose
-    arm had one unit (paired mode only); their labels are design.labels[g].
+    arm had one unit; their labels are design.labels[g].
     For several bounds' moments, bound(columns) gives one bound's blocks.
     """
 
@@ -146,7 +147,6 @@ class MeatReport:
     singleton_control: np.ndarray
     involution_treated: Involution | None
     involution_control: Involution | None
-    mode: str
 
     def bound(self, columns) -> MeatReport:
         """The 5x5 blocks of the bound whose rows are these moment columns."""
@@ -206,45 +206,32 @@ def meat_design(
     data: Dataset,
     design: BlockDesign,
     moments: np.ndarray | MomentMatrix,
-    mode: str = "paired",
 ) -> MeatReport:
     """Design-consistent meat: the i.i.d. meat a - a3 plus the
     between-block correction b_n.
 
-    mode="paired" resolves singleton arms by pairing blocks; mode="label"
-    requires at least two units per arm in every block and fails otherwise.
-    moments is a MomentMatrix, whose arm rows the meat reads as they are,
-    or dense (n, m), one bound's five columns or several bounds' side by
-    side, which it first splits into the same arm rows on the columns not
-    identically zero on each arm. The weights and singleton pairings are
-    built from the design on each call. An arm with one unit in every block
-    has its rows in block order, so they are its block sums, means and
-    singleton rows; when both arms have the same singleton blocks, as in
-    matched pairs, pair_blocks runs once and both arms use its pairing.
-    Each arm's block terms run on its rows alone, and the other entries are
-    exact zeros. a and a3 are _second_moments' of the moments.
+    Singleton arms are resolved by pairing blocks. moments is a
+    MomentMatrix, whose arm rows the meat reads as they are, or dense
+    (n, m), one bound's five columns or several bounds' side by side, which
+    it first splits into the same arm rows on the columns not identically
+    zero on each arm. The weights and singleton pairings are built from the
+    design on each call. An arm with one unit in every block has its rows
+    in block order, so they are its block sums, means and singleton rows;
+    when both arms have the same singleton blocks, as in matched pairs,
+    pair_blocks runs once and both arms use its pairing. Each arm's block
+    terms run on its rows alone, and the other entries are exact zeros. a
+    and a3 are _second_moments' of the moments.
     """
-    if mode not in ("paired", "label"):
-        raise ValueError(f"mode must be 'paired' or 'label', got {mode!r}")
     if isinstance(moments, MomentMatrix):
         parts = moments.arms
     else:
         moments = np.asarray(moments, dtype=float)  # as the work arrays are
         parts = _arm_rows(data, design, moments)
     treated, control = (part.arm for part in parts)
-    pairing = (None, None)
-    if mode == "label":
-        if treated.single.size or control.single.size:
-            bad = np.union1d(treated.single, control.single).tolist()
-            raise FeasibilityError(
-                "label-mode variance needs at least 2 units per arm per "
-                f"block; singleton arms in: {_name_blocks(design.labels, bad)}"
-            )
-    else:
-        # arms with the same singleton blocks (matched pairs) share a pairing
-        first = _pairing(design, treated)
-        same = np.array_equal(control.single, treated.single)
-        pairing = first, first if same else _pairing(design, control)
+    # arms with the same singleton blocks (matched pairs) share a pairing
+    first = _pairing(design, treated)
+    same = np.array_equal(control.single, treated.single)
+    pairing = first, first if same else _pairing(design, control)
 
     a, a3 = _second_moments(moments)
     m = a.shape[0]
@@ -316,8 +303,19 @@ def meat_design(
         singleton_control=control.single,
         involution_treated=None if pairing[0] is None else pairing[0][0],
         involution_control=None if pairing[1] is None else pairing[1][0],
-        mode=mode,
     )
+
+
+def _refuse_singleton_arms(design: BlockDesign) -> None:
+    """The label variance's condition: at least two units per arm in every
+    block. Then the paired meat pairs nothing and is the label meat."""
+    single = (design.t_g == 1) | (design.n_g - design.t_g == 1)
+    if single.any():
+        raise FeasibilityError(
+            "label-mode variance needs at least 2 units per arm per block; "
+            "singleton arms in: "
+            + _name_blocks(design.labels, np.flatnonzero(single).tolist())
+        )
 
 
 def _second_moments(
@@ -518,12 +516,14 @@ def estimate_bounds(
     methods, both bounds' systems are fitted in one moment_matrix pass and
     differentiated together, from what that pass kept, in one normal-CDF
     kernel call; each Jacobian is inverted once, and every method's sandwich
-    for that bound uses the inverse. Each method's meat is formed once on
-    both bounds' stacked moments, leaving out a bound whose fit failed; the
-    i.i.d. meat is a - a3 of a design meat formed for another method, when
-    there is one, else meat_iid's. The dict maps each method to its report,
-    or to the EstimationError that stopped it alone. A float overflow or
-    invalid operation anywhere stops the call with an EstimationError.
+    for that bound uses the inverse. One design meat is formed on both
+    bounds' stacked moments, leaving out a bound whose fit failed, and
+    serves design and label: label first refuses singleton arms, and with
+    none the paired meat pairs nothing. The i.i.d. meat is a - a3 of that
+    design meat, when there is one, else meat_iid's. The dict maps each
+    method to its report, or to the EstimationError that stopped it alone.
+    A float overflow or invalid operation anywhere stops the call with an
+    EstimationError.
     """
     for method in methods:
         if method not in VARIANCE_METHODS:
@@ -568,18 +568,19 @@ def estimate_bounds(
     if not isinstance(sides[0], EstimationError):
         fitted_ub = not isinstance(sides[1], EstimationError)
         moments = stack if fitted_ub else stack.bound(0)
+        meat = None  # formed once: label is design where no arm is a singleton
         for method in methods:
             if method != "iid":
-                mode = "paired" if method == "design" else "label"
                 try:
-                    meat = meat_design(data, design, moments, mode=mode)
+                    if method == "label":
+                        _refuse_singleton_arms(design)
+                    meat = meat or meat_design(data, design, moments)
                     meats[method] = (meat, meat.omega)
                 except EstimationError as exc:
                     meats[method] = exc
         if "iid" in methods:
             # a design meat's a and a3 are meat_iid's own, bit for bit
-            formed = [meat[0] for meat in meats.values() if isinstance(meat, tuple)]
-            omega = formed[0].a - formed[0].a3 if formed else meat_iid(moments)
+            omega = meat_iid(moments) if meat is None else meat.a - meat.a3
             meats["iid"] = (None, omega)
     reports = {}
     for method in methods:

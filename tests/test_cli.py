@@ -388,6 +388,28 @@ def test_estimate_overflow_exits_two_with_one_line(capsys, tmp_path, estimator):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("estimator", ["lee", "conditional-lee", "lee-ipw"])
+def test_estimate_overflow_without_variance_exits_two_with_one_line(
+    capsys, tmp_path, estimator
+):
+    # the largest float as the one observed treated outcome, against a
+    # control mean of -2e299: the pooled bounds overflow in Python floats,
+    # past numpy's float-error checks, and no "Infinity" reaches stdout
+    path = tmp_path / "edge.csv"
+    path.write_text(
+        "y,s,d,block\n1.7976931348623157e308,1,1,g0\n,0,0,g0\n-0.652,1,0,g0\n"
+        "-0.0077,1,0,g0\n,0,1,g1\n1e15,1,0,g1\n-1e300,1,0,g1\n0.0,1,0,g1\n"
+    )
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--estimator", estimator,
+        "--variance", "none",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if estimator != "conditional-lee":  # it drops both strata first
+        assert err == "error: values out of floating-point range (delta_lb is inf)\n"
+
+
 def test_label_variance_with_single_control_exits_two(capsys, tmp_path):
     text = (
         "y,s,d,block\n"

@@ -269,6 +269,31 @@ def test_whole_number_kept_mass_takes_its_exact_rank():
 # conditional_lee_bounds
 # ---------------------------------------------------------------------------
 
+def test_one_block_conditional_cells_equal_the_pooled_bounds_bit_for_bit():
+    # on one block the conditional estimator's cell is the pooled trim: the
+    # same values, the same kept mass, through the same kernel
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        n = int(rng.integers(4, 40))
+        t = int(rng.integers(1, n))
+        d = np.zeros(n, dtype=int)
+        d[rng.permutation(n)[:t]] = 1
+        s = (rng.random(n) < np.where(d == 1, 0.9, 0.6)).astype(int)
+        s[np.flatnonzero(d == 1)[0]] = s[np.flatnonzero(d == 0)[0]] = 1
+        y = rng.normal(size=n)
+        if rng.random() < 0.3:
+            y = np.round(y, 1)  # ties at the cutoff
+        data = build_dataset(y, s, d, ["a"] * n)
+        design = block_design(data)
+        try:
+            pooled = lee_bounds(data, design)
+        except DegenerateTrimError:
+            continue
+        cell = conditional_lee_bounds(data, design).detail
+        assert cell.mu1_lb[0] == pooled.mu1_lb
+        assert cell.mu1_ub[0] == pooled.mu1_ub
+
+
 def test_conditional_bounds_match_oracle_on_random_datasets():
     rng = np.random.default_rng(11)
     checked = 0

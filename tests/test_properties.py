@@ -359,7 +359,7 @@ def singleton_arms_strategy(draw):
     paired outside the set; covariates are optional and take a few values,
     so their means tie; labels are shuffled against dataset order; outcomes
     often tie too. A quarter of the designs have two units or more in each
-    arm of every block, which the label-mode meat needs.
+    arm of every block, which the label variance needs.
     """
     two_per_arm = draw(st.integers(0, 3)) == 0
     n_blocks = draw(st.integers(2, 9))
@@ -467,7 +467,6 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
             assert_close_matrix(
                 getattr(meat, field), expected[field], moments, f"{side} {field}"
             )
-        assert meat.mode == mode
         assert meat.singleton_treated.tolist() == expected["singleton_treated"]
         assert meat.singleton_control.tolist() == expected["singleton_control"]
         for arm in ("treated", "control"):
@@ -508,11 +507,10 @@ def test_design_meat_is_the_iid_meat_plus_the_block_correction(
 @given(
     case=singleton_arms_strategy(),
     width=st.sampled_from([5, 7, 10]),
-    mode=st.sampled_from(["paired", "label"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(**COMMON)
-def test_meat_of_columns_zero_on_an_arm_matches_the_oracle(case, width, mode, seed):
+def test_meat_of_columns_zero_on_an_arm_matches_the_oracle(case, width, seed):
     # the meat accumulates each arm's block terms on the columns not
     # identically zero there, as moments of the pooled and weighted systems
     # are; here random columns vanish on one arm, or on both, and others on
@@ -526,12 +524,12 @@ def test_meat_of_columns_zero_on_an_arm_matches_the_oracle(case, width, mode, se
         sparse = rng.random(width) < 0.3
         moments[np.ix_((data.d == arm) & (rng.random(data.n) < 0.7), sparse)] = 0.0
     try:
-        expected = meat_design_oracle(data, design, moments, mode)
-    except (FeasibilityError, PairingError) as exc:
-        with pytest.raises(type(exc)):
-            meat_design(data, design, moments, mode)
+        expected = meat_design_oracle(data, design, moments)
+    except PairingError:
+        with pytest.raises(PairingError):
+            meat_design(data, design, moments)
         return
-    meat = meat_design(data, design, moments, mode)
+    meat = meat_design(data, design, moments)
     for field in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega"):
         assert_close_matrix(getattr(meat, field), expected[field], moments, field)
     for arm in ("treated", "control"):

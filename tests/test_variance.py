@@ -102,7 +102,6 @@ def test_meat_design_assembly_identity(hand_dataset):
         atol=1e-15,
     )
     np.testing.assert_array_equal(report.omega, report.omega.T)
-    assert report.mode == "paired"
     assert report.singleton_treated.size == 0
     assert report.singleton_control.size == 0
 
@@ -236,11 +235,27 @@ def test_involution_rejects_fixed_points():
         Involution(pairs=((1, 1),))
 
 
-def test_meat_design_label_mode_rejects_singleton_arms():
+def test_label_variance_rejects_singleton_arms():
     data, design = _pairs_design([("a", 2, 1), ("b", 4, 2)])
-    moments = np.ones((6, 2))
-    with pytest.raises(FeasibilityError, match="'a'|a"):
-        meat_design(data, design, moments, mode="label")
+    _, reports = estimate_bounds(data, design, "lee", ("label", "design"))
+    assert isinstance(reports["label"], FeasibilityError)
+    assert str(reports["label"]).endswith("singleton arms in: a")
+    assert not isinstance(reports["design"], EstimationError)
+
+
+def test_label_and_design_variances_share_one_meat(monkeypatch):
+    # with two units per arm in every block the paired meat pairs nothing,
+    # so it is the label meat too, and it is formed once
+    data, design = _pairs_design([("a", 4, 2), ("b", 5, 2), ("c", 6, 3)])
+    calls = []
+    meat_design = variance.meat_design
+    monkeypatch.setattr(
+        variance, "meat_design", lambda *args: calls.append(1) or meat_design(*args)
+    )
+    _, reports = estimate_bounds(data, design, "lee", ("design", "label", "iid"))
+    assert len(calls) == 1
+    label, paired = reports["label"], reports["design"]
+    assert (label.se_lb, label.se_ub) == (paired.se_lb, paired.se_ub)
 
 
 def test_meat_design_pairs_singletons_and_reports_them():
@@ -372,12 +387,6 @@ def test_meat_design_sums_each_arm_on_its_live_columns(monkeypatch, name, live):
     treated = int(d.sum())
     assert read == [(live[0], treated), (live[1], d.size - treated)]
     assert sums == [treated] * live[0] + [d.size - treated] * live[1]
-
-
-def test_meat_design_bad_mode_rejected(hand_dataset):
-    design = block_design(hand_dataset)
-    with pytest.raises(ValueError, match="mode"):
-        meat_design(hand_dataset, design, np.ones((20, 5)), mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +655,19 @@ def test_estimate_bounds_keeps_each_methods_error_order(
             assert str(report).endswith(error), method
         else:
             assert isinstance(report, error), method
-    # one meat per design or label method that got past the lower bound,
-    # over the bounds whose fit succeeded, on each arm's rows of the columns
-    # not zero there: of the lower bound's 5, the pooled system keeps 3
-    # treated and 2 control, the weighted 4 and 3; each further bound adds
-    # its rows 1 and 3, both treated. The i.i.d. meat is the design meat's
-    # a - a3, so meat_iid is not called
+    # one meat, for design, once the lower bound got past; label refuses
+    # the pairs' singleton arms before any meat is formed. It spans the
+    # bounds whose fit succeeded, on each arm's rows of the columns not zero
+    # there: of the lower bound's 5, the pooled system keeps 3 treated and
+    # 2 control, the weighted 4 and 3; each further bound adds its rows 1
+    # and 3, both treated. The i.i.d. meat is the design meat's a - a3, so
+    # meat_iid is not called
     lower = (3, 2) if name == "lee" else (4, 3)
     both = (lower[0] + 2, lower[1])
     assert widths == {
         "lb": [],
-        "ub": [("meat_design", lower)] * 2,
-        None: [("meat_design", both)] * 2,
+        "ub": [("meat_design", lower)],
+        None: [("meat_design", both)],
     }[failing]
 
 
