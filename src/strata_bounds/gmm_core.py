@@ -26,9 +26,7 @@ that bound. Point estimates are never smoothed.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -393,45 +391,6 @@ def _split_systems(systems: Sequence[str]) -> tuple[MomentSystem, tuple[str, ...
 # vectorized moment matrices with residual certification
 # ---------------------------------------------------------------------------
 
-# per thread: whether moment_matrix and meat_design reuse their work arrays
-# (set by _reusing_work_arrays), and the stored arrays themselves
-_work = threading.local()
-
-
-@contextlib.contextmanager
-def _reusing_work_arrays():
-    """Within the block, moment_matrix takes its per-arm moment rows and
-    meat_design its work arrays from this thread's store instead of fresh
-    memory; the store keeps them after the block, so the next replication
-    finds them, and is freed with its thread. A MomentMatrix made in the
-    block holds stored rows, so it is valid until this thread's next
-    moment_matrix call, or meat_design call on dense moments."""
-    previous = getattr(_work, "reusing", False)
-    _work.reusing = True
-    try:
-        yield
-    finally:
-        _work.reusing = previous
-
-
-def _work_array(
-    key: tuple[str, int], shape: tuple[int, int], used: int | None = None
-) -> np.ndarray:
-    """An uninitialized float array of its first `used` rows (all by
-    default): fresh, or inside _reusing_work_arrays the first rows of the
-    thread's stored one of this shape for key (a role and an arm), replaced
-    when the shape asked for changes. No meat may let it escape into its
-    result."""
-    used = shape[0] if used is None else used
-    if not getattr(_work, "reusing", False):
-        return np.empty((used, *shape[1:]))
-    store = _work.__dict__.setdefault("arrays", {})
-    if key not in store or store[key].shape != shape:
-        store.pop(key, None)  # free the old array before making the new one
-        store[key] = np.empty(shape)
-    return store[key][:used]
-
-
 def _kept(values: np.ndarray, cutoff: float, side: str) -> np.ndarray:
     """Which values a bound keeps: those at or below its cutoff for the
     lower bound, at or above it for the upper."""
@@ -489,13 +448,11 @@ def moment_matrix(
         for r in (0, 2) if k else (0, 1, 2, 3, 4):
             for side in system.row_arms[r]:
                 live[side].append(cols[r])
-    # per arm, its rows in column order; inside _reusing_work_arrays they
-    # are the first rows of a stored array with room for every column, so
-    # the store keeps one array per arm whatever the system
+    # per arm, its rows in column order
     parts = []
     for side, arm in enumerate(arms):
         cols = tuple(sorted(live[side]))
-        rows = _work_array(("rows", side), (width, arm.units.size), len(cols))
+        rows = np.empty((len(cols), arm.units.size))
         parts.append(ArmRows(arm=arm, live=cols, rows=rows))
     row_t, row_c = (dict(zip(part.live, part.rows)) for part in parts)
 

@@ -85,8 +85,7 @@ def lee_ipw_bounds(data: Dataset, design: BlockDesign) -> BoundsEstimate:
     d, s, y = data.d, data.s, data.y
     obs_treated = (d == 1) & (s == 1)
     obs_control = (d == 0) & (s == 1)
-    eta_g = design.eta_g
-    y_tilde = (delta / eta_g[design.codes[obs_treated]]) * y[obs_treated]
-    w_c = ((1.0 - design.p_hat) / (1.0 - eta_g))[design.codes[obs_control]]
+    y_tilde = (delta / design.eta_g[design.codes[obs_treated]]) * y[obs_treated]
+    w_c = _block_weights(design)[0][design.codes[obs_control]]
     mu0 = float((w_c * y[obs_control]).sum() / w_c.sum())
     return _pooled_bounds(METHOD_IPW, design, share, y_tilde, mu0)

@@ -4,9 +4,7 @@ Randomness uses the Philox counter-based generator (4x64) keyed by
 (seed mod 2^64, high word); the driver derives the child key for replication
 r as (seed mod 2^64, r + 1), so output is identical across runs and across
 thread counts. Each process documents its draw order, which is frozen:
-changing it would silently change every seeded result. Each replication's
-moment pass and design meat reuse the previous one's arm rows and work
-arrays on its thread, from gmm_core's store (gmm_core._reusing_work_arrays).
+changing it would silently change every seeded result.
 
 matched_pairs: units sorted by a standard-normal covariate form consecutive
 pairs; one unit per pair is treated; outcomes are 2X + 2 + noise; selection
@@ -39,8 +37,7 @@ import numpy as np
 from .data_model import Dataset, _label_table, block_design, format_number
 from .errors import EstimationError, ValidationError
 from .variance import (
-    ESTIMATORS, VARIANCE_CHOICES, _normal_cdf, _reusing_work_arrays,
-    estimate_bounds,
+    ESTIMATORS, VARIANCE_CHOICES, _normal_cdf, estimate_bounds,
 )
 
 DGP_MATCHED_PAIRS = "matched_pairs"
@@ -368,20 +365,18 @@ def _run_replication(config, tokens, n, truth, rep):
         else simulate_dgp2(child_seed(config.seed, rep))
     )
     design = block_design(data)
-    # each estimator runs once, with every variance method the panel asks of
-    # it, and the design meat reuses this thread's work arrays
+    # each estimator runs once, with every variance method asked of it
     results = {}
-    with _reusing_work_arrays():
-        for est in dict.fromkeys(est for _, est, _ in tokens):
-            methods = tuple(dict.fromkeys(
-                var for _, e, var in tokens if e == est and var != "none"
-            ))
-            try:
-                results[est] = estimate_bounds(
-                    data, design, est, methods, alpha=config.alpha
-                )
-            except EstimationError as exc:
-                results[est] = exc, {}
+    for est in dict.fromkeys(est for _, est, _ in tokens):
+        methods = tuple(dict.fromkeys(
+            var for _, e, var in tokens if e == est and var != "none"
+        ))
+        try:
+            results[est] = estimate_bounds(
+                data, design, est, methods, alpha=config.alpha
+            )
+        except EstimationError as exc:
+            results[est] = exc, {}
     rows = []
     for token, est, var in tokens:
         row = {"rep": rep, "estimator": token, "flags": ""}

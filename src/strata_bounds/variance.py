@@ -18,9 +18,7 @@ moments; each bound's meat is the block on its five columns. Every meat
 reads the fit's moments as moment_matrix wrote them, by arm, on the columns
 not zero on each arm (of a fit's 7, the pooled arms keep 5 and 2, the
 weighted 6 and 3): the column means, the Gram and the block sums come from
-those arm rows, and no dense n x 7 matrix is formed. Inside
-_reusing_work_arrays, as each Monte Carlo replication runs, the moment pass
-and the meat take their work arrays from one store per thread.
+those arm rows, and no dense n x 7 matrix is formed.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ import numpy as np
 
 from .data_model import BlockDesign, Dataset, _name_blocks
 from .errors import EstimationError, FeasibilityError, PairingError
-# _reusing_work_arrays and its store _work are entered through this module,
-# as the meat's, though the moment pass shares them
 from .gmm_core import (
     MOMENT_SYSTEMS,
     POOLED,
@@ -44,11 +40,8 @@ from .gmm_core import (
     ArmRows,
     FitResult,
     MomentMatrix,
-    _reusing_work_arrays,
     _sandwich,
     _split_arms,
-    _work,
-    _work_array,
     differentiate,
     fit_from_estimate,
 )
@@ -186,19 +179,12 @@ def _arm_rows(
     data: Dataset, design: BlockDesign, moments: np.ndarray
 ) -> tuple[ArmRows, ArmRows]:
     """Dense (n, m) moments split by arm: each arm's rows of the columns not
-    identically zero on it, over its units in moment_matrix's order,
-    gathered into the work arrays."""
+    identically zero on it, over its units in moment_matrix's order."""
     parts = []
-    for side, arm in enumerate(_split_arms(data, design)):
-        rows = _work_array(("rows", side), (moments.shape[1], arm.units.size))
-        live = []
-        # a column's rows stay where they are not all zero; the indices are
-        # valid, and mode="clip" lets take write into out
-        for j, col in enumerate(moments.T):
-            np.take(col, arm.units, mode="clip", out=rows[len(live)])
-            if rows[len(live)].any():
-                live.append(j)
-        parts.append(ArmRows(arm=arm, live=tuple(live), rows=rows[: len(live)]))
+    for arm in _split_arms(data, design):
+        rows = moments[arm.units].T
+        live = np.flatnonzero(rows.any(axis=1))
+        parts.append(ArmRows(arm=arm, live=tuple(live.tolist()), rows=rows[live]))
     return parts[0], parts[1]
 
 
@@ -225,7 +211,7 @@ def meat_design(
     if isinstance(moments, MomentMatrix):
         parts = moments.arms
     else:
-        moments = np.asarray(moments, dtype=float)  # as the work arrays are
+        moments = np.asarray(moments, dtype=float)
         parts = _arm_rows(data, design, moments)
     treated, control = (part.arm for part in parts)
     # arms with the same singleton blocks (matched pairs) share a pairing
@@ -238,7 +224,7 @@ def meat_design(
     etas = design.eta_g
     coef = (design.n_g / data.n) * etas * (1.0 - etas)
     per_arm = []  # (zeta, means) of the treated, then the control arm
-    for side, (part, paired) in enumerate(zip(parts, pairing)):
+    for part, paired in zip(parts, pairing):
         arm, rows = part.arm, part.rows
         k = len(part.live)
         # with one unit in every block, listed in block order, the rows are
@@ -246,7 +232,7 @@ def meat_design(
         # are only read, since a MomentMatrix's are the fit's own
         sums = rows
         if not arm.one_each:
-            sums = _work_array(("sums", side), (m, arm.counts.size), k)
+            sums = np.empty((k, arm.counts.size))
             for row, total in zip(rows, sums):
                 total[:] = np.bincount(arm.codes, weights=row, minlength=total.size)
         zeta = np.zeros((k, k))
@@ -268,16 +254,9 @@ def meat_design(
             # mean; its partner term is the arm mean of the block it is
             # paired with
             _, partner = paired
-            shape = (m, arm.single.size)
-            weighted = np.take(
-                means, partner, axis=1, mode="clip",
-                out=_work_array(("partner", side), shape, k),
-            )
+            weighted = np.take(means, partner, axis=1)
             weighted *= coef[arm.single]
-            single = means if arm.one_each else np.take(
-                means, arm.single, axis=1, mode="clip",
-                out=_work_array(("single", side), shape, k),
-            )
+            single = means if arm.one_each else np.take(means, arm.single, axis=1)
             cross = single @ weighted.T
             zeta = zeta + 0.5 * (cross + cross.T)
         per_arm.append((zeta, means))

@@ -179,11 +179,11 @@ def test_weighted_mu0_uses_control_weights():
 
 def test_weighted_fit_forms_the_rate_sums_once_in_each_step(monkeypatch):
     # the estimate reads delta and the kept mass off one pass, and the fit
-    # forms delta from the design once more; only the moment pass forms the
-    # block weights
+    # forms delta from the design once more; the estimate (for its control
+    # weights) and the moment pass each form the block weights
     data = random_dataset(np.random.default_rng(34), allow_clamp=False)
     counts = count_calls(
         monkeypatch, [ipw_estimator._rate_sums, _block_weights]
     )
     estimate_bounds(data, block_design(data), "lee-ipw", ("design",))
-    assert counts == {"_rate_sums": 2, "_block_weights": 1}
+    assert counts == {"_rate_sums": 2, "_block_weights": 2}

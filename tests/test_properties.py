@@ -1,7 +1,10 @@
 """Property-based invariants on randomized inputs."""
 
+import contextlib
 import io
+import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -32,7 +35,8 @@ from strata_bounds import (
 
 from scipy.stats import norm
 
-from strata_bounds.cli import flip_treatment
+from strata_bounds.cli import flip_treatment, main
+from strata_bounds.variance import ESTIMATORS, VARIANCE_CHOICES
 from strata_bounds.gmm_core import _sandwich, differentiate
 
 from conftest import (
@@ -785,3 +789,81 @@ def test_treated_outcomes_tied_at_the_cutoff(case):
                 continue  # documented: a singular Jacobian, say
             assert math.isfinite(report.se_lb), (name, method)
             assert math.isfinite(report.se_ub), (name, method)
+
+
+# magnitudes near the float limits, where a sum, a square or a difference
+# overflows or a product underflows
+HOSTILE_VALUES = (
+    1e300, -1e300, 1.797e308, -1.797e308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e154, -1e154, 5e-324, -5e-324, 1e15, -1e15,
+)
+
+
+@st.composite
+def hostile_csv_strategy(draw):
+    """CSV text of 2-5 blocks of 2-5 units, each block with a treated and a
+    control unit. Each arm's observed outcomes come from its own one to
+    three values, HOSTILE_VALUES or ordinary ones, so a whole arm can sit
+    at a float limit."""
+    values = st.sampled_from(HOSTILE_VALUES) | st.floats(-10.0, 10.0)
+    palettes = [draw(st.lists(values, min_size=1, max_size=3)) for _ in range(2)]
+    lines = ["y,s,d,block"]
+    for g in range(draw(st.integers(2, 5))):
+        size = draw(st.integers(2, 5))
+        treated = draw(st.integers(1, size - 1))
+        for i in range(size):
+            d = int(i < treated)
+            observed = draw(st.sampled_from([True, True, True, False]))
+            y = draw(st.sampled_from(palettes[d]))
+            lines.append(f"{repr(y) if observed else ''},{int(observed)},{d},g{g}")
+    return "\n".join(lines) + "\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def hostile_csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "input.csv"
+
+
+@given(text=hostile_csv_strategy())
+# the largest float as the one observed treated outcome: the pooled bounds
+# overflow in Python floats, a case the draws reach only rarely
+@example(
+    text="y,s,d,block\n1.7976931348623157e308,1,1,g0\n,0,0,g0\n-0.652,1,0,g0\n"
+    "-0.0077,1,0,g0\n,0,1,g1\n1e15,1,0,g1\n-1e300,1,0,g1\n0.0,1,0,g1\n"
+)
+@settings(deadline=None, max_examples=40)
+def test_estimate_on_extreme_values_exits_cleanly(hostile_csv_path, text):
+    # every estimator and variance: a documented exit code; on failure one
+    # line of stderr and nothing on stdout; on success strict JSON with
+    # finite bounds and SEs; no warning either way
+    hostile_csv_path.write_text(text)
+    for estimator in ESTIMATORS:
+        for method in VARIANCE_CHOICES:
+            argv = [
+                "estimate", "--input", str(hostile_csv_path),
+                "--estimator", estimator, "--variance", method,
+            ]
+            out, err = io.StringIO(), io.StringIO()
+            with (
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+                warnings.catch_warnings(record=True) as caught,
+            ):
+                warnings.simplefilter("always")
+                code = main(argv)
+            case = (estimator, method, err.getvalue())
+            assert code in (0, 1, 2), case
+            assert not caught, (case, [str(w.message) for w in caught])
+            if code:
+                assert out.getvalue() == "", case
+                assert err.getvalue().count("\n") == 1, case
+                continue
+            payload = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+            for result in payload["results"]:
+                for field in ("delta_lb", "delta_ub", "se_lb", "se_ub"):
+                    value = result[field]
+                    assert value is None or math.isfinite(value), (case, field)

@@ -1,9 +1,6 @@
 """Meat matrices, pairing, label variance, intervals, sandwich reports."""
 
-import dataclasses
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -274,15 +271,6 @@ def test_meat_design_pairs_singletons_and_reports_them():
     m_b1 = moments[2]  # block b treated unit
     expect_11 = coef * 0.5 * (np.outer(m_a1, m_b1) + np.outer(m_b1, m_a1)) * 2
     np.testing.assert_allclose(report.zeta_11, expect_11, atol=1e-14)
-
-
-def _mixed_arms_data(n_blocks=40):
-    """Blocks of three with one treated unit, then two, alternating."""
-    rng = np.random.default_rng(8)
-    d = np.tile([1, 0, 0, 1, 1, 0], n_blocks // 2)
-    s = np.where(d == 1, 1, rng.random(d.size) < 0.8).astype(int)
-    blocks = [f"b{i // 3:03d}" for i in range(d.size)]
-    return build_dataset(rng.normal(size=d.size), s, d, blocks)
 
 
 def _assert_meat_matches_oracle(data, moments):
@@ -672,12 +660,12 @@ def test_estimate_bounds_keeps_each_methods_error_order(
 
 
 # ---------------------------------------------------------------------------
-# the design meat's work-array store
+# repeated calls in one process
 # ---------------------------------------------------------------------------
 
 # run in this process and in fresh interpreters; fingerprint(kind, arg) hashes
 # one call's results to the last bit
-_STORE_CALLS = """
+_REPEATED_CALLS = """
 import hashlib
 import io
 
@@ -729,113 +717,18 @@ def fingerprint(kind, arg):
 
 def _fresh_fingerprint(kind, arg):
     return run_fresh_interpreter(
-        _STORE_CALLS + f"\nprint(fingerprint({kind!r}, {arg!r}))"
+        _REPEATED_CALLS + f"\nprint(fingerprint({kind!r}, {arg!r}))"
     ).strip()
 
 
-def test_reused_work_arrays_give_what_a_fresh_process_gives():
+def test_repeated_calls_give_what_a_fresh_process_gives():
     namespace = {}
-    exec(_STORE_CALLS, namespace)
+    exec(_REPEATED_CALLS, namespace)
+    # what outlives a call (the cached pair labels and dgp1 truth) must not
+    # change the next call's results
     calls = [("monte_carlo", 200), ("monte_carlo", 400), ("monte_carlo", 200),
              ("estimate", None)]
     here = [namespace["fingerprint"](*call) for call in calls]
-    # the last Monte Carlo left its arrays, which estimate_bounds did not use
-    assert variance._work.arrays[("rows", 0)].shape == (7, 100)
     fresh = {call: _fresh_fingerprint(*call) for call in dict.fromkeys(calls)}
     assert here == [fresh[call] for call in calls]
 
-
-def _arrays_of(meat):
-    for field in dataclasses.fields(meat):
-        value = getattr(meat, field.name)
-        if isinstance(value, variance.Involution):
-            value = value.pairs
-        if isinstance(value, np.ndarray):
-            yield field.name, value
-
-
-def test_meat_report_holds_no_stored_work_array():
-    # matched pairs: each arm has one unit per block, whose rows serve as
-    # the block sums, means and singleton rows; blocks of three with one or
-    # two treated units: each arm has both one-unit and two-unit blocks
-    cases = (
-        (simulate_dgp1(3, n=200), {"rows", "partner"}),
-        (_mixed_arms_data(), {"rows", "sums", "partner", "single"}),
-    )
-    rng = np.random.default_rng(5)
-    for data, roles in cases:
-        design = block_design(data)
-        moments = np.asfortranarray(rng.normal(size=(data.n, 10)))
-        variance._work.__dict__.pop("arrays", None)  # start from an empty store
-        with variance._reusing_work_arrays():
-            meat = meat_design(data, design, moments)
-            _, reports = estimate_bounds(data, design, "lee", ("design",))
-        stored = variance._work.arrays
-        assert {role for role, _ in stored} == roles
-        report = reports["design"]
-        for checked in (meat, report.meat_lb, report.meat_ub):
-            for name, value in _arrays_of(checked):
-                for key, array in stored.items():
-                    assert not np.shares_memory(value, array), (name, key)
-
-
-def test_meat_design_outside_the_context_leaves_the_store_alone():
-    data = simulate_dgp1(3, n=200)
-    rng = np.random.default_rng(6)
-    with variance._reusing_work_arrays():
-        meat_design(data, block_design(data), rng.normal(size=(200, 10)))
-    stored = dict(variance._work.arrays)
-    contents = {key: array.copy() for key, array in stored.items()}
-
-    bigger = simulate_dgp1(4, n=400)
-    meat_design(bigger, block_design(bigger), rng.normal(size=(400, 10)))
-    # another thread's calls in the context fill that thread's own store
-    seen = {}
-
-    def in_thread():
-        with variance._reusing_work_arrays():
-            meat_design(bigger, block_design(bigger), rng.normal(size=(400, 10)))
-        seen.update(variance._work.arrays)
-
-    thread = threading.Thread(target=in_thread)
-    thread.start()
-    thread.join()
-    assert seen[("rows", 0)].shape == (10, 200)
-
-    assert variance._work.arrays.keys() == stored.keys()
-    for key, array in variance._work.arrays.items():
-        assert array is stored[key]
-        np.testing.assert_array_equal(array, contents[key])
-
-
-def test_threads_reusing_work_arrays_keep_their_own():
-    # three threads on two cores, switching every microsecond, on data of
-    # one shape: a store shared between threads would mix their arrays
-    cases = []
-    for seed in range(3):
-        data = simulate_dgp1(20 + seed, n=1000)
-        design = block_design(data)
-        moments = np.random.default_rng(seed).normal(size=(1000, 10))
-        cases.append((data, design, moments, meat_design(data, design, moments).omega))
-    mismatches = []
-
-    def repeat(case):
-        data, design, moments, want = case
-        with variance._reusing_work_arrays():
-            for _ in range(40):
-                got = meat_design(data, design, moments).omega
-                if not np.array_equal(got, want):
-                    mismatches.append(got)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=repeat, args=(case,)) for case in cases]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not mismatches
