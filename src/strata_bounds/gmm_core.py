@@ -17,11 +17,11 @@ Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
 exactly in the parameters.
 The moment pass keeps what the Jacobian reads of the data (the trimming
-sample and a few sums, not the n-sized columns), so a fit is differentiated
-without building its columns again, both bounds in one normal-CDF kernel
-call. Each Jacobian is inverted once: the inverse decides its refusal (the
-1-norm condition number) and serves every variance method's sandwich for
-that bound. Point estimates are never smoothed.
+sample and a few sums, not the n-sized columns), so each bound is
+differentiated on its own, without building its columns again. Each
+Jacobian is inverted once: the inverse decides its refusal (the 1-norm
+condition number) and serves every variance method's sandwich for that
+bound. Point estimates are never smoothed.
 """
 
 from __future__ import annotations
@@ -679,69 +679,45 @@ def _inverse(m_hat: np.ndarray) -> np.ndarray | None:
 
 
 def differentiate(
-    bounds: Sequence[tuple[LeeTheta | LeeIpwTheta, str, FitContext]],
+    theta: LeeTheta | LeeIpwTheta,
+    system: str,
+    context: FitContext,
     bandwidth: float | None = None,
-) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
-    """Smoothed Jacobians of several bounds, each with its inverse.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed Jacobian of one bound, with its inverse.
 
-    bounds holds per bound its parameters, its system and the FitContext
-    the moment pass of a fit at those parameters kept. One normal-CDF kernel
-    call covers every bound's trimming sample, and each bound's entries are
-    the ones it would get alone, bit for bit. bandwidth defaults to each
-    context's. Per bound, the result is the pair (Jacobian, inverse), or
-    the EstimationError that stopped it alone: too few trimmed outcomes for
-    a bandwidth, or a Jacobian that is not finite or numerically singular
-    (1-norm condition > 1e12), decided from its one inverse.
+    system names the bound at parameters theta, and context is what the
+    moment pass of a fit at theta kept. bandwidth defaults to the
+    context's. Raises DegenerateTrimError where there are too few trimmed
+    outcomes for a bandwidth, and SingularJacobianError where the Jacobian
+    is not finite or numerically singular (1-norm condition > 1e12),
+    decided from its one inverse.
     """
-    staged = []  # per bound: (system, sign, h, u), or the error that stopped it
-    for theta, name, context in bounds:
-        system, (side,) = _split_systems((name,))
-        h = bandwidth if bandwidth is not None else context.bandwidth
-        if h is None:
-            try:
-                h = silverman_bandwidth(context.sample)  # raises: too few outcomes
-            except EstimationError as exc:
-                staged.append(exc)
-                continue
-        sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
-        u = (theta.cutoff - context.sample) / h  # positive inside the kept lower tail
-        staged.append((system, sign, h, u))
-    # one kernel call on every bound's arguments; each reads its own slice
-    ready = [stage for stage in staged if isinstance(stage, tuple)]
-    args = [sign * u for _, sign, _, u in ready]
-    kept = iter(())
-    if args:
-        big_phi = _big_phi(np.concatenate(args))
-        ends = np.cumsum([arg.size for arg in args]).tolist()
-        kept = (big_phi[end - arg.size : end] for arg, end in zip(args, ends))
+    moment_system, (side,) = _split_systems((system,))
+    h = bandwidth if bandwidth is not None else context.bandwidth
+    if h is None:
+        h = silverman_bandwidth(context.sample)  # raises: too few outcomes
+    sign = 1.0 if side == "lb" else -1.0  # the kept tail: below, above
+    u = (theta.cutoff - context.sample) / h  # positive inside the kept lower tail
+    n = context.n
+    kept = _big_phi(sign * u)  # the smoothed indicator of the kept tail
+    small_phi = _phi(u) / h
+    dev_phi = (context.sample - theta.mu1) * small_phi
 
-    results = []
-    for (theta, name, context), stage in zip(bounds, staged):
-        if not isinstance(stage, tuple):
-            results.append(stage)
-            continue
-        system, sign, h, u = stage
-        n = context.n
-        big_phi_kept = next(kept)
-        small_phi = _phi(u) / h
-        dev_phi = (context.sample - theta.mu1) * small_phi
+    jac = np.zeros((5, 5))
+    jac[0, 0] = -kept.sum() / n
+    jac[0, 2] = sign * dev_phi.sum() / n
+    jac[1, 1] = -context.control / n
+    jac[2, 2] = -sign * small_phi.sum() / n
+    moment_system.entries(jac, theta, context, sign, kept, small_phi, dev_phi)
 
-        jac = np.zeros((5, 5))
-        jac[0, 0] = -big_phi_kept.sum() / n
-        jac[0, 2] = sign * dev_phi.sum() / n
-        jac[1, 1] = -context.control / n
-        jac[2, 2] = -sign * small_phi.sum() / n
-        system.entries(jac, theta, context, sign, big_phi_kept, small_phi, dev_phi)
-
-        jac_inv = _inverse(jac)
-        if jac_inv is None:
-            results.append(SingularJacobianError(
-                f"moment Jacobian for {name} is numerically singular "
-                f"(1-norm condition above {CONDITION_LIMIT:.0e})"
-            ))
-            continue
-        results.append((jac, jac_inv))
-    return results
+    jac_inv = _inverse(jac)
+    if jac_inv is None:
+        raise SingularJacobianError(
+            f"moment Jacobian for {system} is numerically singular "
+            f"(1-norm condition above {CONDITION_LIMIT:.0e})"
+        )
+    return jac, jac_inv
 
 
 def jacobian(
@@ -761,10 +737,7 @@ def jacobian(
     decision was read from, with the matrix.
     """
     context = moment_matrix(data, design, (theta,), (system,)).context
-    (result,) = differentiate(((theta, system, context),), bandwidth)
-    if isinstance(result, EstimationError):
-        raise result
-    return result[0]
+    return differentiate(theta, system, context, bandwidth)[0]
 
 
 def _sandwich(m_inv: np.ndarray, omega: np.ndarray) -> np.ndarray:

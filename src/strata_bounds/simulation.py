@@ -409,7 +409,7 @@ def _run_replication(config, tokens, n, truth, rep):
 
 
 def _thread_count(reps: int) -> int:
-    """Worker threads from STRATA_BOUNDS_THREADS, no more than reps."""
+    """Worker threads from STRATA_BOUNDS_THREADS, at most reps and the CPUs."""
     raw = os.environ.get(THREADS_ENV, "") or "1"
     try:
         threads = int(raw)
@@ -419,16 +419,16 @@ def _thread_count(reps: int) -> int:
         raise ValidationError(
             f"{THREADS_ENV} must be a whole number of at least 1, got {raw!r}"
         )
-    return min(threads, reps)
+    return min(threads, reps, os.cpu_count() or 1)
 
 
 def monte_carlo(config: McConfig, out_dir: str | None = None) -> MonteCarloSummary:
     """Run the replications, optionally writing the two CSV files.
 
     Parallelism is controlled by the STRATA_BOUNDS_THREADS environment
-    variable (default 1, capped at the number of replications); results are
-    keyed by replication index, so output bytes do not depend on the thread
-    count.
+    variable (default 1, capped at the number of replications and of CPUs);
+    results are keyed by replication index, so output bytes do not depend on
+    the thread count.
     """
     tokens, n = _resolve_config(config)
     threads = _thread_count(config.reps)

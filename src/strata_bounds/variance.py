@@ -11,14 +11,15 @@ correction is available as a conservative comparator.
 Standard errors, per-bound confidence intervals, and the width-adjusted
 identified-set interval complete the report. estimate_bounds runs one
 estimator with any number of variance methods; the command line and the
-Monte Carlo driver both go through it. It fits and differentiates both
-bounds in one pass, inverts each bound's Jacobian once for every method's
-sandwich, and forms one meat for design and label, on both bounds' stacked
-moments; each bound's meat is the block on its five columns. Every meat
-reads the fit's moments as moment_matrix wrote them, by arm, on the columns
-not zero on each arm (of a fit's 7, the pooled arms keep 5 and 2, the
-weighted 6 and 3): the column means, the Gram and the block sums come from
-those arm rows, and no dense n x 7 matrix is formed.
+Monte Carlo driver both go through it. It fits both bounds in one pass,
+differentiates each from what that pass kept, inverts each bound's
+Jacobian once for every method's sandwich, and forms one meat for design
+and label, on both bounds' stacked moments; each bound's meat is the
+block on its five columns. Every meat reads the fit's moments as
+moment_matrix wrote them, by arm, on the columns not zero on each arm (of
+a fit's 7, the pooled arms keep 5 and 2, the weighted 6 and 3): the column
+means, the Gram and the block sums come from those arm rows, and no dense
+n x 7 matrix is formed.
 """
 
 from __future__ import annotations
@@ -493,12 +494,12 @@ def estimate_bounds(
 
     The point estimator runs once; an error it raises propagates. With
     methods, both bounds' systems are fitted in one moment_matrix pass and
-    differentiated together, from what that pass kept, in one normal-CDF
-    kernel call; each Jacobian is inverted once, and every method's sandwich
-    for that bound uses the inverse. One design meat is formed on both
-    bounds' stacked moments, leaving out a bound whose fit failed, and
-    serves design and label: label first refuses singleton arms, and with
-    none the paired meat pairs nothing. The i.i.d. meat is a - a3 of that
+    each is differentiated from what that pass kept; each Jacobian is
+    inverted once, and every method's sandwich for that bound uses the
+    inverse. One design meat is formed on both bounds' stacked moments,
+    leaving out a bound whose fit failed, and serves design and label:
+    label first refuses singleton arms, and with none the paired meat
+    pairs nothing. The i.i.d. meat is a - a3 of that
     design meat, when there is one, else meat_iid's. The dict maps each
     method to its report, or to the EstimationError that stopped it alone.
     A float overflow or invalid operation anywhere stops the call with an
@@ -529,16 +530,15 @@ def estimate_bounds(
     stack, fits = fit_from_estimate(
         data, design, (f"{system.kind}_lb", f"{system.kind}_ub"), estimate
     )
-    breads = iter(differentiate([
-        (fit.theta, fit.system, fit.matrix.context)
-        for fit in fits if not isinstance(fit, EstimationError)
-    ]))
     sides = []  # per bound: (fit, inverse Jacobian), or the error that stopped it
     for fit in fits:
         side = fit
         if not isinstance(fit, EstimationError):
-            bread = next(breads)
-            side = bread if isinstance(bread, EstimationError) else (fit, bread[1])
+            try:
+                _, jac_inv = differentiate(fit.theta, fit.system, fit.matrix.context)
+                side = (fit, jac_inv)
+            except EstimationError as exc:
+                side = exc
         sides.append(side)
     # the moments the meats see: the lower bound's columns, then the upper
     # bound's unless its fit failed (a method whose lower bound failed

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def run_fresh_interpreter(code: str) -> str:
         check=True,
     )
     return proc.stdout
+
+
+def peak_per_unit(call, n: int) -> float:
+    """The traced peak of the second of two calls, in bytes per unit."""
+    call()  # the first call may fill caches that outlive it
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / n
 
 
 def build_dataset(y, s, d, blocks, x=None):

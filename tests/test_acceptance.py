@@ -7,6 +7,7 @@ infeasibility analysis are part of the project notes.
 """
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -376,6 +377,8 @@ def test_criterion_6_hand_examples_exact():
 
 def test_criterion_7_byte_identical_runs(tmp_path, monkeypatch):
     config = McConfig(dgp="matched_pairs", reps=6, seed=3, n=200)
+    # 3 threads are capped at the CPUs, here 2, so two run on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     blobs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "3")):
         out = tmp_path / tag

@@ -458,16 +458,16 @@ def test_jacobian_rejects_numerically_singular_result(hand_dataset):
 )
 @pytest.mark.parametrize("name", ["lee", "lee-ipw"])
 def test_estimate_bounds_differentiates_each_fit_like_jacobian(monkeypatch, make, name):
-    # the Jacobian estimate_bounds reads from its fit's moment pass, both
-    # bounds in one kernel call, is the one jacobian builds from the data,
-    # bit for bit, and its inverse is numpy's
+    # the Jacobian estimate_bounds reads from its fit's moment pass, one
+    # bound per call, is the one jacobian builds from the data, bit for bit,
+    # and its inverse is numpy's
     used = []
     differentiate = variance.differentiate
 
-    def recording(bounds):
-        results = differentiate(bounds)
-        used.extend(results)
-        return results
+    def recording(*args):
+        result = differentiate(*args)
+        used.append(result)
+        return result
 
     monkeypatch.setattr(variance, "differentiate", recording)
     rng = np.random.default_rng(29)

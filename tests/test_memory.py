@@ -1,15 +1,15 @@
 """Memory guard: the peak traced allocation per unit of parsing a CSV and of
 one estimate with its variance, on a seeded stratified dataset.
 
-The bounds were fixed from a measurement before the test was written: parse
-154, lee 109 and lee-ipw 120 bytes per unit on this dataset, each bound
-about 15% above its figure. The dense-moment code before per-arm moment rows
-and streamed block codes measured 209, 181 and 181, so a layout that forms
-an n-sized buffer per moment column, or keeps every label string until the
-last chunk is parsed, fails here.
+The bounds were fixed from a measurement: parse 154, lee 88 and lee-ipw 114
+bytes per unit on this dataset, each bound about 15% above its figure. The
+dense-moment code before per-arm moment rows and streamed block codes
+measured 209, 181 and 181, and one normal-CDF kernel call over both bounds'
+concatenated arguments 109 and 120 for the estimates, so a layout that
+forms an n-sized buffer per moment column, batches the bounds' kernel
+arguments again, or keeps every label string until the last chunk is
+parsed, fails here.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +21,9 @@ from strata_bounds import (
     parse_csv,
 )
 
-from conftest import dataset_to_csv_text
+from conftest import dataset_to_csv_text, peak_per_unit
 
-PEAK_BYTES_PER_UNIT = {"parse_csv": 177, "lee": 126, "lee-ipw": 138}
+PEAK_BYTES_PER_UNIT = {"parse_csv": 177, "lee": 101, "lee-ipw": 131}
 
 
 def _strata_dataset(seed: int, n_blocks: int):
@@ -42,18 +42,6 @@ def _strata_dataset(seed: int, n_blocks: int):
     )
 
 
-def _peak_per_unit(call, n: int) -> float:
-    """The traced peak of the second of two calls, in bytes per unit."""
-    call()  # the first call may fill caches that outlive it
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / n
-
-
 @pytest.fixture(scope="module")
 def strata_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("memory") / "strata.csv"
@@ -64,7 +52,7 @@ def strata_csv(tmp_path_factory):
 
 def test_parse_csv_peak_per_unit(strata_csv):
     path, n = strata_csv
-    peak = _peak_per_unit(lambda: parse_csv(path), n)
+    peak = peak_per_unit(lambda: parse_csv(path), n)
     assert peak <= PEAK_BYTES_PER_UNIT["parse_csv"], peak
 
 
@@ -73,7 +61,7 @@ def test_estimate_bounds_peak_per_unit(strata_csv, name):
     path, n = strata_csv
     data = parse_csv(path)
     design = block_design(data)
-    peak = _peak_per_unit(
+    peak = peak_per_unit(
         lambda: estimate_bounds(data, design, name, ("iid", "design")), n
     )
     assert peak <= PEAK_BYTES_PER_UNIT[name], peak

@@ -456,9 +456,7 @@ def test_joint_meat_matches_the_per_bound_oracle(case, name, method):
             # the i.i.d. meat a - a3 is reported through its sandwich, which
             # scales the meat's rounding by at most the square of the
             # inverse Jacobian's largest absolute row sum
-            ((_, inv),) = differentiate(
-                [(fit.theta, fit.system, fit.matrix.context)]
-            )
+            _, inv = differentiate(fit.theta, fit.system, fit.matrix.context)
             row_sum = float(np.abs(inv).sum(axis=1).max())
             assert_close_matrix(
                 getattr(report, f"v_hat_{side}"),

@@ -1,6 +1,7 @@
 """Synthetic data processes, seeding scheme, and the Monte Carlo driver."""
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -282,6 +283,8 @@ def test_monte_carlo_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     config = McConfig(dgp="matched_pairs", reps=6, seed=23, n=200)
     monkeypatch.setenv("STRATA_BOUNDS_THREADS", "1")
     monte_carlo(config, out_dir=str(out1))
+    # 3 is capped at the CPUs, here 2, so two threads run on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("STRATA_BOUNDS_THREADS", "3")
     monte_carlo(config, out_dir=str(out3))
     assert (out1 / "replications.csv").read_bytes() == (
@@ -308,8 +311,15 @@ def test_monte_carlo_caps_threads_at_replications(monkeypatch):
     # monte_carlo imports the pool when it starts one
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setenv("STRATA_BOUNDS_THREADS", "64")
-    monte_carlo(McConfig(dgp="heavy_tails", reps=2, seed=1))
-    assert requested == [2]
+    for cpus, reps, expected in [
+        (64, 2, [2]),  # capped at the replications
+        (2, 8, [2]),  # capped at the CPUs
+        (None, 8, []),  # an unknown CPU count runs in process, with no pool
+    ]:
+        requested.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monte_carlo(McConfig(dgp="heavy_tails", reps=reps, seed=1))
+        assert requested == expected, cpus
 
 
 def test_monte_carlo_single_replication_has_nan_sd(tmp_path):
@@ -456,9 +466,9 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
     )
     monte_carlo(config)
     # one point estimate, whose share the fit does not form again; one
-    # moment matrix for both bounds; both bounds
-    # differentiated in one pass with one normal-CDF kernel call, and each
-    # Jacobian inverted once, its refusal read off that inverse; one meat
+    # moment matrix for both bounds; each bound differentiated once, with
+    # one normal-CDF kernel call of its own, and each Jacobian inverted
+    # once, its refusal read off that inverse; one meat
     # for the design method on both bounds' stacked moments, with one Gram
     # that the i.i.d. meat shares; one pairing for both arms, since every
     # pair is a singleton block in each
@@ -466,9 +476,9 @@ def test_monte_carlo_fits_and_differentiates_each_bound_once(monkeypatch):
         "lee_bounds": 1,
         "trimming_share_pooled": 1,
         "moment_matrix": 1,
-        "differentiate": 1,
+        "differentiate": 2,
         "jacobian": 0,
-        "_big_phi": 1,
+        "_big_phi": 2,
         "inv": 2,
         "cond": 0,
         "meat_iid": 0,

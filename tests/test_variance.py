@@ -611,12 +611,11 @@ def test_estimate_bounds_keeps_each_methods_error_order(
     design = block_design(data)
     differentiate = variance.differentiate
 
-    def failing_differentiate(bounds, *args, **kwargs):
-        return [
-            SingularJacobianError(system)
-            if failing is not None and system.endswith(failing) else result
-            for (_, system, _), result in zip(bounds, differentiate(bounds, *args, **kwargs))
-        ]
+    def failing_differentiate(theta, system, *args, **kwargs):
+        result = differentiate(theta, system, *args, **kwargs)
+        if failing is not None and system.endswith(failing):
+            raise SingularJacobianError(system)
+        return result
 
     monkeypatch.setattr(variance, "differentiate", failing_differentiate)
     widths = []  # each meat function called, with the rows of each arm it saw
