@@ -375,10 +375,7 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # UsageError too: its show() adds the usage
         exc.show()
         return 1
     except click.exceptions.Abort:

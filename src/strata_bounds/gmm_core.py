@@ -12,7 +12,7 @@ column-mean residuals. Both bounds of one estimate are fitted in one pass,
 on one trimming sample, with the rows they share (rows 2, 4 and 5) once: 7
 columns, which moment_matrix writes by arm, each arm's over its units on
 the columns not zero on it; the dense n x 7 matrix is formed only when
-MomentMatrix.values is read.
+MomentMatrix.values is read. Every bound's FitResult holds that matrix.
 Standard errors use a smoothed analytic Jacobian: indicator terms are
 replaced by normal-kernel CDFs with a Silverman bandwidth, differentiated
 exactly in the parameters.
@@ -160,33 +160,22 @@ class ArmRows:
     live: tuple[int, ...]
     rows: np.ndarray
 
-    def select(self, columns: Sequence[int]) -> ArmRows:
-        """The rows of these columns, live renumbered to their positions in
-        columns; a view where they are consecutive rows, as a fit's are."""
-        position = {c: i for i, c in enumerate(columns)}
-        at = [i for i, c in enumerate(self.live) if c in position]
-        if at and at == list(range(at[0], at[-1] + 1)):
-            rows = self.rows[at[0] : at[-1] + 1]
-        else:
-            rows = self.rows[at]
-        return ArmRows(self.arm, tuple(position[self.live[i]] for i in at), rows)
-
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
-    """Per-unit moment values of one or more bounds, with residual checks.
+    """Per-unit moment values of the bounds of one fit, with residual checks.
 
     The moments are stored by arm: arms holds the treated arm's rows, then
-    the control arm's, each on the columns not zero on that arm. For
-    several bounds the columns are one stack, where columns[k] lists bound
-    k's rows 1-5 (rows 2, 4 and 5 are the first bound's); for one bound
-    they are its rows 1-5. values is the dense (n, width) matrix, formed on
-    first read. residuals (the column means), bounds and checked follow the
-    columns. Entries flagged in `checked` must satisfy |residual| <= bound:
-    rows solved exactly get 1e-8; the trimmed-mean and tail-share rows get
-    boundary-tie bounds; a clamped trimming share exempts the selection-rate
-    relation row (its mean is the monotonicity violation). context is the
-    FitContext every bound's Jacobian reads.
+    the control arm's, each on the columns not zero on that arm. The bounds'
+    columns are one stack, which every bound reads at its own: columns[k]
+    lists bound k's rows 1-5 (rows 2, 4 and 5 are the first bound's), and
+    one bound's are (0, 1, 2, 3, 4). values is the dense (n, width) matrix,
+    formed on first read. residuals (the column means), bounds and checked
+    follow the columns. Entries flagged in `checked` must satisfy
+    |residual| <= bound: rows solved exactly get 1e-8; the trimmed-mean and
+    tail-share rows get boundary-tie bounds; a clamped trimming share
+    exempts the selection-rate relation row (its mean is the monotonicity
+    violation). context is the FitContext every bound's Jacobian reads.
     """
 
     n: int
@@ -223,28 +212,19 @@ class MomentMatrix:
             for i in np.flatnonzero(~self.checked).tolist()
         )
 
-    def bound(self, k: int) -> MomentMatrix:
-        """The k-th bound's matrix, on its arm rows of these."""
-        cols = self.columns[k]
-        at = list(cols)
-        return MomentMatrix(
-            n=self.n,
-            arms=(self.arms[0].select(cols), self.arms[1].select(cols)),
-            columns=(tuple(range(len(cols))),),
-            residuals=self.residuals[at],
-            bounds=self.bounds[at],
-            checked=self.checked[at],
-            context=self.context,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Closed-form fit of one system plus its certifying moment matrix."""
+    """Closed-form fit of one bound plus the moment matrix that certifies it.
+
+    matrix is the fit's one MomentMatrix, the same object for every bound
+    of the estimate; columns lists this bound's rows 1-5 in it.
+    """
 
     system: str
     theta: LeeTheta | LeeIpwTheta
     matrix: MomentMatrix
+    columns: tuple[int, ...]
     estimate: BoundsEstimate
 
 
@@ -508,7 +488,7 @@ def moment_matrix(
 def fit_theta(data: Dataset, design: BlockDesign, system: str) -> FitResult:
     """Closed-form fit of one system, certified by its moment residuals."""
     estimate = _split_systems((system,))[0].point_estimate(data, design)
-    _, (fit,) = fit_from_estimate(data, design, (system,), estimate)
+    (fit,) = fit_from_estimate(data, design, (system,), estimate)
     if isinstance(fit, EstimationError):
         raise fit
     return fit
@@ -519,14 +499,14 @@ def fit_from_estimate(
     design: BlockDesign,
     systems: Sequence[str],
     estimate: BoundsEstimate,
-) -> tuple[MomentMatrix, tuple[FitResult | EstimationError, ...]]:
+) -> tuple[FitResult | EstimationError, ...]:
     """fit_theta for several bounds of one moment system from its point
     estimate, already in hand; the system forms their thetas from it and
-    the design. Every bound is fitted in one moment_matrix call, whose
-    stacked matrix is
-    returned; the bounds share its rows 2, 4 and 5. Per bound, the result
-    is its FitResult, whose matrix is its bound's (MomentMatrix.bound), or
-    the residual error that stopped it alone.
+    the design. Every bound is fitted in one moment_matrix call, and the
+    bounds share its matrix and its rows 2, 4 and 5. Per bound, the result
+    is its FitResult, which holds that matrix and the bound's columns in
+    it, or the residual error that stopped that bound alone, checked at
+    its columns.
     """
     system, sides = _split_systems(systems)
     bounds = [
@@ -538,30 +518,26 @@ def fit_from_estimate(
         for side in sides
     ]
     thetas = system.thetas(estimate, design, bounds)
-    stack = moment_matrix(
+    matrix = moment_matrix(
         data, design, thetas, systems,
         clamped="trimming_share_clamped" in estimate.flags,
     )
     results = []
-    for k, (name, theta) in enumerate(zip(systems, thetas)):
-        matrix = stack.bound(k)
-        if matrix.ok:
-            results.append(FitResult(
-                system=name,
-                theta=theta,
-                matrix=matrix,
-                estimate=estimate,
-            ))
-            continue
+    for name, theta, cols in zip(systems, thetas, matrix.columns):
         bad = [
-            f"row {r + 1}: |{matrix.residuals[r]:.3e}| > {matrix.bounds[r]:.3e}"
-            for r in range(5)
-            if matrix.checked[r] and abs(matrix.residuals[r]) > matrix.bounds[r]
+            f"row {r + 1}: |{matrix.residuals[c]:.3e}| > {matrix.bounds[c]:.3e}"
+            for r, c in enumerate(cols)
+            if matrix.checked[c] and abs(matrix.residuals[c]) > matrix.bounds[c]
         ]
-        results.append(InternalConsistencyError(
-            f"moment residuals violated for {name}: " + "; ".join(bad)
-        ))
-    return stack, tuple(results)
+        if bad:
+            results.append(InternalConsistencyError(
+                f"moment residuals violated for {name}: " + "; ".join(bad)
+            ))
+        else:
+            results.append(FitResult(
+                system=name, theta=theta, matrix=matrix, columns=cols, estimate=estimate
+            ))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

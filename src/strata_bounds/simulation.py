@@ -274,8 +274,8 @@ class McConfig:
 
     estimators holds tokens "<estimator>:<variance>" with estimator in
     {lee, conditional-lee, lee-ipw} and variance in {design, iid, label,
-    none}; empty means the default panel for the process. n applies to
-    matched_pairs only (heavy_tails is fixed at 2000).
+    none}, each at most once; empty means the default panel for the
+    process. n applies to matched_pairs only (heavy_tails has 2000).
     """
 
     dgp: str
@@ -351,7 +351,11 @@ def _resolve_config(config: McConfig):
         if n > np.iinfo(np.intp).max:  # more units than numpy can index
             raise ValidationError(f"matched_pairs n is too large, got {n}")
     tokens = config.estimators or _DEFAULT_PANEL[config.dgp]
-    return tuple((t, *_parse_token(t)) for t in tokens), n
+    resolved = tuple((t, *_parse_token(t)) for t in tokens)
+    for i, token in enumerate(tokens):
+        if token in tokens[:i]:  # its rows and summary would count twice
+            raise ValidationError(f"estimator token {token!r} is given twice")
+    return resolved, n
 
 
 def _covered(interval: tuple[float, float], value: float) -> bool:

@@ -14,19 +14,19 @@ estimator with any number of variance methods; the command line and the
 Monte Carlo driver both go through it. It fits both bounds in one pass,
 differentiates each from what that pass kept, inverts each bound's
 Jacobian once for every method's sandwich, and forms one meat for design
-and label, on both bounds' stacked moments; each bound's meat is the
-block on its five columns. Every meat reads the fit's moments as
-moment_matrix wrote them, by arm, on the columns not zero on each arm (of
-a fit's 7, the pooled arms keep 5 and 2, the weighted 6 and 3): the column
-means, the Gram and the block sums come from those arm rows, and no dense
-n x 7 matrix is formed.
+and label, on the fit's one moment matrix; each bound's sandwich reads
+that meat's block at the bound's five columns. Every meat reads the fit's
+moments as moment_matrix wrote them, by arm, on the columns not zero on
+each arm (of a fit's 7, the pooled arms keep 5 and 2, the weighted 6 and
+3): the column means, the Gram and the block sums come from those arm
+rows, and no dense n x 7 matrix is formed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -127,7 +127,8 @@ class MeatReport:
     i.i.d. meat a - a3 plus the between-block correction b_n.
     singleton_treated / singleton_control hold the indices of blocks whose
     arm had one unit; their labels are design.labels[g].
-    For several bounds' moments, bound(columns) gives one bound's blocks.
+    On several bounds' stacked moments each matrix spans them all, and a
+    bound's blocks are those at its columns (FitResult.columns).
     """
 
     a: np.ndarray
@@ -141,14 +142,6 @@ class MeatReport:
     singleton_control: np.ndarray
     involution_treated: Involution | None
     involution_control: Involution | None
-
-    def bound(self, columns) -> MeatReport:
-        """The 5x5 blocks of the bound whose rows are these moment columns."""
-        block = np.ix_(columns, columns)
-        return replace(self, **{
-            name: getattr(self, name)[block]
-            for name in ("a", "a3", "zeta_10", "zeta_11", "zeta_00", "b_n", "omega")
-        })
 
 
 def _within(arm: Arm, coef: np.ndarray) -> np.ndarray | None:
@@ -421,8 +414,10 @@ def confidence_intervals(
 class VarianceReport:
     """Sandwich variance of both bounds under one meat method.
 
-    flags holds the estimate's flags, then variance_clipped_lb and _ub and
-    degenerate_ci where they apply.
+    meat is the design or label meat on the fit's moment matrix, shared by
+    the methods that formed it, and None for iid. flags holds the
+    estimate's flags, then variance_clipped_lb and _ub and degenerate_ci
+    where they apply.
     """
 
     method: str
@@ -432,8 +427,7 @@ class VarianceReport:
     intervals: IntervalReport
     v_hat_lb: np.ndarray
     v_hat_ub: np.ndarray
-    meat_lb: MeatReport | None
-    meat_ub: MeatReport | None
+    meat: MeatReport | None
     fit_lb: FitResult
     fit_ub: FitResult
     flags: tuple[str, ...]
@@ -496,15 +490,17 @@ def estimate_bounds(
     methods, both bounds' systems are fitted in one moment_matrix pass and
     each is differentiated from what that pass kept; each Jacobian is
     inverted once, and every method's sandwich for that bound uses the
-    inverse. One design meat is formed on both bounds' stacked moments,
-    leaving out a bound whose fit failed, and serves design and label:
-    label first refuses singleton arms, and with none the paired meat
-    pairs nothing. The i.i.d. meat is a - a3 of that
-    design meat, when there is one, else meat_iid's. The dict maps each
-    method to its report, or to the EstimationError that stopped it alone.
-    A float overflow or invalid operation anywhere stops the call with an
-    EstimationError.
+    inverse. One design meat is formed on the fit's one moment matrix,
+    which holds both bounds' columns, and serves design and label: label
+    first refuses singleton arms, and with none the paired meat pairs
+    nothing. The i.i.d. meat is a - a3 of that design meat, when there is
+    one, else meat_iid's. The dict maps each method to its report, or to
+    the EstimationError that stopped it alone. A float overflow or invalid
+    operation anywhere stops the call with an EstimationError. An unknown
+    method, or an alpha outside (0, 1), raises ValueError.
     """
+    if not 0.0 < alpha < 1.0:  # nan fails this too
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     for method in methods:
         if method not in VARIANCE_METHODS:
             raise ValueError(
@@ -527,9 +523,8 @@ def estimate_bounds(
     if not methods:
         return estimate, {}
 
-    stack, fits = fit_from_estimate(
-        data, design, (f"{system.kind}_lb", f"{system.kind}_ub"), estimate
-    )
+    bounds = (f"{system.kind}_lb", f"{system.kind}_ub")
+    fits = fit_from_estimate(data, design, bounds, estimate)
     sides = []  # per bound: (fit, inverse Jacobian), or the error that stopped it
     for fit in fits:
         side = fit
@@ -540,13 +535,11 @@ def estimate_bounds(
             except EstimationError as exc:
                 side = exc
         sides.append(side)
-    # the moments the meats see: the lower bound's columns, then the upper
-    # bound's unless its fit failed (a method whose lower bound failed
-    # forms no meat)
+    # the meats see the fit's one moment matrix, both bounds' columns; a
+    # method whose lower bound failed forms no meat
     meats = {}  # per method: (MeatReport or None, omega), or the meat's error
     if not isinstance(sides[0], EstimationError):
-        fitted_ub = not isinstance(sides[1], EstimationError)
-        moments = stack if fitted_ub else stack.bound(0)
+        moments = fits[0].matrix
         meat = None  # formed once: label is design where no arm is a singleton
         for method in methods:
             if method != "iid":
@@ -565,17 +558,17 @@ def estimate_bounds(
     for method in methods:
         try:
             reports[method] = _variance_report(
-                data, sides, meats.get(method), stack.columns, method, alpha
+                data, sides, meats.get(method), method, alpha
             )
         except EstimationError as exc:
             reports[method] = exc
     return estimate, reports
 
 
-def _variance_report(data, sides, formed, columns, method, alpha) -> VarianceReport:
+def _variance_report(data, sides, formed, method, alpha) -> VarianceReport:
     """One method's sandwich per bound, lower bound first, from the meat
-    formed on the stacked moments (its MeatReport or None, and omega), then
-    the intervals. columns[k] lists bound k's five columns of those moments.
+    formed on the fit's moment matrix (its MeatReport or None, and omega)
+    at the bound's five columns, then the intervals.
 
     The errors come in the order a bound-by-bound pass would meet them: the
     lower bound's fit or Jacobian, the meat's design-only error, the upper
@@ -586,20 +579,16 @@ def _variance_report(data, sides, formed, columns, method, alpha) -> VarianceRep
     if isinstance(formed, EstimationError):
         raise formed
     meat, omega = formed
-    fields, clipped = {}, []
-    for k, (side, fitted) in enumerate(zip(("lb", "ub"), sides)):
+    fields, clipped = {"meat": meat}, []
+    for side, fitted in zip(("lb", "ub"), sides):
         if isinstance(fitted, EstimationError):
             raise fitted
         fit, jac_inv = fitted
-        v_hat = _sandwich(jac_inv, omega[np.ix_(columns[k], columns[k])])
+        v_hat = _sandwich(jac_inv, omega[np.ix_(fit.columns, fit.columns)])
         se, clip = bound_standard_error(v_hat, data.n)
         if clip:
             clipped.append(f"variance_clipped_{side}")
-        fields.update({
-            f"fit_{side}": fit,
-            f"meat_{side}": None if meat is None else meat.bound(columns[k]),
-            f"v_hat_{side}": v_hat, f"se_{side}": se,
-        })
+        fields.update({f"fit_{side}": fit, f"v_hat_{side}": v_hat, f"se_{side}": se})
 
     fit_lb = fields["fit_lb"]
     intervals = confidence_intervals(

@@ -456,8 +456,8 @@ def test_criterion_8_structural_invariants_on_random_inputs():
                     rep = sandwich_report(data, design, kind, method, alpha)
                 except EstimationError:
                     continue
-                meats = [m for m in (rep.meat_lb, rep.meat_ub) if m is not None]
-                assert len(meats) == (2 if method == "design" else 0)
+                meats = [] if rep.meat is None else [rep.meat]
+                assert len(meats) == (1 if method == "design" else 0)
                 for meat in meats:
                     omega = meat.omega
                     np.testing.assert_allclose(omega, omega.T, atol=1e-12)

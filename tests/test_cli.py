@@ -673,8 +673,11 @@ def test_simulate_refuses_an_n_numpy_cannot_index(capsys, tmp_path):
          "error: bad estimator token 'bogus:x'; use <estimator>:<variance> "
          "with estimator in ('lee', 'conditional-lee', 'lee-ipw') and "
          "variance in ('design', 'iid', 'label', 'none')\n"),
+        (["--n", "200", "--reps", "3", "--estimator", "lee:design",
+          "--estimator", "lee:design"],
+         "error: estimator token 'lee:design' is given twice\n"),
     ],
-    ids=["reps-0", "bogus-estimator"],
+    ids=["reps-0", "bogus-estimator", "repeated-estimator"],
 )
 def test_refused_simulate_leaves_no_out_directory(capsys, tmp_path, args, message):
     out_dir = tmp_path / "o"

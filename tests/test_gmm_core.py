@@ -152,12 +152,18 @@ def test_shared_rows_are_identical_across_sides(hand_dataset):
         thetas = (lb.theta, ub.theta)
         stack = moment_matrix(hand_dataset, design, thetas, systems)
         assert stack.values.shape == (hand_dataset.n, 7)
-        for k, (theta, system) in enumerate(zip(thetas, systems)):
+        for cols, theta, system in zip(stack.columns, thetas, systems):
             alone = moment_matrix(hand_dataset, design, (theta,), (system,))
-            for field in ("values", "residuals", "bounds", "checked"):
+            at = list(cols)
+            np.testing.assert_array_equal(stack.values[:, at], alone.values)
+            for field in ("residuals", "bounds", "checked"):
                 np.testing.assert_array_equal(
-                    getattr(stack.bound(k), field), getattr(alone, field)
+                    getattr(stack, field)[at], getattr(alone, field)
                 )
+        # both bounds of one estimate hold that one matrix, each at its columns
+        fits = gmm_core.fit_from_estimate(hand_dataset, design, systems, lb.estimate)
+        assert fits[0].matrix is fits[1].matrix
+        assert tuple(fit.columns for fit in fits) == fits[0].matrix.columns
         # the bounds of one estimate differ in mu1 and cutoff alone
         moved = replace(ub.theta, mu0=ub.theta.mu0 + 0.5)
         with pytest.raises(ValueError, match="one estimate"):

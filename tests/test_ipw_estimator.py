@@ -90,9 +90,9 @@ def test_weighted_bounds_match_oracle_fieldwise():
         np.testing.assert_allclose(w_q, ref["w_q"], rtol=0, atol=1e-14)
         # the trimming sample of the fit: the rescaled observed-treated
         # outcomes, in dataset order
-        stack, _ = fit_from_estimate(data, design, ("ipw_lb",), est)
+        (fit,) = fit_from_estimate(data, design, ("ipw_lb",), est)
         np.testing.assert_allclose(
-            stack.context.sample, ref["y_tilde"], rtol=0, atol=1e-12
+            fit.matrix.context.sample, ref["y_tilde"], rtol=0, atol=1e-12
         )
     assert checked >= 20
 

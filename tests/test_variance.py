@@ -253,6 +253,7 @@ def test_label_and_design_variances_share_one_meat(monkeypatch):
     assert len(calls) == 1
     label, paired = reports["label"], reports["design"]
     assert (label.se_lb, label.se_ub) == (paired.se_lb, paired.se_ub)
+    assert label.meat is paired.meat
 
 
 def test_meat_design_pairs_singletons_and_reports_them():
@@ -524,6 +525,14 @@ def test_sandwich_report_rejects_unknown_method(hand_dataset):
         sandwich_report(hand_dataset, block_design(hand_dataset), "lee", "hac")
 
 
+@pytest.mark.parametrize("methods", [("iid",), ()], ids=["iid", "no-method"])
+@pytest.mark.parametrize("alpha", [0.0, -0.05, 1.0, 1.5, math.nan, math.inf])
+def test_estimate_bounds_rejects_alpha_outside_zero_one(hand_dataset, alpha, methods):
+    design = block_design(hand_dataset)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        estimate_bounds(hand_dataset, design, "lee", methods, alpha)
+
+
 def test_sandwich_report_unit_order_invariance():
     rng = np.random.default_rng(123)
     data = random_dataset(rng, min_block=4)
@@ -597,7 +606,8 @@ def test_estimate_bounds_fails_one_method_alone():
         # meat's infeasibility, and no meat is formed
         ("lb", {"iid": "lb", "design": "lb", "label": "lb"}),
         # the label meat's infeasibility comes ahead of the upper bound's fit
-        # error; the other meats see the lower bound's moments alone
+        # error; the other meats still span both bounds' columns, and their
+        # methods report the upper bound's error
         ("ub", {"iid": "ub", "design": "ub", "label": FeasibilityError}),
         # both bounds fitted: only the label meat fails
         (None, {"iid": None, "design": None, "label": FeasibilityError}),
@@ -644,16 +654,16 @@ def test_estimate_bounds_keeps_each_methods_error_order(
             assert isinstance(report, error), method
     # one meat, for design, once the lower bound got past; label refuses
     # the pairs' singleton arms before any meat is formed. It spans the
-    # bounds whose fit succeeded, on each arm's rows of the columns not zero
-    # there: of the lower bound's 5, the pooled system keeps 3 treated and
-    # 2 control, the weighted 4 and 3; each further bound adds its rows 1
-    # and 3, both treated. The i.i.d. meat is the design meat's a - a3, so
-    # meat_iid is not called
-    lower = (3, 2) if name == "lee" else (4, 3)
-    both = (lower[0] + 2, lower[1])
+    # fit's one moment matrix, whether or not the upper bound's fit
+    # succeeded, on each arm's rows of the columns not zero there: of the
+    # lower bound's 5, the pooled system keeps 3 treated and 2 control, the
+    # weighted 4 and 3; the upper bound adds its rows 1 and 3, both
+    # treated. The i.i.d. meat is the design meat's a - a3, so meat_iid is
+    # not called
+    both = (3 + 2, 2) if name == "lee" else (4 + 2, 3)
     assert widths == {
         "lb": [],
-        "ub": [("meat_design", lower)],
+        "ub": [("meat_design", both)],
         None: [("meat_design", both)],
     }[failing]
 
@@ -707,9 +717,8 @@ def fingerprint(kind, arg):
         for report in reports.values():
             digest.update(repr(report.se_lb).encode() + repr(report.se_ub).encode())
             digest.update(report.v_hat_lb.tobytes() + report.v_hat_ub.tobytes())
-            for meat in (report.meat_lb, report.meat_ub):
-                if meat is not None:
-                    digest.update(meat.omega.tobytes())
+            if report.meat is not None:
+                digest.update(report.meat.omega.tobytes())
     return digest.hexdigest()
 """
 
